@@ -3,8 +3,8 @@
 #
 #   make check       — the pre-push aggregate: gofmt gate (fails listing
 #                      any unformatted file), go vet, the full
-#                      build+test suite, the conformance tier, and the
-#                      fuzz smoke.
+#                      build+test suite, the conformance tier, the
+#                      kvperf benchmark smoke, and the fuzz smoke.
 #   make test        — tier 1: build + full test suite (the CI gate)
 #   make race        — race tier: go vet + the full suite under -race
 #                      (includes the registry capability-claims tests)
@@ -48,6 +48,11 @@
 #                      -skip-reconcile), each of which must exit 1 with
 #                      a shrunk repro script that cmd/clustersim then
 #                      replays to the same violation
+#   make kvperf      — the repository benchmark module (kvperf/, its own
+#                      go.mod): go vet and go test there (the root
+#                      ./... never reaches it), then a 1-second run of
+#                      each workload, failing unless it reports
+#                      "correct":true
 #   make fuzz-smoke  — a short fuzz pass (FUZZTIME each) over every fuzz
 #                      target: the registry -locks parser, the admission
 #                      cycle detector, the kvstore differential,
@@ -63,14 +68,14 @@ CONF_SEED ?= 1
 FUZZTIME ?= 5s
 BENCH_BASELINE ?= results/bench_baseline.json
 
-.PHONY: all build check fmt-check test vet race bench bench-json benchdiff-check chaos conformance vtime cluster explore fuzz-smoke
+.PHONY: all build check fmt-check test vet race bench bench-json benchdiff-check chaos conformance vtime cluster explore kvperf fuzz-smoke
 
 all: test
 
 build:
 	$(GO) build ./...
 
-check: fmt-check vet test conformance vtime cluster explore fuzz-smoke benchdiff-check
+check: fmt-check vet test conformance vtime cluster explore kvperf fuzz-smoke benchdiff-check
 
 fmt-check:
 	@out="$$($(GOFMT) -l .)"; if [ -n "$$out" ]; then \
@@ -137,6 +142,15 @@ explore: build
 			-script=$$repro -schedule="$$sched" 2>/dev/null || code=$$?; \
 		if [ $$code -ne 1 ]; then echo "explore: clustersim replay of $$repro exited $$code, want 1"; exit 1; fi; \
 		rm -f $$repro; echo "explore: mutation -$$mut caught, shrunk, and replayed"; \
+	done
+
+kvperf: build
+	$(GO) -C kvperf vet ./...
+	$(GO) -C kvperf test ./...
+	@set -e; for w in hot-get cold-mixed scan-batch; do \
+		out="$$(bash kvperf/run.sh --workload $$w --seconds 1 --trace 0)"; \
+		echo "$$out" | tail -n 1; \
+		if ! echo "$$out" | grep -q '"correct":true'; then echo "kvperf: $$w did not report correct"; exit 1; fi; \
 	done
 
 fuzz-smoke: build

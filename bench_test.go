@@ -60,7 +60,7 @@ func BenchmarkUncontended(b *testing.B) {
 	for _, lf := range registry.All() {
 		lf := lf
 		b.Run(lf.Name, func(b *testing.B) {
-			l := lf.New()
+			l := lf.New(nil)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				l.Lock()
@@ -78,7 +78,7 @@ func BenchmarkFig1aMaxContention(b *testing.B) {
 		for _, g := range []int{2, 4, 8} {
 			g := g
 			b.Run(lf.Name+"/g"+itoa(g), func(b *testing.B) {
-				contend(b, lf.New(), g)
+				contend(b, lf.New(nil), g)
 			})
 		}
 	}
@@ -158,7 +158,7 @@ func BenchmarkFig2aExchange(b *testing.B) {
 	for _, lf := range registry.Paper() {
 		lf := lf
 		b.Run(lf.Name, func(b *testing.B) {
-			stripe := atomicstruct.NewStripe(64, lf.New)
+			stripe := atomicstruct.NewStripe(64, func() sync.Locker { return lf.New(nil) })
 			a := atomicstruct.New[atomicstruct.S](stripe)
 			local := atomicstruct.S{A: 1}
 			b.ResetTimer()
@@ -173,7 +173,7 @@ func BenchmarkFig2bCAS(b *testing.B) {
 	for _, lf := range registry.Paper() {
 		lf := lf
 		b.Run(lf.Name, func(b *testing.B) {
-			stripe := atomicstruct.NewStripe(64, lf.New)
+			stripe := atomicstruct.NewStripe(64, func() sync.Locker { return lf.New(nil) })
 			a := atomicstruct.New[atomicstruct.S](stripe)
 			cur := a.Load()
 			b.ResetTimer()
@@ -198,7 +198,7 @@ func BenchmarkFig3ReadRandom(b *testing.B) {
 	for _, lf := range registry.Paper() {
 		lf := lf
 		b.Run(lf.Name, func(b *testing.B) {
-			db := kvstore.Open(kvstore.Options{Lock: lf.New(), MemTableBytes: 256 << 10})
+			db := kvstore.Open(kvstore.Options{Lock: lf.New(nil), MemTableBytes: 256 << 10})
 			kvstore.FillSeq(db, 10_000, 100)
 			b.ResetTimer()
 			res := kvstore.ReadRandom(db, kvstore.ReadRandomConfig{

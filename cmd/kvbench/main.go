@@ -29,6 +29,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/experiments"
@@ -127,7 +128,7 @@ func main() {
 	}
 
 	for _, lf := range lfs {
-		newLock := lf.New
+		newLock := func() sync.Locker { return lf.New(nil) }
 		var st *lockstat.Stats
 		if *lockstatOn {
 			st = lockstat.New()

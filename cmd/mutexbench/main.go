@@ -21,9 +21,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sync"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/clock"
 	"repro/internal/experiments"
 	"repro/internal/harness"
 	"repro/internal/lockstat"
@@ -109,7 +111,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(2)
 			}
-			run.New = fac
+			run.New = func(clock.Clock) sync.Locker { return fac() }
 			lockstat.InstallWaiterSink(st)
 		}
 		sub := mutexbench.SweepResult([]registry.Entry{run}, threads, cfg)

@@ -210,13 +210,16 @@ func watchdog(name string, heartbeat *atomic.Uint64, window time.Duration, st *l
 }
 
 func torture(lf registry.Entry, d time.Duration, workers, tableSize int, st *lockstat.Stats, stallTimeout time.Duration, chaosOn bool) (uint64, uint64, uint64, uint64) {
-	// The lock table is built through the registry's canonical
-	// decorator pipeline: a chaos veto shim when fault injection is
-	// armed (spurious TryLock/LockFor failures at the wrapper layer,
-	// uniform across lock types), telemetry when -lockstat is on.
+	// The lock table is built through the registry's decorator: a
+	// chaos veto when fault injection is armed (spurious TryLock/LockFor
+	// failures, uniform across lock types), bounded acquisition for
+	// every boundable entry, telemetry when -lockstat is on.
 	var opts []registry.Option
 	if chaosOn {
 		opts = append(opts, registry.WithChaosVeto(""))
+	}
+	if lf.Boundable() {
+		opts = append(opts, registry.WithBounded())
 	}
 	if st != nil {
 		opts = append(opts, registry.WithStats(st))
@@ -228,17 +231,10 @@ func torture(lf registry.Entry, d time.Duration, workers, tableSize int, st *loc
 			violation("%s: build failed: %v", lf.Name, err)
 		}
 		g := &guarded{mu: mu}
-		if w, ok := mu.(*lockstat.Instrumented); ok {
-			if w.Boundable() {
-				g.bnd = w
-			}
-		} else if b, ok := bounded.For(mu); ok {
-			g.bnd = b
-		}
-		if r, ok := mu.(rwlock.RWLocker); ok && rwlock.IsReadShared(mu) {
-			g.rw = r
-		} else if o, ok := mu.(rwlock.OptimisticLocker); ok && rwlock.IsOptimistic(mu) {
-			g.opt = o
+		g.bnd, _ = mu.(bounded.Locker)
+		g.rw, _ = mu.(rwlock.RWLocker)
+		if g.rw == nil {
+			g.opt, _ = mu.(rwlock.OptimisticLocker)
 		}
 		locks[i] = g
 	}

@@ -19,7 +19,7 @@ func TestKVStoreUnderEveryLock(t *testing.T) {
 	for _, lf := range registry.All() {
 		lf := lf
 		t.Run(lf.Name, func(t *testing.T) {
-			db := kvstore.Open(kvstore.Options{Lock: lf.New(), MemTableBytes: 8 << 10})
+			db := kvstore.Open(kvstore.Options{Lock: lf.New(nil), MemTableBytes: 8 << 10})
 			const n = 1500
 			var wg sync.WaitGroup
 			// Two writers partition the keyspace; four readers probe.
@@ -63,7 +63,7 @@ func TestAtomicStructUnderEveryLock(t *testing.T) {
 	for _, lf := range registry.All() {
 		lf := lf
 		t.Run(lf.Name, func(t *testing.T) {
-			stripe := atomicstruct.NewStripe(16, lf.New)
+			stripe := atomicstruct.NewStripe(16, func() sync.Locker { return lf.New(nil) })
 			a := atomicstruct.New[atomicstruct.S](stripe)
 			var wg sync.WaitGroup
 			const workers = 4
@@ -109,7 +109,7 @@ func TestInstrumentedInvariantsEveryLock(t *testing.T) {
 		lf := lf
 		t.Run(lf.Name, func(t *testing.T) {
 			st := lockstat.New()
-			l := lockstat.Wrap(lf.New(), st)
+			l := lockstat.Wrap(lf.New(nil), st)
 			var shared int64
 			var wg sync.WaitGroup
 			for g := 0; g < goroutines; g++ {

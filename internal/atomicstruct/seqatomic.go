@@ -35,7 +35,7 @@ func NewSeqStripe(n int, mk func() sync.Locker) *SeqStripe {
 	}
 	s := &SeqStripe{locks: make([]*rwlock.Seqlock, size)}
 	for i := range s.locks {
-		s.locks[i] = rwlock.NewSeqlock(mk())
+		s.locks[i] = rwlock.NewSeqlock(mk(), nil)
 	}
 	return s
 }

@@ -5,8 +5,8 @@
 //
 // Two retry paths share it:
 //
-//   - bounded.Polling, the TryLock-polling fallback of the bounded
-//     acquisition contract, uses it for its sleep schedule once an
+//   - bounded.PollFor/PollCtx, the TryLock-polling fallback of the
+//     bounded acquisition contract, use it for its sleep schedule once an
 //     episode escalates past hot spinning.
 //   - the cluster simulation's lease client (internal/cluster) uses it
 //     for lease re-acquisition after a denial or an expiry.

@@ -9,19 +9,17 @@
 //     CLH) implement bounded acquisition inside the algorithm, with
 //     safe abandonment of an already-published waiter; TAS/TTAS/ticket
 //     implement it as deadline-aware spinning on the try path.
-//   - Polling: any lock exposing TryLock can be adapted with the
-//     Polling wrapper, which retries TryLock under a deadline-aware
-//     waiter pause. Polling acquisition barges (it never enters the
-//     lock's queue), so it trades the lock's admission order for the
-//     ability to abandon instantly; that is the standard fallback
-//     trade-off (cf. pthread_mutex_timedlock over try-loops).
-//
-// For adapts a sync.Locker to the strongest available tier.
+//   - Polling: any lock exposing TryLock gains LockFor/LockCtx by
+//     retrying TryLock under a deadline-aware waiter pause (PollFor,
+//     PollCtx; registry.WithBounded applies them). Polling acquisition
+//     barges (it never enters the lock's queue), so it trades the
+//     lock's admission order for the ability to abandon instantly;
+//     that is the standard fallback trade-off (cf.
+//     pthread_mutex_timedlock over try-loops).
 package bounded
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,11 +28,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/waiter"
 )
-
-// ErrUnboundable is returned by bounded entry points of adapters whose
-// underlying lock supports neither native bounded acquisition nor
-// TryLock polling.
-var ErrUnboundable = errors.New("bounded: lock does not support bounded acquisition")
 
 // TryLocker is the non-blocking-acquire surface.
 type TryLocker interface {
@@ -60,56 +53,23 @@ type Locker interface {
 	LockCtx(ctx context.Context) error
 }
 
-// For adapts l to the bounded contract: the lock itself when it
-// implements Locker natively, a Polling wrapper when it only offers
-// TryLock, and ok=false when it supports neither (locks whose
-// admission protocol cannot be abandoned and which expose no
-// non-blocking doorway, e.g. the Gated and TwoLane appendix variants).
-func For(l sync.Locker) (Locker, bool) {
-	if b, ok := l.(Locker); ok {
-		return b, true
+// PollFor is LockFor over a bare try doorway: one attempt, then — for
+// d > 0 — retries until d elapses on c (nil = Wall).
+func PollFor(try func() bool, c clock.Clock, d time.Duration) bool {
+	if try() {
+		return true
 	}
-	if t, ok := l.(TryLocker); ok {
-		return &Polling{L: t}, true
+	if d <= 0 {
+		return false
 	}
-	return nil, false
+	return poll(try, c, clock.Or(c).Now()+d, nil)
 }
 
-// Boundable reports whether For can adapt l.
-func Boundable(l sync.Locker) bool {
-	_, ok := For(l)
-	return ok
-}
-
-// Polling adapts any TryLock-capable lock to the bounded contract by
-// retrying TryLock under a deadline-aware pause: a short hot phase
-// driven by the waiter policy, then capped decorrelated-jitter sleeps
-// from the shared backoff package (the same policy the cluster
-// simulation's lease client retries under), which desynchronizes
-// competing pollers instead of letting them re-collide on a fixed
-// schedule. See the package comment for the admission-order caveat.
-type Polling struct {
-	L      TryLocker
-	Policy waiter.Policy
-	// Backoff overrides the sleep schedule used once an episode
-	// escalates past the hot phase; zero fields select pollDefaults.
-	Backoff backoff.Policy
-	// Clk is the time source for deadlines and escalated sleeps; nil
-	// selects clock.Wall.
-	Clk clock.Clock
-	// Seed, when nonzero, pins the jitter stream of every polling
-	// episode instead of drawing per-episode seeds from the process
-	// counter — the deterministic mode virtual-time schedules need.
-	Seed uint64
-}
-
-// SetClock injects the time source (registry.WithClock threads through
-// here when the polling adapter wraps a try-only lock).
-func (p *Polling) SetClock(c clock.Clock) {
-	p.Clk = c
-	if cl, ok := p.L.(clock.Clocked); ok {
-		cl.SetClock(c)
-	}
+// PollCtx is LockCtx over a bare try doorway: retries until ctx is done.
+func PollCtx(try func() bool, c clock.Clock, ctx context.Context) error {
+	return CtxFrom(c, ctx, func(deadline time.Duration, done <-chan struct{}) bool {
+		return poll(try, c, deadline, done)
+	})
 }
 
 // pollSpinBudget is how many waiter pauses a polling episode spends in
@@ -127,14 +87,18 @@ var pollDefaults = backoff.Policy{Base: 20 * time.Microsecond, Cap: time.Millise
 // jitter stream from a distinct seed, deterministically per process.
 var pollSeq atomic.Uint64
 
-// wait is the shared LockFor/LockCtx retry loop. The deadline is an
-// absolute instant on the adapter's clock; zero means unbounded.
-func (p *Polling) wait(deadline time.Duration, done <-chan struct{}) bool {
-	c := clock.Or(p.Clk)
-	w := waiter.NewClocked(p.Policy, p.Clk)
+// poll is the shared retry loop: a short hot phase driven by the
+// adaptive waiter policy, then capped decorrelated-jitter sleeps from
+// the shared backoff package (the same policy the cluster simulation's
+// lease client retries under), which desynchronizes competing pollers
+// instead of letting them re-collide on a fixed schedule. The deadline
+// is an absolute instant on c; zero means unbounded.
+func poll(try func() bool, c clock.Clock, deadline time.Duration, done <-chan struct{}) bool {
+	w := waiter.NewClocked(waiter.PolicyAdaptive, c)
+	c = clock.Or(c)
 	var bo *backoff.Backoff
 	for {
-		if p.L.TryLock() {
+		if try() {
 			return true
 		}
 		if w.Spins() < pollSpinBudget {
@@ -147,15 +111,7 @@ func (p *Polling) wait(deadline time.Duration, done <-chan struct{}) bool {
 		// deadline and interruptible by done. Each sleep is a park in
 		// the waiter's transition taxonomy.
 		if bo == nil {
-			policy := p.Backoff
-			if policy == (backoff.Policy{}) {
-				policy = pollDefaults
-			}
-			seed := p.Seed
-			if seed == 0 {
-				seed = pollSeq.Add(1)
-			}
-			bo = backoff.New(policy, seed)
+			bo = backoff.New(pollDefaults, pollSeq.Add(1))
 		}
 		d := bo.Next()
 		if deadline != 0 {
@@ -174,126 +130,6 @@ func (p *Polling) wait(deadline time.Duration, done <-chan struct{}) bool {
 			return false
 		}
 	}
-}
-
-// Lock acquires the inner lock (unbounded, via the lock's own queue).
-func (p *Polling) Lock() { p.L.Lock() }
-
-// Unlock releases the inner lock.
-func (p *Polling) Unlock() { p.L.Unlock() }
-
-// TryLock attempts a non-blocking acquire of the inner lock.
-func (p *Polling) TryLock() bool { return p.L.TryLock() }
-
-// LockFor implements Locker by polling TryLock until the deadline.
-func (p *Polling) LockFor(d time.Duration) bool {
-	if p.L.TryLock() {
-		return true
-	}
-	if d <= 0 {
-		return false
-	}
-	return p.wait(clock.Or(p.Clk).Now()+d, nil)
-}
-
-// readShared and optimistic mirror rwlock.RWLocker/OptimisticLocker
-// structurally, so the read-path pass-through below does not couple
-// this package to internal/rwlock.
-type readShared interface {
-	RLock()
-	RUnlock()
-}
-
-type optimistic interface {
-	ReadBegin() uint64
-	ReadValidate(s uint64) bool
-	OptimisticRead(f func())
-}
-
-// capProber mirrors rwlock's probe: because the adapter's read methods
-// are total (exclusive fallback), rwlock.IsReadShared/IsOptimistic ask
-// through this instead of trusting the interface surface.
-type capProber interface {
-	ReadSharedCapable() bool
-	OptimisticCapable() bool
-}
-
-// ReadSharedCapable reports whether RLock actually shares (the inner
-// lock has a real read path) rather than falling back to Lock.
-func (p *Polling) ReadSharedCapable() bool {
-	if pr, ok := p.L.(capProber); ok {
-		return pr.ReadSharedCapable()
-	}
-	_, ok := p.L.(readShared)
-	return ok
-}
-
-// OptimisticCapable reports whether the optimistic read surface is
-// real rather than the exclusive fallback.
-func (p *Polling) OptimisticCapable() bool {
-	if pr, ok := p.L.(capProber); ok {
-		return pr.OptimisticCapable()
-	}
-	_, ok := p.L.(optimistic)
-	return ok
-}
-
-// RLock passes a shared-read acquire through to the inner lock,
-// degrading to exclusive Lock when the inner lock has no read path.
-// The degradation is semantically sound (exclusion implies sharing's
-// guarantees); callers wanting actual sharing gate on CapReadShared.
-func (p *Polling) RLock() {
-	if r, ok := p.L.(readShared); ok {
-		r.RLock()
-		return
-	}
-	p.L.Lock()
-}
-
-// RUnlock releases an RLock admission.
-func (p *Polling) RUnlock() {
-	if r, ok := p.L.(readShared); ok {
-		r.RUnlock()
-		return
-	}
-	p.L.Unlock()
-}
-
-// ReadBegin passes through to the inner optimistic read path. An inner
-// lock with no such path reports a permanently conflicted stamp
-// (ReadValidate always false), so manual begin/validate loops must
-// gate on CapOptimisticRead; OptimisticRead remains total either way.
-func (p *Polling) ReadBegin() uint64 {
-	if o, ok := p.L.(optimistic); ok {
-		return o.ReadBegin()
-	}
-	return 0
-}
-
-// ReadValidate passes through; false (conflicted) for inner locks with
-// no optimistic read path.
-func (p *Polling) ReadValidate(s uint64) bool {
-	if o, ok := p.L.(optimistic); ok {
-		return o.ReadValidate(s)
-	}
-	return false
-}
-
-// OptimisticRead passes through, degrading to an exclusive section
-// when the inner lock has no optimistic read path.
-func (p *Polling) OptimisticRead(f func()) {
-	if o, ok := p.L.(optimistic); ok {
-		o.OptimisticRead(f)
-		return
-	}
-	p.L.Lock()
-	f()
-	p.L.Unlock()
-}
-
-// LockCtx implements Locker by polling TryLock until ctx is done.
-func (p *Polling) LockCtx(ctx context.Context) error {
-	return CtxFrom(p.Clk, ctx, p.wait)
 }
 
 // CtxFrom adapts a lock's deadline/done-aware bounded acquire into the

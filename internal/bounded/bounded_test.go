@@ -22,13 +22,7 @@ func boundables() []struct {
 	name string
 	mk   func() bounded.Locker
 } {
-	get := func(l sync.Locker) bounded.Locker {
-		b, ok := bounded.For(l)
-		if !ok {
-			panic("table entry is not boundable")
-		}
-		return b
-	}
+	get := func(l bounded.TryLocker) bounded.Locker { return polling{l} }
 	return []struct {
 		name string
 		mk   func() bounded.Locker
@@ -42,7 +36,7 @@ func boundables() []struct {
 		{"Ticket", func() bounded.Locker { return new(locks.TicketLock) }},
 		{"MCS", func() bounded.Locker { return new(locks.MCSLock) }},
 		{"CLH", func() bounded.Locker { return new(locks.CLHLock) }},
-		// Polling tier (TryLock-capable locks adapted by For).
+		// Polling tier (TryLock-capable locks adapted by PollFor/PollCtx).
 		{"Fair/poll", func() bounded.Locker { return get(new(core.FairLock)) }},
 		{"TWA/poll", func() bounded.Locker { return get(new(locks.TWALock)) }},
 		{"Chen/poll", func() bounded.Locker { return get(new(locks.ChenLock)) }},
@@ -52,6 +46,14 @@ func boundables() []struct {
 		{"FutexMutex/poll", func() bounded.Locker { return get(new(locks.FutexMutex)) }},
 	}
 }
+
+// polling adapts a TryLock-only lock to the bounded contract the way
+// registry.WithBounded does: by polling its TryLock.
+type polling struct{ bounded.TryLocker }
+
+func (p polling) LockFor(d time.Duration) bool { return bounded.PollFor(p.TryLock, nil, d) }
+
+func (p polling) LockCtx(ctx context.Context) error { return bounded.PollCtx(p.TryLock, nil, ctx) }
 
 // LockFor(0) must behave exactly like TryLock: immediate success on a
 // free lock, immediate failure on a held one, no residue either way.
@@ -309,16 +311,16 @@ func TestMixedModeStress(t *testing.T) {
 	}
 }
 
-// The adapter must refuse locks with no bounded tier: the Gated and
+// Locks with no bounded tier offer nothing to poll: the Gated and
 // TwoLane appendix variants have neither a safe abandonment protocol
 // nor a TryLock doorway.
 func TestUnboundableLocks(t *testing.T) {
 	for _, l := range []sync.Locker{new(core.GatedLock), new(core.TwoLaneLock)} {
-		if bounded.Boundable(l) {
-			t.Fatalf("%T reported boundable", l)
+		if _, ok := l.(bounded.TryLocker); ok {
+			t.Fatalf("%T offers a TryLock doorway", l)
 		}
-		if b, ok := bounded.For(l); ok || b != nil {
-			t.Fatalf("For(%T) = %v, %v; want nil, false", l, b, ok)
+		if _, ok := l.(bounded.Locker); ok {
+			t.Fatalf("%T offers bounded acquisition", l)
 		}
 	}
 }

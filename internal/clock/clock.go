@@ -62,14 +62,6 @@ type Timer interface {
 	Stop() bool
 }
 
-// Clocked is implemented by values that accept an injected clock —
-// every catalog lock, the bounded-polling adapter, the rwlock
-// combinators, and the lockstat wrapper. registry.WithClock threads a
-// clock through the decorator pipeline via this interface.
-type Clocked interface {
-	SetClock(c Clock)
-}
-
 // Or returns c, or Wall when c is nil — the idiom for the nil-default
 // clock fields lock structs carry.
 func Or(c Clock) Clock {

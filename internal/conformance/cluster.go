@@ -55,7 +55,7 @@ func CheckClusterFencing(e registry.Entry, o Options) error {
 		Duration: 450 * time.Millisecond,
 		Heal:     1200 * time.Millisecond,
 		Script:   script,
-		NewLock:  func() sync.Locker { return e.New() },
+		NewLock:  func() sync.Locker { return e.New(nil) },
 	})
 	if err != nil {
 		return err
@@ -81,10 +81,11 @@ func CheckLeaseReacquire(e registry.Entry, o Options) error {
 		return skipError("not boundable")
 	}
 	o = o.withDefaults()
-	bl, ok := bounded.For(e.New())
-	if !ok {
-		return fmt.Errorf("entry is Boundable() but bounded.For failed")
+	l, err := e.Build(registry.WithBounded())
+	if err != nil {
+		return err
 	}
+	bl := l.(bounded.Locker)
 	chaos.Enable(chaos.DefaultConfig(o.Seed))
 	defer chaos.Disable()
 

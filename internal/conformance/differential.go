@@ -61,7 +61,7 @@ func RunDifferential(e registry.Entry, seed uint64, schedules int) (DiffResult, 
 		if err := p.Validate(); err != nil {
 			return res, fmt.Errorf("schedule %d: generator self-check: %w", s, err)
 		}
-		if err := runReal(e.New(), p); err != nil {
+		if err := runReal(e.New(nil), p); err != nil {
 			return res, fmt.Errorf("schedule %d (seed %#x, %d threads × %d episodes): real %s: %w",
 				s, p.Seed, threads, episodes, e.Name, err)
 		}

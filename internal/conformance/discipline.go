@@ -104,7 +104,7 @@ func CheckUnlockDiscipline(e registry.Entry) error {
 		return fmt.Errorf("entry %s has no declared unlock discipline", e.Name)
 	}
 
-	l := e.New()
+	l := e.New(nil)
 	panicked := false
 	func() {
 		defer func() {

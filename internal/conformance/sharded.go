@@ -67,7 +67,7 @@ func shardedUnderTest(e registry.Entry) (*kvstore.ShardedDB, []*lockstat.Admissi
 		NewLock: func() sync.Locker {
 			log := lockstat.NewAdmissionLog()
 			logs = append(logs, log)
-			return &admissionLocker{inner: e.New(), log: log}
+			return &admissionLocker{inner: e.New(nil), log: log}
 		},
 	})
 	return db, logs

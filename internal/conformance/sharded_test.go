@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/registry"
 )
 
@@ -17,7 +18,7 @@ func brokenEntry(name string, mk func() sync.Locker) registry.Entry {
 		Family:  registry.FamilySpin,
 		Caps:    registry.CapSimTwin, // opt in to the shard checks
 		SimTwin: "TKT",               // never resolved by these checks
-		New:     mk,
+		New:     func(clock.Clock) sync.Locker { return mk() },
 	}
 }
 

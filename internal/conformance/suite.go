@@ -68,7 +68,7 @@ func Skipped(err error) bool {
 // section — to vary the interleavings from run to run reproducibly.
 func CheckMutualExclusion(e registry.Entry, o Options) error {
 	o = o.withDefaults()
-	l := e.New()
+	l := e.New(nil)
 	log := lockstat.NewAdmissionLog()
 	counter := 0
 	var wg sync.WaitGroup
@@ -114,7 +114,7 @@ func CheckTryLock(e registry.Entry, o Options) error {
 		return skipError("no TryLock capability")
 	}
 	o = o.withDefaults()
-	l := e.New()
+	l := e.New(nil)
 	tl := l.(bounded.TryLocker)
 	log := lockstat.NewAdmissionLog()
 	counter := 0
@@ -175,10 +175,11 @@ func CheckBounded(e registry.Entry, o Options) error {
 		return skipError("not boundable")
 	}
 	o = o.withDefaults()
-	bl, ok := bounded.For(e.New())
-	if !ok {
-		return fmt.Errorf("entry is Boundable() but bounded.For failed")
+	l, err := e.Build(registry.WithBounded())
+	if err != nil {
+		return err
 	}
+	bl := l.(bounded.Locker)
 
 	// LockFor(0) == TryLock: succeeds on a free lock, fails fast on a
 	// held one.
@@ -256,10 +257,11 @@ func CheckAbandonment(e registry.Entry, o Options) error {
 		return skipError("not boundable")
 	}
 	o = o.withDefaults()
-	bl, ok := bounded.For(e.New())
-	if !ok {
-		return fmt.Errorf("entry is Boundable() but bounded.For failed")
+	l, err := e.Build(registry.WithBounded())
+	if err != nil {
+		return err
 	}
+	bl := l.(bounded.Locker)
 	chaos.Enable(chaos.DefaultConfig(o.Seed))
 	defer chaos.Disable()
 

@@ -3,35 +3,8 @@ package core
 import "repro/internal/clock"
 
 // Clock aliases clock.Clock so each variant's struct can declare its
-// Clk field without every file importing the clock package.
+// Clk field without every file importing the clock package. The clock
+// is set at construction (nil = wall clock) and paces waiting — park
+// sleeps and bounded-acquisition deadlines — on the slow paths only;
+// the uncontended fast paths never touch it.
 type Clock = clock.Clock
-
-// SetClock implementations: every variant satisfies clock.Clocked, so
-// registry.WithClock can thread an injected time source (nil restores
-// the wall clock) through any catalog entry. The clock paces waiting —
-// park sleeps and bounded-acquisition deadlines — and is read only on
-// those slow paths; the uncontended fast paths never touch it.
-
-func (l *Lock) SetClock(c clock.Clock)              { l.Clk = c }
-func (l *SimplifiedLock) SetClock(c clock.Clock)    { l.Clk = c }
-func (l *SimplifiedEOSLock) SetClock(c clock.Clock) { l.Clk = c }
-func (l *CombinedLock) SetClock(c clock.Clock)      { l.Clk = c }
-func (l *CTRLock) SetClock(c clock.Clock)           { l.Clk = c }
-func (l *FairLock) SetClock(c clock.Clock)          { l.Clk = c }
-func (l *FetchAddLock) SetClock(c clock.Clock)      { l.Clk = c }
-func (l *GatedLock) SetClock(c clock.Clock)         { l.Clk = c }
-func (l *RelayLock) SetClock(c clock.Clock)         { l.Clk = c }
-func (l *TwoLaneLock) SetClock(c clock.Clock)       { l.Clk = c }
-
-var (
-	_ clock.Clocked = (*Lock)(nil)
-	_ clock.Clocked = (*SimplifiedLock)(nil)
-	_ clock.Clocked = (*SimplifiedEOSLock)(nil)
-	_ clock.Clocked = (*CombinedLock)(nil)
-	_ clock.Clocked = (*CTRLock)(nil)
-	_ clock.Clocked = (*FairLock)(nil)
-	_ clock.Clocked = (*FetchAddLock)(nil)
-	_ clock.Clocked = (*GatedLock)(nil)
-	_ clock.Clocked = (*RelayLock)(nil)
-	_ clock.Clocked = (*TwoLaneLock)(nil)
-)

@@ -90,7 +90,7 @@ func BypassBoundResult(workers, iters int) *harness.Result {
 		if !ok {
 			continue
 		}
-		sched := recordAdmissions(lf.New(), workers, iters)
+		sched := recordAdmissions(lf.New(nil), workers, iters)
 		res.Add(harness.Cell{
 			Lock: entry.name, Workload: "bypass", Threads: workers,
 			Extras: map[string]float64{

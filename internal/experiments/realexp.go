@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/atomicstruct"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/kvstore"
@@ -76,7 +77,7 @@ func fig2Workload(lf registry.Entry, cas bool) harness.Workload {
 	var shared *atomicstruct.Atomic[atomicstruct.S]
 	return &harness.WorkloadFunc{
 		SetupFn: func(run harness.RunInfo) {
-			stripe := atomicstruct.NewStripe(64, lf.New)
+			stripe := atomicstruct.NewStripe(64, func() sync.Locker { return lf.New(nil) })
 			shared = atomicstruct.New[atomicstruct.S](stripe)
 		},
 		WorkerFn: func(id int) func() {
@@ -202,7 +203,7 @@ func KVReadRandomMeasure(lf registry.Entry, newLock func() sync.Locker, cfg kvst
 func KVShardedReadRandomMeasure(lf registry.Entry, newLock func() sync.Locker, shards int, cfg kvstore.ReadRandomConfig, keys, runs int) harness.Measurement {
 	mk := newLock
 	if mk == nil {
-		mk = lf.New
+		mk = func() sync.Locker { return lf.New(nil) }
 	}
 	open := func(run harness.RunInfo) kvstore.Store {
 		db := OpenKVStore(mk, shards)
@@ -279,7 +280,7 @@ func UncontendedLatencyResult(iters int) *harness.Result {
 		var l sync.Locker
 		w := &harness.WorkloadFunc{
 			SetupFn: func(run harness.RunInfo) {
-				l = lf.New()
+				l = lf.New(nil)
 				// Warmup.
 				for i := 0; i < 10_000; i++ {
 					l.Lock()
@@ -334,7 +335,7 @@ func MitigationFairnessResult(dur time.Duration, runs int) *harness.Result {
 	set := []registry.Entry{
 		fromCatalog("Recipro"),
 		relabel(fromCatalog("Fair"), "Fair(1/16)"),
-		{Name: "Fair(1/4)", New: func() sync.Locker { return &core.FairLock{DeferProb: 64} }},
+		{Name: "Fair(1/4)", New: func(c clock.Clock) sync.Locker { return &core.FairLock{DeferProb: 64, Clk: c} }},
 		fromCatalog("TwoLane"),
 		fromCatalog("RetroRand"),
 		fromCatalog("Retrograde"),

@@ -102,7 +102,7 @@ func CalibrateShardModel(lf registry.Entry, keys int, dur time.Duration) ShardMo
 	if dur <= 0 {
 		dur = 100 * time.Millisecond
 	}
-	ht := &holdTimer{inner: lf.New()}
+	ht := &holdTimer{inner: lf.New(nil)}
 	db := kvstore.Open(kvstore.Options{Lock: ht, MemTableBytes: kvMemTableBytes})
 	kvstore.FillSeq(db, keys, 100)
 	ht.reset() // exclude the fill's acquisitions from the model

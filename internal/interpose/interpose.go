@@ -47,7 +47,7 @@ func resolve() {
 			implErr = fmt.Errorf("interpose: unknown %s=%q", EnvVar, name)
 			return
 		}
-		implName, implNew = lf.Name, lf.New
+		implName, implNew = lf.Name, func() sync.Locker { return lf.New(nil) }
 	})
 }
 

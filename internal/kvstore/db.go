@@ -82,10 +82,10 @@ type DB struct {
 	opts Options
 
 	// rmu is mu's shared-read surface, non-nil exactly when the
-	// configured lock actually admits concurrent readers
-	// (rwlock.IsReadShared, not just the structural interface). When
-	// set, Get and NewIterator snapshot state under RLock instead of
-	// Lock, so readers stop serializing through the writer's lock word.
+	// configured lock admits concurrent readers (implements
+	// rwlock.RWLocker). When set, Get and NewIterator snapshot state
+	// under RLock instead of Lock, so readers stop serializing through
+	// the writer's lock word.
 	rmu rwlock.RWLocker
 
 	// Guarded by mu (shared readers hold rmu); Get snapshots mem+runs
@@ -102,7 +102,7 @@ func Open(opts Options) *DB {
 		if !ok {
 			panic(fmt.Sprintf("kvstore: unknown Options.LockName %q", opts.LockName))
 		}
-		opts.Lock = lf.New()
+		opts.Lock = lf.New(nil)
 	}
 	if opts.Lock == nil {
 		opts.Lock = new(core.Lock)
@@ -114,9 +114,7 @@ func Open(opts Options) *DB {
 		opts.MaxRuns = 4
 	}
 	db := &DB{mu: opts.Lock, opts: opts, mem: NewSkipList()}
-	if r, ok := opts.Lock.(rwlock.RWLocker); ok && rwlock.IsReadShared(opts.Lock) {
-		db.rmu = r
-	}
+	db.rmu, _ = opts.Lock.(rwlock.RWLocker)
 	return db
 }
 

@@ -24,9 +24,9 @@ type stripeTable struct {
 	locks []sync.Locker
 
 	// rlocks aliases locks through their shared-read surface, non-nil
-	// exactly when every stripe actually admits concurrent readers
-	// (rwlock.IsReadShared). When nil, the read-set entry points fall
-	// back to exclusive acquisition — correct, just unshared.
+	// exactly when every stripe admits concurrent readers (implements
+	// rwlock.RWLocker). When nil, the read-set entry points fall back
+	// to exclusive acquisition — correct, just unshared.
 	rlocks []rwlock.RWLocker
 }
 
@@ -37,7 +37,7 @@ func newStripeTable(locks []sync.Locker) stripeTable {
 	rlocks := make([]rwlock.RWLocker, len(locks))
 	for i, l := range locks {
 		r, ok := l.(rwlock.RWLocker)
-		if !ok || !rwlock.IsReadShared(l) {
+		if !ok {
 			return t
 		}
 		rlocks[i] = r

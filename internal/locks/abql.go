@@ -28,12 +28,13 @@ type ABQLock struct {
 }
 
 // NewABQL creates a lock supporting at most capacity simultaneous
-// participants (holders plus waiters).
-func NewABQL(capacity int) *ABQLock {
+// participants (holders plus waiters), waiting on c (nil = wall
+// clock).
+func NewABQL(capacity int, c Clock) *ABQLock {
 	if capacity < 1 {
 		panic("locks: ABQL capacity must be positive")
 	}
-	l := &ABQLock{}
+	l := &ABQLock{Clk: c}
 	l.slots = make([]struct {
 		flag atomic.Uint32
 		_    [pad.SectorSize - 4]byte

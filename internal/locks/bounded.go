@@ -27,8 +27,8 @@ import (
 //     aband word; successors hop past and reclaim abandoned nodes.
 //
 // The remaining baselines (Chen, Retrograde*, ABQL, TWA, HemLock,
-// FutexMutex) are served by the generic bounded.Polling fallback over
-// their TryLock.
+// FutexMutex) are served by the generic TryLock-polling fallback
+// (bounded.PollFor/PollCtx, applied by registry.WithBounded).
 
 var (
 	chLocksTry   = chaos.NewPoint("locks.trylock")

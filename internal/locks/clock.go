@@ -3,39 +3,8 @@ package locks
 import "repro/internal/clock"
 
 // Clock aliases clock.Clock so each baseline's struct can declare its
-// Clk field without every file importing the clock package.
+// Clk field without every file importing the clock package. The clock
+// is set at construction (nil = wall clock) and paces waiting — park
+// sleeps and bounded-acquisition deadlines — on the slow paths only;
+// the uncontended fast paths never touch it.
 type Clock = clock.Clock
-
-// SetClock implementations: every baseline satisfies clock.Clocked, so
-// registry.WithClock can thread an injected time source (nil restores
-// the wall clock) through any catalog entry. The clock paces waiting —
-// park sleeps and bounded-acquisition deadlines — and is read only on
-// those slow paths; the uncontended fast paths never touch it.
-
-func (l *TASLock) SetClock(c clock.Clock)            { l.Clk = c }
-func (l *TTASLock) SetClock(c clock.Clock)           { l.Clk = c }
-func (l *TicketLock) SetClock(c clock.Clock)         { l.Clk = c }
-func (l *MCSLock) SetClock(c clock.Clock)            { l.Clk = c }
-func (l *CLHLock) SetClock(c clock.Clock)            { l.Clk = c }
-func (l *ChenLock) SetClock(c clock.Clock)           { l.Clk = c }
-func (l *ABQLock) SetClock(c clock.Clock)            { l.Clk = c }
-func (l *RetrogradeLock) SetClock(c clock.Clock)     { l.Clk = c }
-func (l *RetrogradeRandLock) SetClock(c clock.Clock) { l.Clk = c }
-func (l *HemLock) SetClock(c clock.Clock)            { l.Clk = c }
-func (l *TWALock) SetClock(c clock.Clock)            { l.Clk = c }
-func (m *FutexMutex) SetClock(c clock.Clock)         { m.Clk = c }
-
-var (
-	_ clock.Clocked = (*TASLock)(nil)
-	_ clock.Clocked = (*TTASLock)(nil)
-	_ clock.Clocked = (*TicketLock)(nil)
-	_ clock.Clocked = (*MCSLock)(nil)
-	_ clock.Clocked = (*CLHLock)(nil)
-	_ clock.Clocked = (*ChenLock)(nil)
-	_ clock.Clocked = (*ABQLock)(nil)
-	_ clock.Clocked = (*RetrogradeLock)(nil)
-	_ clock.Clocked = (*RetrogradeRandLock)(nil)
-	_ clock.Clocked = (*HemLock)(nil)
-	_ clock.Clocked = (*TWALock)(nil)
-	_ clock.Clocked = (*FutexMutex)(nil)
-)

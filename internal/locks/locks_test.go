@@ -19,7 +19,7 @@ func baselines() []struct {
 		{"TTAS", func() sync.Locker { return new(TTASLock) }},
 		{"Ticket", func() sync.Locker { return new(TicketLock) }},
 		{"TWA", func() sync.Locker { return new(TWALock) }},
-		{"ABQL", func() sync.Locker { return NewABQL(64) }},
+		{"ABQL", func() sync.Locker { return NewABQL(64, nil) }},
 		{"MCS", func() sync.Locker { return new(MCSLock) }},
 		{"CLH", func() sync.Locker { return new(CLHLock) }},
 		{"HemLock", func() sync.Locker { return new(HemLock) }},
@@ -185,7 +185,7 @@ func TestTryLockSemantics(t *testing.T) {
 		{"Chen", func() tryLocker { return new(ChenLock) }},
 		{"Retrograde", func() tryLocker { return new(RetrogradeLock) }},
 		{"RetroRand", func() tryLocker { return new(RetrogradeRandLock) }},
-		{"ABQL", func() tryLocker { return NewABQL(8) }},
+		{"ABQL", func() tryLocker { return NewABQL(8, nil) }},
 		{"FutexMutex", func() tryLocker { return new(FutexMutex) }},
 	}
 	for _, m := range mks {
@@ -283,7 +283,7 @@ func TestRetrogradeRandAdmitsAll(t *testing.T) {
 }
 
 func TestABQLCapacity(t *testing.T) {
-	l := NewABQL(3)
+	l := NewABQL(3, nil)
 	if l.Capacity() != 3 {
 		t.Fatalf("Capacity = %d", l.Capacity())
 	}
@@ -292,7 +292,7 @@ func TestABQLCapacity(t *testing.T) {
 			t.Fatal("NewABQL(0) should panic")
 		}
 	}()
-	NewABQL(0)
+	NewABQL(0, nil)
 }
 
 func TestCLHLazyInitRace(t *testing.T) {

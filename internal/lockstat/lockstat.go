@@ -15,8 +15,10 @@
 //     histograms (acquire latency and hold time). Stats implements
 //     waiter.Sink, so spin/yield/park transitions are counted at the
 //     policy layer with no per-lock instrumentation.
-//   - Instrumented: a sync.Locker (and TryLock) wrapper around any
-//     lock in internal/core or internal/locks. A nil-Stats wrapper
+//   - Decorate / Wrap: the one lock decorator, recording into a Stats
+//     and exposing exactly the wrapped lock's surfaces (TryLock,
+//     bounded, shared and optimistic reads); registry.Build fuses the
+//     chaos veto and bounded polling into it. A nil-Stats decorator
 //     degenerates to one nil check plus the inner call.
 //   - Export: expvar publication and text/CSV table dumps built on
 //     internal/table, wired into cmd/mutexbench, cmd/kvbench and

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bounded"
 	"repro/internal/core"
 	"repro/internal/waiter"
 )
@@ -122,9 +123,10 @@ func TestStatsImplementsWaiterSink(t *testing.T) {
 }
 
 func TestInstrumentedNilStatsPassThrough(t *testing.T) {
-	l := Wrap(new(core.Lock), nil)
+	base := new(core.Lock)
+	l := Wrap(base, nil).(bounded.Locker)
 	l.Lock()
-	if !l.Inner().(*core.Lock).Locked() {
+	if !base.Locked() {
 		t.Fatal("inner lock not held after Lock")
 	}
 	l.Unlock()
@@ -132,9 +134,10 @@ func TestInstrumentedNilStatsPassThrough(t *testing.T) {
 		t.Fatal("TryLock failed on free lock")
 	}
 	l.Unlock()
-	if l.Stats() != nil {
-		t.Fatal("Stats() != nil for nil-stats wrapper")
+	if !l.LockFor(time.Millisecond) {
+		t.Fatal("LockFor failed on free lock")
 	}
+	l.Unlock()
 }
 
 func TestInstrumentedCountsUncontended(t *testing.T) {
@@ -159,7 +162,8 @@ func TestInstrumentedCountsUncontended(t *testing.T) {
 
 func TestInstrumentedDetectsContention(t *testing.T) {
 	s := New()
-	l := Wrap(new(core.Lock), s)
+	d := newDecorated(new(core.Lock), nil, nil, false, s)
+	l := d.expose()
 	// Force a contended acquisition deterministically: hold the lock
 	// while a second goroutine attempts to acquire.
 	l.Lock()
@@ -173,7 +177,7 @@ func TestInstrumentedDetectsContention(t *testing.T) {
 	}()
 	<-entered
 	// Wait until the second goroutine is observably queued.
-	for l.waiting.Load() == 0 {
+	for d.waiting.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	l.Unlock()
@@ -192,7 +196,7 @@ func TestInstrumentedDetectsContention(t *testing.T) {
 
 func TestInstrumentedTryLock(t *testing.T) {
 	s := New()
-	l := Wrap(new(core.Lock), s)
+	l := Wrap(new(core.Lock), s).(bounded.TryLocker)
 	if !l.TryLock() {
 		t.Fatal("TryLock on free lock failed")
 	}
@@ -209,10 +213,9 @@ func TestInstrumentedTryLock(t *testing.T) {
 		t.Fatalf("acquire hist %d != acquisitions %d", snap.Acquire.Count(), snap.Acquisitions)
 	}
 
-	// A lock without TryLock: wrapper must report false, not panic.
-	noTry := Wrap(minimalLocker{new(sync.Mutex)}, New())
-	if noTry.TryLock() {
-		t.Fatal("TryLock succeeded on a lock without TryLock support")
+	// A lock without TryLock: the decorator must not offer one.
+	if _, ok := Wrap(minimalLocker{new(sync.Mutex)}, New()).(bounded.TryLocker); ok {
+		t.Fatal("decorator invented a TryLock for a lock without one")
 	}
 }
 

@@ -119,7 +119,7 @@ func readMostlyWorkload(lf registry.Entry, cfg Config) harness.Workload {
 	return &harness.WorkloadFunc{
 		SetupFn: func(run harness.RunInfo) {
 			seed = uint32(run.Seed)
-			l = lf.New()
+			l = lf.New(nil)
 			p = &guardedPair{}
 		},
 		WorkerFn: func(id int) func() {
@@ -127,15 +127,12 @@ func readMostlyWorkload(lf registry.Entry, cfg Config) harness.Workload {
 			private := xrand.NewMT19937Seeded(uint32(id)*2654435761 + seed + 1)
 			lk, gp := l, p
 			ncs := cfg.NCSMaxSteps
-			// Resolve the strongest real read surface once per worker:
-			// a structural interface alone is not enough, decorators
-			// expose fallback read methods (see rwlock.IsReadShared).
-			var rw rwlock.RWLocker
+			// Resolve the read surface once per worker; a shared read
+			// path takes precedence over an optimistic one.
+			rw, _ := lk.(rwlock.RWLocker)
 			var opt rwlock.OptimisticLocker
-			if r, ok := lk.(rwlock.RWLocker); ok && rwlock.IsReadShared(lk) {
-				rw = r
-			} else if o, ok := lk.(rwlock.OptimisticLocker); ok && rwlock.IsOptimistic(lk) {
-				opt = o
+			if rw == nil {
+				opt, _ = lk.(rwlock.OptimisticLocker)
 			}
 			var sink uint64
 			readBody := func() { sink += gp.x.Load() + gp.y.Load() }
@@ -183,7 +180,7 @@ func Workload(lf registry.Entry, cfg Config) harness.Workload {
 	return &harness.WorkloadFunc{
 		SetupFn: func(run harness.RunInfo) {
 			seed = uint32(run.Seed)
-			l = lf.New()
+			l = lf.New(nil)
 			shared = xrand.NewMT19937Seeded(12345 + seed)
 		},
 		WorkerFn: func(id int) func() {

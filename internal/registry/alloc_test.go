@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bounded"
 	"repro/internal/clock"
+	"repro/internal/rwlock"
 )
 
 // The zero-overhead guard for the clock refactor: threading an
@@ -72,6 +73,41 @@ func TestLockForFastPathAllocFree(t *testing.T) {
 			}); n != 0 {
 				t.Errorf("%s (virtual=%v): LockFor fast path allocates %.1f/op, want 0", name, virtual, n)
 			}
+		}
+	}
+}
+
+// The decorated read path cold-mixed runs: rw:Recipro behind the veto,
+// bounded polling and nil-Stats telemetry must keep Lock/Unlock and
+// RLock/RUnlock allocation-free, under the wall and a virtual clock.
+func TestDecoratedRWFastPathAllocFree(t *testing.T) {
+	for _, virtual := range []bool{false, true} {
+		opts := []Option{WithChaosVeto(""), WithBounded(), WithStats(nil)}
+		if virtual {
+			opts = append(opts, WithClock(clock.NewVirtual()))
+		}
+		l, err := Build("rw:Recipro", opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rw := l.(rwlock.RWLocker)
+		for i := 0; i < 64; i++ {
+			rw.Lock()
+			rw.Unlock()
+			rw.RLock()
+			rw.RUnlock()
+		}
+		if n := testing.AllocsPerRun(2000, func() {
+			rw.Lock()
+			rw.Unlock()
+		}); n != 0 {
+			t.Errorf("virtual=%v: decorated Lock/Unlock allocates %.1f/op, want 0", virtual, n)
+		}
+		if n := testing.AllocsPerRun(2000, func() {
+			rw.RLock()
+			rw.RUnlock()
+		}); n != 0 {
+			t.Errorf("virtual=%v: decorated RLock/RUnlock allocates %.1f/op, want 0", virtual, n)
 		}
 	}
 }

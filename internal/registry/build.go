@@ -1,30 +1,31 @@
 package registry
 
 import (
-	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/bounded"
 	"repro/internal/chaos"
 	"repro/internal/clock"
 	"repro/internal/lockstat"
-	"repro/internal/rwlock"
 )
 
-// The canonical decorator pipeline. Every harness used to stack the
-// lockstat and bounded wrappers by hand, each in its own order; Build
-// composes them once, innermost to outermost:
+// Build turns the four options into at most one decorator
+// (lockstat.Decorate) over the base lock, which fuses the layers that
+// apply:
 //
-//	base lock → chaos veto → bounded guarantee → lockstat telemetry
+//	chaos veto → bounded guarantee → lockstat telemetry
 //
-// The order is load-bearing: the veto sits against the raw lock so
-// injected TryLock failures exercise the algorithm's own retry paths;
-// the bounded adaptation wraps the vetoed lock so polling fallbacks
-// feel the injected pressure; and telemetry is outermost so vetoed
-// attempts are recorded as try-failures and abandoned bounded waits as
-// abandons, exactly as real ones are.
+// The order is that of their effects: the veto sits against the raw
+// lock so injected TryLock failures exercise the algorithm's own retry
+// paths; bounded polling retries the vetoed TryLock so it feels the
+// injected pressure; and telemetry is outermost so vetoed attempts are
+// recorded as try-failures and abandoned bounded waits as abandons,
+// exactly as real ones are. The decorator offers exactly the surfaces
+// the base lock has (plus LockFor/LockCtx under WithBounded), so a
+// type assertion on a built lock tells the truth. When no layer
+// applies — no options, only WithClock, or WithBounded on a natively
+// bounded lock — Build returns the base lock itself.
 
 // Option configures one Build.
 type Option func(*buildConfig)
@@ -39,9 +40,9 @@ type buildConfig struct {
 	clkSet    bool
 }
 
-// WithStats wraps the built lock in lockstat.Instrumented recording
-// into st. A nil st still installs the wrapper (the nil-Stats
-// fast path), which is the cheap-to-leave-on configuration.
+// WithStats records telemetry into st. A nil st still installs the
+// decorator (the nil-Stats fast path), which is the cheap-to-leave-on
+// configuration.
 func WithStats(st *lockstat.Stats) Option {
 	return func(c *buildConfig) { c.stats, c.statsSet = st, true }
 }
@@ -54,30 +55,30 @@ func WithBounded() Option {
 	return func(c *buildConfig) { c.bounded = true }
 }
 
-// WithClock injects c as the time source for every layer of the built
-// pipeline: the base algorithm's waiting (park pacing, bounded
-// deadlines), the polling fallback's sleeps, and the telemetry
-// wrapper's latency timestamps. Build fails for entries whose base
-// lock accepts no clock (e.g. the sync.Mutex baseline) — silently
-// building a wall-clocked lock under a virtual-time harness would
-// deadlock it. A nil c restores the wall clock.
+// WithClock constructs the lock on c: the base algorithm's waiting
+// (park pacing, bounded deadlines), the polling fallback's sleeps, and
+// the telemetry timestamps all read it. Build fails for the
+// FamilyRuntime entries (the sync.Mutex baselines), which wait inside
+// the Go runtime — silently building a wall-clocked lock under a
+// virtual-time harness would deadlock it. A nil c selects the wall
+// clock.
 func WithClock(c clock.Clock) Option {
 	return func(cfg *buildConfig) { cfg.clk, cfg.clkSet = c, true }
 }
 
-// WithChaosVeto inserts a fault-injection shim that can spuriously
-// veto TryLock and LockFor attempts through a chaos point named
-// point (or "registry.veto.<entry name>" when point is empty). The
-// shim is inert until chaos.Enable arms the process, and a veto is
-// always a legal outcome of the vetoed operation, so it can expose
-// bugs but never cause one. Entries with no TryLock doorway have
-// nothing to veto and pass through unchanged.
+// WithChaosVeto makes TryLock, a native LockFor and ReadValidate fail
+// spuriously through a chaos point named point (or
+// "registry.veto.<entry name>" when point is empty). The veto is inert
+// until chaos.Enable arms the process, and a veto is always a legal
+// outcome of the vetoed operation, so it can expose bugs but never
+// cause one. Entries with no TryLock doorway have nothing to veto and
+// pass through unchanged.
 func WithChaosVeto(point string) Option {
 	return func(c *buildConfig) { c.veto, c.vetoPoint = true, point }
 }
 
-// Build looks name up in the catalog and builds it through the
-// decorator pipeline.
+// Build looks name up in the catalog, constructs it and decorates it
+// for the given options.
 func Build(name string, opts ...Option) (sync.Locker, error) {
 	e, ok := Lookup(name)
 	if !ok {
@@ -86,47 +87,36 @@ func Build(name string, opts ...Option) (sync.Locker, error) {
 	return e.Build(opts...)
 }
 
-// Build constructs a fresh lock and applies the canonical decorator
-// pipeline for the given options.
+// Build constructs a fresh lock and decorates it for the given
+// options.
 func (e Entry) Build(opts ...Option) (sync.Locker, error) {
 	var cfg buildConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	l := e.New()
-	if cfg.clkSet {
-		cl, ok := l.(clock.Clocked)
-		if !ok {
-			return nil, fmt.Errorf("registry: lock %s accepts no injected clock (its waiting is not clock-paced)", e.Name)
-		}
-		cl.SetClock(cfg.clk)
+	if cfg.clkSet && e.Family == FamilyRuntime {
+		return nil, fmt.Errorf("registry: lock %s accepts no injected clock (it waits inside the Go runtime)", e.Name)
 	}
-	if cfg.veto {
+	l := e.New(cfg.clk)
+	_, native := l.(bounded.Locker)
+	_, try := l.(bounded.TryLocker)
+	if cfg.bounded && !native && !try {
+		return nil, fmt.Errorf("registry: lock %s supports no bounded acquisition (no TryLock doorway and no native LockFor)", e.Name)
+	}
+	poll := cfg.bounded && !native
+	veto := cfg.veto && try // no doorway, nothing to veto
+	if !veto && !poll && !cfg.statsSet {
+		return l, nil
+	}
+	var pt *chaos.Point
+	if veto {
 		name := cfg.vetoPoint
 		if name == "" {
 			name = "registry.veto." + e.Name
 		}
-		l = vetoWrap(l, vetoPoint(name))
+		pt = vetoPoint(name)
 	}
-	if cfg.bounded {
-		b, ok := bounded.For(l)
-		if !ok {
-			return nil, fmt.Errorf("registry: lock %s supports no bounded acquisition (no TryLock doorway and no native LockFor)", e.Name)
-		}
-		l = b
-	}
-	if cfg.statsSet {
-		l = lockstat.Wrap(l, cfg.stats)
-	}
-	// The outer decorators (Polling fallback, Instrumented) carry their
-	// own clocks for sleeps and timestamps; re-inject at the top so
-	// every Clocked layer of the finished pipeline is on cfg.clk.
-	if cfg.clkSet {
-		if cl, ok := l.(clock.Clocked); ok {
-			cl.SetClock(cfg.clk)
-		}
-	}
-	return l, nil
+	return lockstat.Decorate(l, cfg.clk, pt, poll, cfg.stats), nil
 }
 
 // Factory validates the pipeline once and returns a constructor that
@@ -159,117 +149,4 @@ func vetoPoint(name string) *chaos.Point {
 		vetoPoints[name] = p
 	}
 	return p
-}
-
-// vetoWrap shields l behind a chaos veto shim matching l's strongest
-// non-blocking surface, so no capability is gained or lost: a
-// bounded.Locker stays natively bounded, a plain TryLocker stays a
-// TryLocker, and a lock with no doorway is returned unchanged. Read
-// paths are preserved: a shared read path (RWLocker) passes through
-// unvetoed (RLock has no failure mode to inject), and an optimistic
-// read path keeps ReadBegin/OptimisticRead while ReadValidate gains a
-// spurious-failure veto — a failed validation is always a legal
-// outcome, so the shim exercises reader retry loops without being
-// able to fabricate a torn read.
-func vetoWrap(l sync.Locker, pt *chaos.Point) sync.Locker {
-	if b, ok := l.(bounded.Locker); ok {
-		// No catalog lock offers both native bounding and a read path
-		// (the rwlock combinators bound via TryLock polling), so the
-		// bounded shim carries no read surface.
-		return &vetoBounded{inner: b, pt: pt}
-	}
-	if t, ok := l.(bounded.TryLocker); ok {
-		if rw, ok := l.(rwlock.RWLocker); ok {
-			return &vetoTryRW{vetoTry: vetoTry{inner: t, pt: pt}, rw: rw}
-		}
-		if opt, ok := l.(rwlock.OptimisticLocker); ok {
-			return &vetoTryOpt{vetoTry: vetoTry{inner: t, pt: pt}, opt: opt}
-		}
-		return &vetoTry{inner: t, pt: pt}
-	}
-	return l
-}
-
-// vetoTry vetoes TryLock on a plain TryLocker.
-type vetoTry struct {
-	inner bounded.TryLocker
-	pt    *chaos.Point
-}
-
-func (v *vetoTry) Lock()   { v.inner.Lock() }
-func (v *vetoTry) Unlock() { v.inner.Unlock() }
-
-// TryLock attempts the inner doorway unless the chaos point vetoes the
-// attempt (a spurious failure, always legal for TryLock).
-func (v *vetoTry) TryLock() bool {
-	if v.pt.Fail() {
-		return false
-	}
-	return v.inner.TryLock()
-}
-
-// vetoTryRW is vetoTry plus an unvetoed shared read path: RLock has no
-// spurious-failure mode in its contract, so there is nothing legal to
-// inject.
-type vetoTryRW struct {
-	vetoTry
-	rw rwlock.RWLocker
-}
-
-func (v *vetoTryRW) RLock()   { v.rw.RLock() }
-func (v *vetoTryRW) RUnlock() { v.rw.RUnlock() }
-
-// vetoTryOpt is vetoTry plus the optimistic read path, with a
-// spurious-failure veto on ReadValidate (a failed validation is always
-// legal and forces the caller's retry/fallback path). OptimisticRead
-// passes through: its termination contract is the inner combinator's
-// bounded retry policy, which the conformance conflict-storm check
-// stresses with real writers instead.
-type vetoTryOpt struct {
-	vetoTry
-	opt rwlock.OptimisticLocker
-}
-
-func (v *vetoTryOpt) ReadBegin() uint64 { return v.opt.ReadBegin() }
-
-func (v *vetoTryOpt) ReadValidate(s uint64) bool {
-	if v.pt.Fail() {
-		return false
-	}
-	return v.opt.ReadValidate(s)
-}
-
-func (v *vetoTryOpt) OptimisticRead(f func()) { v.opt.OptimisticRead(f) }
-
-// vetoBounded vetoes TryLock and LockFor on a natively bounded lock.
-// LockCtx is deliberately not vetoed: its contract ties a false return
-// to the context's own error, and fabricating one would turn the shim
-// from failure-only into a liar.
-type vetoBounded struct {
-	inner bounded.Locker
-	pt    *chaos.Point
-}
-
-func (v *vetoBounded) Lock()   { v.inner.Lock() }
-func (v *vetoBounded) Unlock() { v.inner.Unlock() }
-
-func (v *vetoBounded) TryLock() bool {
-	if v.pt.Fail() {
-		return false
-	}
-	return v.inner.TryLock()
-}
-
-// LockFor attempts a bounded acquire unless vetoed; a veto is an
-// immediate spurious timeout, which LockFor callers must tolerate
-// anyway.
-func (v *vetoBounded) LockFor(d time.Duration) bool {
-	if v.pt.Fail() {
-		return false
-	}
-	return v.inner.LockFor(d)
-}
-
-func (v *vetoBounded) LockCtx(ctx context.Context) error {
-	return v.inner.LockCtx(ctx)
 }

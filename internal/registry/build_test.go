@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -8,7 +9,10 @@ import (
 
 	"repro/internal/bounded"
 	"repro/internal/chaos"
+	"repro/internal/core"
+	"repro/internal/locks"
 	"repro/internal/lockstat"
+	"repro/internal/rwlock"
 )
 
 func TestBuildBare(t *testing.T) {
@@ -16,8 +20,8 @@ func TestBuildBare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, wrapped := l.(*lockstat.Instrumented); wrapped {
-		t.Fatal("bare Build must not wrap")
+	if _, bare := l.(*core.Lock); !bare {
+		t.Fatalf("bare Build must return the base lock, got %T", l)
 	}
 	l.Lock()
 	l.Unlock()
@@ -33,16 +37,16 @@ func TestBuildWithBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, ok := l.(bounded.Locker)
-	if !ok {
-		t.Fatal("WithBounded result does not implement bounded.Locker")
+	if _, bare := l.(*locks.MCSLock); !bare {
+		t.Fatalf("WithBounded on a natively bounded lock must return it undecorated, got %T", l)
 	}
+	b := l.(bounded.Locker)
 	if !b.LockFor(10 * time.Millisecond) {
 		t.Fatal("LockFor failed on unheld lock")
 	}
 	b.Unlock()
 
-	// TryLock-only: the polling adapter must be interposed.
+	// TryLock-only: the decorator must poll its TryLock.
 	l, err = Build("TWA", WithBounded())
 	if err != nil {
 		t.Fatal(err)
@@ -68,31 +72,36 @@ func TestBuildWithStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, ok := l.(*lockstat.Instrumented)
-	if !ok {
-		t.Fatal("WithStats did not produce an Instrumented lock")
-	}
-	w.Lock()
-	w.Unlock()
+	l.Lock()
+	l.Unlock()
 	if snap := st.Snapshot(); snap.Acquisitions != 1 || snap.Unlocks != 1 {
 		t.Fatalf("telemetry not recorded: %+v", snap)
 	}
-	if !w.Boundable() {
-		t.Fatal("instrumented TKT lost boundability")
+	if _, ok := l.(bounded.Locker); !ok {
+		t.Fatal("instrumented TKT lost its native bounded acquisition")
 	}
 
-	// Telemetry must be outermost: with bounded too, the wrapper still
-	// exposes the Instrumented surface.
-	l, err = Build("TWA", WithStats(lockstat.New()), WithBounded())
+	// Telemetry must be outermost: with bounded too, the polled
+	// acquisitions and the abandoned wait are recorded.
+	st = lockstat.New()
+	l, err = Build("TWA", WithStats(st), WithBounded())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := l.(*lockstat.Instrumented); !ok {
-		t.Fatal("pipeline order broken: Instrumented is not outermost")
+	b := l.(bounded.Locker)
+	if !b.LockFor(time.Millisecond) {
+		t.Fatal("LockFor failed on a free lock")
+	}
+	if b.LockFor(time.Millisecond) {
+		t.Fatal("LockFor succeeded on a held lock")
+	}
+	b.Unlock()
+	if snap := st.Snapshot(); snap.Acquisitions != 1 || snap.Abandons != 1 {
+		t.Fatalf("bounded telemetry not recorded: %+v", snap)
 	}
 }
 
-// The veto shim must neither gain nor lose capability tier.
+// The veto must neither gain nor lose capability tier.
 func TestVetoPreservesTier(t *testing.T) {
 	// Native tier stays native.
 	l, err := Build("MCS", WithChaosVeto("test.veto.mcs"))
@@ -126,20 +135,31 @@ func TestVetoPreservesTier(t *testing.T) {
 	}
 }
 
-// With chaos disarmed the shim is transparent; with TryFail forced to
-// certainty every TryLock and LockFor attempt is vetoed, while plain
-// Lock and LockCtx are untouched.
+// With chaos disarmed the veto is transparent; with TryFail forced to
+// certainty every TryLock, native LockFor, polled bounded acquisition
+// and ReadValidate is vetoed, while Lock, native LockCtx, RLock and
+// OptimisticRead are untouched.
 func TestVetoUnderChaos(t *testing.T) {
-	l, err := Build("Recipro", WithChaosVeto("test.veto.recipro"))
-	if err != nil {
-		t.Fatal(err)
+	build := func(name string, opts ...Option) sync.Locker {
+		t.Helper()
+		l, err := Build(name, append(opts, WithChaosVeto("test.veto."+name))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
 	}
-	b := l.(bounded.Locker)
+	b := build("Recipro").(bounded.Locker)
+	polled := build("TWA", WithBounded()).(bounded.Locker)
+	seq := build("seq:Recipro").(rwlock.OptimisticLocker)
+	rw := build("rw:Recipro", WithBounded(), WithStats(nil))
 
 	if !b.TryLock() {
 		t.Fatal("disarmed veto blocked TryLock")
 	}
 	b.Unlock()
+	if s := seq.ReadBegin(); !seq.ReadValidate(s) {
+		t.Fatal("disarmed veto failed a quiescent ReadValidate")
+	}
 
 	chaos.Enable(chaos.Config{Seed: 7, TryFail: 1})
 	defer chaos.Disable()
@@ -150,9 +170,44 @@ func TestVetoUnderChaos(t *testing.T) {
 	if b.LockFor(time.Millisecond) {
 		t.Fatal("LockFor succeeded under a certain veto")
 	}
-	// A veto is failure-only: blocking acquisition still works.
+	// A veto is failure-only: blocking acquisition still works, and a
+	// native LockCtx is never vetoed.
 	b.Lock()
 	b.Unlock()
+	if err := b.LockCtx(context.Background()); err != nil {
+		t.Fatalf("native LockCtx vetoed: %v", err)
+	}
+	b.Unlock()
+
+	// Polling retries the vetoed TryLock, so it never gets in.
+	if polled.LockFor(2 * time.Millisecond) {
+		t.Fatal("polled LockFor succeeded under a certain veto")
+	}
+	polled.Lock()
+	polled.Unlock()
+
+	// A fresh stamp fails validation; the packaged read still runs.
+	if s := seq.ReadBegin(); seq.ReadValidate(s) {
+		t.Fatal("ReadValidate succeeded under a certain veto")
+	}
+	ran := false
+	seq.OptimisticRead(func() { ran = true })
+	if !ran {
+		t.Fatal("OptimisticRead never ran its section under the veto")
+	}
+
+	// The shared read path and blocking writes are untouched; the
+	// polled LockCtx expires on its context like the polled LockFor.
+	r := rw.(rwlock.RWLocker)
+	r.RLock()
+	r.RUnlock()
+	rw.Lock()
+	rw.Unlock()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+	defer cancel()
+	if err := rw.(bounded.Locker).LockCtx(ctx); err == nil {
+		t.Fatal("polled LockCtx succeeded under a certain veto")
+	}
 }
 
 func TestFactory(t *testing.T) {

@@ -18,9 +18,11 @@
 //
 //   - Catalog: All, Paper, Lookup, Names enumerate and resolve
 //     entries; each Entry declares its Capability set.
-//   - Decorator pipeline: Build / Entry.Build compose the canonical
-//     wrapper stack — chaos veto, bounded-acquisition guarantee,
-//     lockstat instrumentation — in one fixed order (see build.go).
+//   - Build / Entry.Build construct an entry on an optional injected
+//     clock and fuse the optional layers — chaos veto,
+//     bounded-acquisition guarantee, lockstat instrumentation — into
+//     one decorator whose surfaces are exactly the lock's (see
+//     build.go).
 //   - Flag: LocksFlag is the shared -locks parser used identically by
 //     cmd/mutexbench, cmd/kvbench, cmd/torture and cmd/atomicbench,
 //     including "-locks list" to print the capability matrix.
@@ -32,6 +34,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/locks"
 	"repro/internal/rwlock"
@@ -144,12 +147,14 @@ type Entry struct {
 	// that selects locks; internal/conformance resolves and enforces
 	// the pairing.
 	SimTwin string
-	// New constructs a fresh, unlocked instance.
-	New func() sync.Locker
+	// New constructs a fresh, unlocked instance whose waiting is paced
+	// by c (nil = wall clock). The FamilyRuntime baselines wait inside
+	// the Go runtime and ignore c; Build refuses WithClock for them.
+	New func(c clock.Clock) sync.Locker
 }
 
 // Boundable reports whether the entry supports bounded acquisition at
-// all — natively, or through TryLock polling (bounded.For succeeds).
+// all — natively, or through TryLock polling (WithBounded succeeds).
 func (e Entry) Boundable() bool {
 	return e.Caps&(CapTryLock|CapNativeBounded) != 0
 }
@@ -183,95 +188,95 @@ func catalog() []Entry {
 		{Name: "TKT", Aliases: []string{"Ticket"}, Family: FamilyTicket, Paper: true,
 			Caps: CapTryLock | CapNativeBounded | CapSimTwin, SimTwin: "TKT",
 			Doc: "classic FIFO ticket lock",
-			New: func() sync.Locker { return new(locks.TicketLock) }},
+			New: func(c clock.Clock) sync.Locker { return &locks.TicketLock{Clk: c} }},
 		{Name: "MCS", Family: FamilyQueue, Paper: true,
 			Caps: CapTryLock | CapNativeBounded | CapSimTwin, SimTwin: "MCS",
 			Doc: "MCS queue lock, local spinning on own node",
-			New: func() sync.Locker { return new(locks.MCSLock) }},
+			New: func(c clock.Clock) sync.Locker { return &locks.MCSLock{Clk: c} }},
 		{Name: "CLH", Family: FamilyQueue, Paper: true,
 			Caps: CapTryLock | CapNativeBounded | CapSimTwin, SimTwin: "CLH",
 			Doc: "CLH queue lock, spins on predecessor's node",
-			New: func() sync.Locker { return new(locks.CLHLock) }},
+			New: func(c clock.Clock) sync.Locker { return &locks.CLHLock{Clk: c} }},
 		{Name: "TWA", Family: FamilyTicket, Paper: true,
 			Caps: CapTryLock | CapSimTwin, SimTwin: "TWA",
 			Doc: "ticket lock with waiting array",
-			New: func() sync.Locker { return new(locks.TWALock) }},
+			New: func(c clock.Clock) sync.Locker { return &locks.TWALock{Clk: c} }},
 		{Name: "HemLock", Family: FamilyQueue, Paper: true,
 			Caps: CapTryLock | CapSimTwin, SimTwin: "HemLock",
 			Doc: "Hemisphere lock, one element per thread",
-			New: func() sync.Locker { return new(locks.HemLock) }},
+			New: func(c clock.Clock) sync.Locker { return &locks.HemLock{Clk: c} }},
 		{Name: "Recipro", Aliases: []string{"Reciprocating", "L1"}, Family: FamilyReciprocating, Paper: true,
 			Caps: CapTryLock | CapNativeBounded | CapAllocFree | CapSimTwin, SimTwin: "Recipro",
 			Doc: "canonical Reciprocating Lock (Listing 1)",
-			New: func() sync.Locker { return new(core.Lock) }},
+			New: func(c clock.Clock) sync.Locker { return &core.Lock{Clk: c} }},
 
 		// --- extra baselines ---
 		{Name: "TAS", Family: FamilySpin,
 			Caps: CapTryLock | CapNativeBounded,
 			Doc:  "test-and-set spin lock",
-			New:  func() sync.Locker { return new(locks.TASLock) }},
+			New:  func(c clock.Clock) sync.Locker { return &locks.TASLock{Clk: c} }},
 		{Name: "TTAS", Family: FamilySpin,
 			Caps: CapTryLock | CapNativeBounded,
 			Doc:  "test-and-test-and-set spin lock",
-			New:  func() sync.Locker { return new(locks.TTASLock) }},
+			New:  func(c clock.Clock) sync.Locker { return &locks.TTASLock{Clk: c} }},
 		{Name: "ABQL", Aliases: []string{"Anderson"}, Family: FamilyQueue,
 			Caps: CapTryLock | CapSimTwin, SimTwin: "ABQL",
 			Doc: "Anderson array-based queue lock (fixed capacity)",
-			New: func() sync.Locker { return locks.NewABQL(DefaultABQLCapacity) }},
+			New: func(c clock.Clock) sync.Locker { return locks.NewABQL(DefaultABQLCapacity, c) }},
 		{Name: "Chen", Family: FamilySegment,
 			Caps: CapTryLock | CapSimTwin, SimTwin: "Chen",
 			Doc: "Chen & Huang segment lock, global spinning",
-			New: func() sync.Locker { return new(locks.ChenLock) }},
+			New: func(c clock.Clock) sync.Locker { return &locks.ChenLock{Clk: c} }},
 		{Name: "Retrograde", Family: FamilyTicket,
 			Caps: CapTryLock,
 			Doc:  "Listing 7 retrograde ticket lock",
-			New:  func() sync.Locker { return new(locks.RetrogradeLock) }},
+			New:  func(c clock.Clock) sync.Locker { return &locks.RetrogradeLock{Clk: c} }},
 		{Name: "RetroRand", Aliases: []string{"RetrogradeRand"}, Family: FamilyTicket,
 			Caps: CapTryLock,
 			Doc:  "randomized retrograde ticket lock",
-			New:  func() sync.Locker { return new(locks.RetrogradeRandLock) }},
+			New:  func(c clock.Clock) sync.Locker { return &locks.RetrogradeRandLock{Clk: c} }},
 
 		// --- Reciprocating variants ---
 		{Name: "Recipro-L2", Aliases: []string{"L2", "Simplified"}, Family: FamilyReciprocating,
 			Caps: CapTryLock | CapNativeBounded | CapSimTwin, SimTwin: "Recipro-L2",
 			Doc: "Listing 2, eos in the lock body",
-			New: func() sync.Locker { return new(core.SimplifiedLock) }},
+			New: func(c clock.Clock) sync.Locker { return &core.SimplifiedLock{Clk: c} }},
 		{Name: "Recipro-L3", Aliases: []string{"L3", "Relay"}, Family: FamilyReciprocating,
 			Caps: CapTryLock,
 			Doc:  "Listing 3, double-swap relay",
-			New:  func() sync.Locker { return new(core.RelayLock) }},
+			New:  func(c clock.Clock) sync.Locker { return &core.RelayLock{Clk: c} }},
 		{Name: "Recipro-L4", Aliases: []string{"L4", "FetchAdd"}, Family: FamilyReciprocating,
 			Caps: CapTryLock,
 			Doc:  "Listing 4, tagged word with fetch-add release",
-			New:  func() sync.Locker { return new(core.FetchAddLock) }},
+			New:  func(c clock.Clock) sync.Locker { return &core.FetchAddLock{Clk: c} }},
 		{Name: "Recipro-L5", Aliases: []string{"L5"}, Family: FamilyReciprocating,
 			Caps: CapTryLock,
 			Doc:  "Listing 5, tagged word with per-element eos",
-			New:  func() sync.Locker { return new(core.SimplifiedEOSLock) }},
+			New:  func(c clock.Clock) sync.Locker { return &core.SimplifiedEOSLock{Clk: c} }},
 		{Name: "Recipro-L6", Aliases: []string{"L6", "Combined"}, Family: FamilyReciprocating,
 			Caps: CapTryLock,
 			Doc:  "Listing 6, combined Listings 3+5",
-			New:  func() sync.Locker { return new(core.CombinedLock) }},
+			New:  func(c clock.Clock) sync.Locker { return &core.CombinedLock{Clk: c} }},
 		{Name: "Gated", Family: FamilyReciprocating,
 			Caps: 0,
 			Doc:  "Appendix H pop-stack with leader gate",
-			New:  func() sync.Locker { return new(core.GatedLock) }},
+			New:  func(c clock.Clock) sync.Locker { return &core.GatedLock{Clk: c} }},
 		{Name: "TwoLane", Family: FamilyReciprocating,
 			Caps: 0,
 			Doc:  "Appendix I randomized two-lane, long-term fair",
-			New:  func() sync.Locker { return new(core.TwoLaneLock) }},
+			New:  func(c clock.Clock) sync.Locker { return &core.TwoLaneLock{Clk: c} }},
 		{Name: "Fair", Family: FamilyReciprocating,
 			Caps: CapTryLock | CapAllocFree,
 			Doc:  "§9.4 Bernoulli-deferral fairness mitigation",
-			New:  func() sync.Locker { return new(core.FairLock) }},
+			New:  func(c clock.Clock) sync.Locker { return &core.FairLock{Clk: c} }},
 		{Name: "Recipro-CTR", Aliases: []string{"CTR"}, Family: FamilyReciprocating,
 			Caps: CapTryLock | CapAllocFree,
 			Doc:  "§10 CTR (consume-the-grant) waiting discipline",
-			New:  func() sync.Locker { return new(core.CTRLock) }},
+			New:  func(c clock.Clock) sync.Locker { return &core.CTRLock{Clk: c} }},
 		{Name: "Recipro-L2park", Aliases: []string{"L2park"}, Family: FamilyReciprocating,
 			Caps: CapTryLock | CapNativeBounded | CapPark | CapSimTwin, SimTwin: "Recipro-L2",
 			Doc: "Listing 2 with §8 futex parking",
-			New: func() sync.Locker { return &core.SimplifiedLock{Park: true} }},
+			New: func(c clock.Clock) sync.Locker { return &core.SimplifiedLock{Park: true, Clk: c} }},
 
 		// --- read-path combinators (internal/rwlock) ---
 		// Registered over the canonical Reciprocating base; any other
@@ -280,29 +285,29 @@ func catalog() []Entry {
 		{Name: "RW-Recipro", Aliases: []string{"RW"}, Family: FamilyCombinator,
 			Caps: CapTryLock | CapReadShared,
 			Doc:  "writer-preference reader/writer adapter over Recipro",
-			New:  func() sync.Locker { return rwlock.NewRW(new(core.Lock)) }},
+			New:  func(c clock.Clock) sync.Locker { return rwlock.NewRW(&core.Lock{Clk: c}, c) }},
 		{Name: "Seq-Recipro", Aliases: []string{"Seqlock", "Seq"}, Family: FamilyCombinator,
 			Caps: CapTryLock | CapOptimisticRead,
 			Doc:  "version-stamped seqlock (retry-on-conflict reads) over Recipro",
-			New:  func() sync.Locker { return rwlock.NewSeqlock(new(core.Lock)) }},
+			New:  func(c clock.Clock) sync.Locker { return rwlock.NewSeqlock(&core.Lock{Clk: c}, c) }},
 		{Name: "OCC-Recipro", Aliases: []string{"OCC"}, Family: FamilyCombinator,
 			Caps: CapTryLock | CapOptimisticRead,
 			Doc:  "optimistic reads with bounded retries, then the real lock",
-			New:  func() sync.Locker { return rwlock.NewOCC(new(core.Lock)) }},
+			New:  func(c clock.Clock) sync.Locker { return rwlock.NewOCC(&core.Lock{Clk: c}, c) }},
 
 		// --- real-world defaults for context ---
 		{Name: "GoMutex", Aliases: []string{"Mutex", "sync.Mutex"}, Family: FamilyRuntime,
 			Caps: CapTryLock | CapPark,
 			Doc:  "Go runtime sync.Mutex (parks in the runtime)",
-			New:  func() sync.Locker { return new(sync.Mutex) }},
+			New:  func(clock.Clock) sync.Locker { return new(sync.Mutex) }},
 		{Name: "GoRWMutex", Aliases: []string{"RWMutex", "sync.RWMutex"}, Family: FamilyRuntime,
 			Caps: CapTryLock | CapPark | CapReadShared,
 			Doc:  "Go runtime sync.RWMutex (native shared read path)",
-			New:  func() sync.Locker { return new(sync.RWMutex) }},
+			New:  func(clock.Clock) sync.Locker { return new(sync.RWMutex) }},
 		{Name: "FutexMutex", Aliases: []string{"Futex"}, Family: FamilyFutex,
 			Caps: CapTryLock | CapPark,
 			Doc:  "three-state futex mutex, the pthread default shape",
-			New:  func() sync.Locker { return new(locks.FutexMutex) }},
+			New:  func(c clock.Clock) sync.Locker { return &locks.FutexMutex{Clk: c} }},
 	}
 }
 
@@ -413,21 +418,21 @@ func deriveCombinator(prefix string, base Entry) Entry {
 			Name: "RW:" + base.Name, Family: FamilyCombinator,
 			Caps: CapTryLock | CapReadShared,
 			Doc:  "writer-preference reader/writer adapter over " + base.Name,
-			New:  func() sync.Locker { return rwlock.NewRW(inner()) },
+			New:  func(c clock.Clock) sync.Locker { return rwlock.NewRW(inner(c), c) },
 		}
 	case "seq:":
 		return Entry{
 			Name: "Seq:" + base.Name, Family: FamilyCombinator,
 			Caps: CapTryLock | CapOptimisticRead,
 			Doc:  "version-stamped seqlock over " + base.Name,
-			New:  func() sync.Locker { return rwlock.NewSeqlock(inner()) },
+			New:  func(c clock.Clock) sync.Locker { return rwlock.NewSeqlock(inner(c), c) },
 		}
 	case "occ:":
 		return Entry{
 			Name: "OCC:" + base.Name, Family: FamilyCombinator,
 			Caps: CapTryLock | CapOptimisticRead,
 			Doc:  "optimistic-then-fallback reads over " + base.Name,
-			New:  func() sync.Locker { return rwlock.NewOCC(inner()) },
+			New:  func(c clock.Clock) sync.Locker { return rwlock.NewOCC(inner(c), c) },
 		}
 	}
 	panic("registry: unknown combinator prefix " + prefix)

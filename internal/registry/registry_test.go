@@ -130,7 +130,7 @@ func TestCapabilityClaims(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
-			l := e.New()
+			l := e.New(nil)
 
 			// Smoke: a fresh lock locks and unlocks.
 			l.Lock()
@@ -178,9 +178,9 @@ func TestCapabilityClaims(t *testing.T) {
 				bl.Unlock()
 			}
 
-			// Boundable ⟺ the bounded package can adapt it at all.
-			if got := bounded.Boundable(e.New()); got != e.Boundable() {
-				t.Fatalf("Boundable() = %v but bounded.Boundable = %v", e.Boundable(), got)
+			// Boundable ⟺ WithBounded can build it at all.
+			if _, err := e.Build(WithBounded()); (err == nil) != e.Boundable() {
+				t.Fatalf("Boundable() = %v but Build(WithBounded()) error is %v", e.Boundable(), err)
 			}
 
 			// ReadShared claim ⟺ the rwlock.RWLocker surface, with a
@@ -232,7 +232,7 @@ func TestCapabilityClaims(t *testing.T) {
 // exactly Acquire's result — and that a round-trip through it works.
 func checkAllocFree(t *testing.T, e Entry) {
 	t.Helper()
-	v := reflect.ValueOf(e.New())
+	v := reflect.ValueOf(e.New(nil))
 	weType := reflect.TypeOf(&core.WaitElement{})
 
 	acq := v.MethodByName("Acquire")
@@ -283,7 +283,7 @@ func TestCapParkBlocksContendedWaiter(t *testing.T) {
 			waiter.SetSink(sink)
 			defer waiter.SetSink(nil)
 
-			l := e.New()
+			l := e.New(nil)
 			l.Lock()
 			acquired := make(chan struct{})
 			go func() {
@@ -326,7 +326,7 @@ func TestCatalogComplete(t *testing.T) {
 
 	registered := map[string]bool{}
 	for _, e := range All() {
-		rt := reflect.TypeOf(e.New())
+		rt := reflect.TypeOf(e.New(nil))
 		for rt.Kind() == reflect.Ptr {
 			rt = rt.Elem()
 		}
@@ -403,7 +403,7 @@ func TestCombinatorLookup(t *testing.T) {
 			t.Fatalf("Lookup(%q) = {Name:%s Caps:%v Family:%s}, want {%s %v combinator}",
 				c.spec, e.Name, e.Caps, e.Family, c.name, c.caps)
 		}
-		l := e.New()
+		l := e.New(nil)
 		l.Lock()
 		l.Unlock()
 		if _, isRW := l.(rwlock.RWLocker); isRW != e.Caps.Has(CapReadShared) {

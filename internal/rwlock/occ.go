@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/backoff"
+	"repro/internal/bounded"
 	"repro/internal/clock"
 	"repro/internal/waiter"
 )
@@ -21,7 +22,7 @@ import (
 // Writers behave exactly as under Seqlock: wrapped lock plus an
 // even/odd stamp so optimistic readers can detect them.
 type OCC struct {
-	w   tryLocker
+	w   bounded.TryLocker
 	seq atomic.Uint64
 	// retries / fallbacks count conflict-path events only; the
 	// optimistic fast path writes no shared memory.
@@ -36,18 +37,10 @@ type OCC struct {
 const occMaxAttempts = optHotRetries + 4
 
 // NewOCC wraps base (which must expose TryLock) in the
-// optimistic-then-fallback combinator.
-func NewOCC(base sync.Locker) *OCC {
-	return &OCC{w: requireTry(base, "OCC")}
-}
-
-// SetClock injects the time source, forwarding to the base lock when it
-// accepts one, so registry.WithClock reaches both layers.
-func (l *OCC) SetClock(c clock.Clock) {
-	l.clk = c
-	if cl, ok := l.w.(clock.Clocked); ok {
-		cl.SetClock(c)
-	}
+// optimistic-then-fallback combinator; c paces its retry sleeps (nil =
+// wall clock).
+func NewOCC(base sync.Locker, c clock.Clock) *OCC {
+	return &OCC{w: requireTry(base, "OCC"), clk: c}
 }
 
 // Lock enters a write section: the wrapped lock, then stamp → odd.

@@ -25,10 +25,11 @@
 //     read latency is bounded even under a writer storm.
 //
 // Two interfaces export the read paths; the registry declares them as
-// the capability bits CapReadShared and CapOptimisticRead, and the
-// decorator pipeline (chaos veto → bounded → lockstat) preserves them
-// structurally, so harnesses and stores discover read capability with
-// one interface assertion on the built lock.
+// the capability bits CapReadShared and CapOptimisticRead. The one
+// registry decorator (lockstat.Decorate) exposes a read method exactly
+// when the lock beneath it has one, never a fallback, so harnesses and
+// stores discover read capability with one interface assertion on the
+// built lock. Each constructor takes the clock that paces its waiting.
 package rwlock
 
 import (
@@ -37,6 +38,7 @@ import (
 	"time"
 
 	"repro/internal/backoff"
+	"repro/internal/bounded"
 	"repro/internal/clock"
 	"repro/internal/pad"
 	"repro/internal/waiter"
@@ -77,50 +79,19 @@ type OptimisticLocker interface {
 	OptimisticRead(f func())
 }
 
-// capProber lets decorators that expose read-path methods with an
-// exclusive fallback (bounded.Polling, lockstat.Instrumented) report
-// whether the path underneath them actually shares; IsReadShared and
-// IsOptimistic prefer the probe over a bare interface assertion.
-type capProber interface {
-	ReadSharedCapable() bool
-	OptimisticCapable() bool
-}
-
-// IsReadShared reports whether l's RLock path actually admits
-// concurrent readers — as opposed to a decorator's exclusive-fallback
-// RLock, which satisfies RWLocker structurally but serializes. Stores
-// use this (together with the registry's CapReadShared claim) to
-// decide whether routing reads through RLock buys anything.
+// IsReadShared reports whether l admits concurrent readers through
+// RLock. Decorators expose RLock only when the lock beneath them has
+// it, so the interface assertion is the whole answer.
 func IsReadShared(l sync.Locker) bool {
-	if p, ok := l.(capProber); ok {
-		return p.ReadSharedCapable()
-	}
 	_, ok := l.(RWLocker)
 	return ok
 }
 
-// IsOptimistic reports whether l's optimistic read path is real (see
-// IsReadShared).
-func IsOptimistic(l sync.Locker) bool {
-	if p, ok := l.(capProber); ok {
-		return p.OptimisticCapable()
-	}
-	_, ok := l.(OptimisticLocker)
-	return ok
-}
-
-// tryLocker is the non-blocking doorway the combinators require of
-// their base lock (for their own TryLock surface and the OCC
-// fallback's bounded acquisition paths).
-type tryLocker interface {
-	sync.Locker
-	TryLock() bool
-}
-
-// requireTry asserts the base lock's TryLock doorway at construction,
+// requireTry asserts the base lock's TryLock doorway — which the
+// combinators need for their own TryLock surface — at construction,
 // where a misuse is attributable, instead of failing at first use.
-func requireTry(base sync.Locker, combinator string) tryLocker {
-	t, ok := base.(tryLocker)
+func requireTry(base sync.Locker, combinator string) bounded.TryLocker {
+	t, ok := base.(bounded.TryLocker)
 	if !ok {
 		panic("rwlock: " + combinator + " requires a TryLock-capable base lock")
 	}
@@ -162,7 +133,7 @@ var retrySeq atomic.Uint64
 // the read-mostly regime this package targets).
 type RW struct {
 	w    sync.Locker
-	wtry tryLocker
+	wtry bounded.TryLocker
 
 	// readers counts active (admitted) readers; it is the only word
 	// the read fast path writes.
@@ -180,18 +151,10 @@ type RW struct {
 }
 
 // NewRW wraps base (which must expose TryLock) in the reader/writer
-// adapter.
-func NewRW(base sync.Locker) *RW {
-	return &RW{w: base, wtry: requireTry(base, "RW")}
-}
-
-// SetClock injects the time source, forwarding to the base lock when it
-// accepts one, so registry.WithClock reaches both layers.
-func (l *RW) SetClock(c clock.Clock) {
-	l.clk = c
-	if cl, ok := l.w.(clock.Clocked); ok {
-		cl.SetClock(c)
-	}
+// adapter; c paces its waiting (nil = wall clock) and should be the
+// clock base was constructed with.
+func NewRW(base sync.Locker, c clock.Clock) *RW {
+	return &RW{w: base, wtry: requireTry(base, "RW"), clk: c}
 }
 
 // Lock acquires write exclusion: the inner lock, then a drain of the

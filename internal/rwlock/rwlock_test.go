@@ -10,7 +10,7 @@ import (
 )
 
 func TestRWConcurrentReadersAdmitted(t *testing.T) {
-	l := NewRW(&sync.Mutex{})
+	l := NewRW(&sync.Mutex{}, nil)
 	const readers = 4
 	var inside atomic.Int64
 	var peak atomic.Int64
@@ -52,7 +52,7 @@ func TestRWConcurrentReadersAdmitted(t *testing.T) {
 }
 
 func TestRWWriterExcludesReaders(t *testing.T) {
-	l := NewRW(&sync.Mutex{})
+	l := NewRW(&sync.Mutex{}, nil)
 	var x, y atomic.Uint64
 	stop := make(chan struct{})
 	var torn atomic.Int64
@@ -90,7 +90,7 @@ func TestRWWriterExcludesReaders(t *testing.T) {
 }
 
 func TestRWWriterDrainsActiveReader(t *testing.T) {
-	l := NewRW(&sync.Mutex{})
+	l := NewRW(&sync.Mutex{}, nil)
 	l.RLock()
 	acquired := make(chan struct{})
 	go func() {
@@ -112,7 +112,7 @@ func TestRWWriterDrainsActiveReader(t *testing.T) {
 }
 
 func TestRWTryLock(t *testing.T) {
-	l := NewRW(&sync.Mutex{})
+	l := NewRW(&sync.Mutex{}, nil)
 	if !l.TryLock() {
 		t.Fatal("TryLock failed on free lock")
 	}
@@ -134,7 +134,7 @@ func TestRWRUnlockWithoutRLockPanics(t *testing.T) {
 			t.Fatal("RUnlock of unheld RW did not panic")
 		}
 	}()
-	NewRW(&sync.Mutex{}).RUnlock()
+	NewRW(&sync.Mutex{}, nil).RUnlock()
 }
 
 func TestRequireTryPanicsOnPlainLocker(t *testing.T) {
@@ -145,11 +145,11 @@ func TestRequireTryPanicsOnPlainLocker(t *testing.T) {
 	}()
 	// A Locker with no TryLock doorway.
 	type bare struct{ sync.Locker }
-	NewRW(bare{&sync.Mutex{}})
+	NewRW(bare{&sync.Mutex{}}, nil)
 }
 
 func TestSeqlockStampParity(t *testing.T) {
-	l := NewSeqlock(&sync.Mutex{})
+	l := NewSeqlock(&sync.Mutex{}, nil)
 	if s := l.ReadBegin(); s != 0 || !l.ReadValidate(s) {
 		t.Fatalf("fresh seqlock stamp %d should validate", s)
 	}
@@ -169,7 +169,7 @@ func TestSeqlockStampParity(t *testing.T) {
 }
 
 func TestSeqlockReadValidateDetectsWriter(t *testing.T) {
-	l := NewSeqlock(&sync.Mutex{})
+	l := NewSeqlock(&sync.Mutex{}, nil)
 	s := l.ReadBegin()
 	l.Lock()
 	l.Unlock()
@@ -179,7 +179,7 @@ func TestSeqlockReadValidateDetectsWriter(t *testing.T) {
 }
 
 func TestSeqlockOptimisticReadNeverTorn(t *testing.T) {
-	l := NewSeqlock(&sync.Mutex{})
+	l := NewSeqlock(&sync.Mutex{}, nil)
 	var x, y atomic.Uint64
 	stop := make(chan struct{})
 	var torn atomic.Int64
@@ -221,7 +221,7 @@ func TestOCCFallbackTerminatesUnderPersistentConflict(t *testing.T) {
 	// Hold the stamp odd forever: every optimistic attempt must fail,
 	// so OptimisticRead must exhaust its budget and take the wrapped
 	// lock — which this test hands over once the fallback blocks on it.
-	l := NewOCC(&sync.Mutex{})
+	l := NewOCC(&sync.Mutex{}, nil)
 	l.Lock() // stamp now odd, wrapped lock held
 	ran := make(chan struct{})
 	go func() {
@@ -274,8 +274,7 @@ func TestOptimisticRetrySleepsDrawFromBackoffFloor(t *testing.T) {
 	// the decorrelated-jitter floor and cap.
 	rc := &recordingClock{Clock: clock.Wall}
 
-	l := NewSeqlock(&sync.Mutex{})
-	l.SetClock(rc)
+	l := NewSeqlock(&sync.Mutex{}, rc)
 	l.seq.Store(1) // permanently odd: every attempt conflicts
 	done := make(chan struct{})
 	go func() {
@@ -306,7 +305,7 @@ func TestOptimisticRetrySleepsDrawFromBackoffFloor(t *testing.T) {
 }
 
 func TestSeqlockOptimisticReadFastPathAllocFree(t *testing.T) {
-	l := NewSeqlock(&sync.Mutex{})
+	l := NewSeqlock(&sync.Mutex{}, nil)
 	var x atomic.Uint64
 	var sink uint64
 	read := func() { sink = x.Load() }

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/backoff"
+	"repro/internal/bounded"
 	"repro/internal/clock"
 	"repro/internal/waiter"
 )
@@ -22,7 +23,7 @@ import (
 // shared state in every reader's cache and the wrapped lock is
 // touched only by writers.
 type Seqlock struct {
-	w   tryLocker
+	w   bounded.TryLocker
 	seq atomic.Uint64
 	// retries counts optimistic attempts that failed validation —
 	// conflict-path only, so the fast path stays write-free.
@@ -32,18 +33,10 @@ type Seqlock struct {
 }
 
 // NewSeqlock wraps base (which must expose TryLock) in the
-// version-stamped combinator.
-func NewSeqlock(base sync.Locker) *Seqlock {
-	return &Seqlock{w: requireTry(base, "Seqlock")}
-}
-
-// SetClock injects the time source, forwarding to the base lock when it
-// accepts one, so registry.WithClock reaches both layers.
-func (l *Seqlock) SetClock(c clock.Clock) {
-	l.clk = c
-	if cl, ok := l.w.(clock.Clocked); ok {
-		cl.SetClock(c)
-	}
+// version-stamped combinator; c paces its retry sleeps (nil = wall
+// clock).
+func NewSeqlock(base sync.Locker, c clock.Clock) *Seqlock {
+	return &Seqlock{w: requireTry(base, "Seqlock"), clk: c}
 }
 
 // Lock enters a write section: the wrapped lock, then stamp → odd.

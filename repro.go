@@ -102,5 +102,5 @@ func NewLock(name string) (sync.Locker, bool) {
 	if !ok {
 		return nil, false
 	}
-	return lf.New(), true
+	return lf.New(nil), true
 }
