@@ -20,7 +20,7 @@
 // (each op is a Get with that probability), and cells are labeled
 // kvreadmostly/rNN instead of readrandom — the store-level view of the
 // harness read-fraction knob, exercising the shared Get path for locks
-// that advertise CapReadShared.
+// that offer RLock (rwlock.RWLocker).
 package main
 
 import (

@@ -42,8 +42,7 @@ import (
 type guarded struct {
 	mu sync.Locker
 	// bnd is nil when mu is unboundable; rw/opt are set only when mu
-	// actually shares its read path (capability-probed, so decorator
-	// fallback surfaces don't count) — at most one of them is non-nil,
+	// offers that read path — at most one of them is non-nil,
 	// preferring the blocking shared surface.
 	bnd    bounded.Locker
 	rw     rwlock.RWLocker
@@ -343,19 +342,19 @@ func torture(lf registry.Entry, d time.Duration, workers, tableSize int, st *loc
 		totalAbandon.Add(abandons)
 	}
 
-	// reader is the read lane, spawned only for lock types claiming a
-	// read capability: shared readers must never overlap a writer's
-	// critical section (inside != 0), and the guarded counter must hold
-	// still under a held read lock; for optimistic-only locks, a
-	// validated optimistic section must not have overlapped a writer.
+	// reader is the read lane, spawned only for lock types that offer a
+	// read path (the table is homogeneous, so locks[0] speaks for all):
+	// shared readers must never overlap a writer's critical section
+	// (inside != 0), and the guarded counter must hold still under a
+	// held read lock; for optimistic-only locks, a validated optimistic
+	// section must not have overlapped a writer.
 	reader := func(seed uint64) {
 		defer wg.Done()
 		rng := xrand.NewXorShift64(seed)
 		var reads uint64
 		for !stop.Load() {
 			g := locks[rng.Intn(tableSize)]
-			switch {
-			case g.rw != nil:
+			if g.rw != nil {
 				g.rw.RLock()
 				if atomic.LoadInt32(&g.inside) != 0 {
 					violation("%s: writer inside critical section while shared reader admitted", lf.Name)
@@ -368,17 +367,12 @@ func torture(lf registry.Entry, d time.Duration, workers, tableSize int, st *loc
 					violation("%s: guarded counter moved under a held read lock", lf.Name)
 				}
 				g.rw.RUnlock()
-			case g.opt != nil:
+			} else {
 				var snap int32
 				g.opt.OptimisticRead(func() { snap = atomic.LoadInt32(&g.inside) })
 				if snap != 0 {
 					violation("%s: validated optimistic section overlapped a writer", lf.Name)
 				}
-			default:
-				// Capability claimed but no surface resolved on this
-				// instance: the table is homogeneous, so nothing to do.
-				totalReads.Add(reads)
-				return
 			}
 			reads++
 			heartbeat.Add(1)
@@ -396,7 +390,7 @@ func torture(lf registry.Entry, d time.Duration, workers, tableSize int, st *loc
 	wg.Add(2)
 	go canceller(runSeed + 500)
 	go canceller(runSeed + 501)
-	if lf.Caps.Has(registry.CapReadShared) || lf.Caps.Has(registry.CapOptimisticRead) {
+	if locks[0].rw != nil || locks[0].opt != nil {
 		wg.Add(2)
 		go reader(runSeed + 700)
 		go reader(runSeed + 701)

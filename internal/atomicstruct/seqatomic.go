@@ -15,7 +15,7 @@ import (
 // rwlock.Seqlock, so writers serialize through the underlying catalog
 // lock (bumping the version stamp) while Load runs without writing any
 // shared state at all. This is the repository's exemplar of the
-// CapOptimisticRead path: the §7.2 workload with its read side lifted
+// optimistic read path (rwlock.OptimisticLocker): the §7.2 workload with its read side lifted
 // off the lock word entirely.
 type SeqStripe struct {
 	locks []*rwlock.Seqlock

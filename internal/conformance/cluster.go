@@ -42,8 +42,8 @@ at 280ms restart n1
 // replicated protocol), not a concurrency check — the concurrency
 // checks live in the rest of the suite.
 func CheckClusterFencing(e registry.Entry, o Options) error {
-	if !e.Caps.Has(registry.CapSimTwin) {
-		return skipError("cluster properties run on the CapSimTwin subset")
+	if e.SimTwin == "" {
+		return skipError("cluster properties run on the SimTwin subset")
 	}
 	o = o.withDefaults()
 	script, err := cluster.ParseScript(clusterScript)

@@ -15,12 +15,10 @@ import (
 	"repro/internal/xrand"
 )
 
-// CheckReadSharing verifies the read-path contract for entries
-// claiming CapReadShared or CapOptimisticRead (and skips for everyone
-// else):
+// CheckReadSharing verifies the read-path contract for entries whose
+// lock offers rwlock.RWLocker or rwlock.OptimisticLocker (and skips
+// for everyone else):
 //
-//   - the claimed surface is there — the built lock implements the
-//     interface;
 //   - shared readers are actually admitted together (a second reader
 //     gets in while the first holds RLock, and a randomized storm's
 //     AdmissionLog records MaxShared ≥ 2) while writers fully exclude
@@ -34,18 +32,14 @@ import (
 //     the real-lock fallback) must let a fixed batch of reads
 //     terminate.
 func CheckReadSharing(e registry.Entry, o Options) error {
-	claimsRW := e.Caps.Has(registry.CapReadShared)
-	claimsOpt := e.Caps.Has(registry.CapOptimisticRead)
-	if !claimsRW && !claimsOpt {
+	l := e.New(nil)
+	rw, isRW := l.(rwlock.RWLocker)
+	opt, isOpt := l.(rwlock.OptimisticLocker)
+	if !isRW && !isOpt {
 		return skipError("no read-path capability")
 	}
 	o = o.withDefaults()
-	l := e.New(nil)
-	if claimsRW {
-		rw, ok := l.(rwlock.RWLocker)
-		if !ok {
-			return fmt.Errorf("CapReadShared claimed but the built lock has no RLock path")
-		}
+	if isRW {
 		if err := checkConcurrentReaders(rw); err != nil {
 			return err
 		}
@@ -53,11 +47,7 @@ func CheckReadSharing(e registry.Entry, o Options) error {
 			return err
 		}
 	}
-	if claimsOpt {
-		opt, ok := l.(rwlock.OptimisticLocker)
-		if !ok {
-			return fmt.Errorf("CapOptimisticRead claimed but the built lock has no optimistic path")
-		}
+	if isOpt {
 		if err := checkOptimisticConsistency(opt); err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/registry"
+	"repro/internal/rwlock"
 )
 
 // The rendered columns come from CheckNames; Run must emit exactly
@@ -26,20 +27,23 @@ func TestRunMatchesCheckNames(t *testing.T) {
 	}
 }
 
-// Read-path capability claims bind to behavior: every entry claiming
-// CapReadShared or CapOptimisticRead must pass CheckReadSharing, and
-// an entry claiming neither must skip.
+// Read paths bind to behavior: every entry whose lock offers RLock or
+// an optimistic read must pass CheckReadSharing, and an entry offering
+// neither must skip.
 func TestCheckReadSharingPerClaim(t *testing.T) {
 	o := testOptions()
 	for _, e := range registry.All() {
 		e := e
-		claims := e.Caps.Has(registry.CapReadShared) || e.Caps.Has(registry.CapOptimisticRead)
+		l := e.New(nil)
+		_, isRW := l.(rwlock.RWLocker)
+		_, isOpt := l.(rwlock.OptimisticLocker)
+		reads := isRW || isOpt
 		t.Run(e.Name, func(t *testing.T) {
 			err := CheckReadSharing(e, o)
 			switch {
-			case !claims && !Skipped(err):
+			case !reads && !Skipped(err):
 				t.Fatalf("entry without read caps did not skip: %v", err)
-			case claims && err != nil:
+			case reads && err != nil:
 				t.Fatalf("read-capable entry failed: %v", err)
 			}
 		})

@@ -43,7 +43,7 @@ func CheckNames() []string {
 
 // Run executes the full suite — mutual exclusion, TryLock soundness,
 // bounded contract, abandonment safety, unlock discipline, read-path
-// sharing for entries claiming the read capabilities, the
+// sharing for entries whose lock offers a read path, the
 // sharded-store and cluster-simulation compositions, lease
 // re-acquisition, and (for twin-declaring entries) the differential
 // checker — against one entry.

@@ -17,7 +17,7 @@ import (
 // Shard-aware properties: the sharded kvstore is the repository's
 // first composite subject — many locks cooperating behind one store —
 // so the suite checks the composition, not just each lock alone.
-// Both checks run on the CapSimTwin subset of the catalog (the
+// Both checks run on the SimTwin subset of the catalog (the
 // entries with a verified deterministic model), which keeps the
 // `make conformance` tier's runtime proportionate while still
 // covering every algorithm family that the differential harness
@@ -82,8 +82,8 @@ func shardedUnderTest(e registry.Entry) (*kvstore.ShardedDB, []*lockstat.Admissi
 // Every shard must also have actually admitted work, so a broken hash
 // cannot pass by starving shards.
 func CheckShardedMutualExclusion(e registry.Entry, o Options) error {
-	if !e.Caps.Has(registry.CapSimTwin) {
-		return skipError("shard properties run on the CapSimTwin subset")
+	if e.SimTwin == "" {
+		return skipError("shard properties run on the SimTwin subset")
 	}
 	o = o.withDefaults()
 	db, logs := shardedUnderTest(e)
@@ -141,8 +141,8 @@ func CheckShardedMutualExclusion(e registry.Entry, o Options) error {
 // locks); the check guards the discipline against regression under
 // every lock algorithm.
 func CheckShardedIterator(e registry.Entry, o Options) error {
-	if !e.Caps.Has(registry.CapSimTwin) {
-		return skipError("shard properties run on the CapSimTwin subset")
+	if e.SimTwin == "" {
+		return skipError("shard properties run on the SimTwin subset")
 	}
 	o = o.withDefaults()
 	db, _ := shardedUnderTest(e)

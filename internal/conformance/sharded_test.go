@@ -16,8 +16,7 @@ func brokenEntry(name string, mk func() sync.Locker) registry.Entry {
 	return registry.Entry{
 		Name:    name,
 		Family:  registry.FamilySpin,
-		Caps:    registry.CapSimTwin, // opt in to the shard checks
-		SimTwin: "TKT",               // never resolved by these checks
+		SimTwin: "TKT", // opt in to the shard checks; never resolved by them
 		New:     func(clock.Clock) sync.Locker { return mk() },
 	}
 }
@@ -52,12 +51,12 @@ func TestShardedChecksDetectBrokenLock(t *testing.T) {
 }
 
 // TestShardedChecksSkipWithoutSimTwin pins the gating rule: entries
-// outside the CapSimTwin subset are skipped by both shard checks, so
+// outside the SimTwin subset are skipped by both shard checks, so
 // `make conformance` time stays proportionate to the verified subset.
 func TestShardedChecksSkipWithoutSimTwin(t *testing.T) {
 	var plain registry.Entry
 	for _, e := range registry.All() {
-		if !e.Caps.Has(registry.CapSimTwin) {
+		if e.SimTwin == "" {
 			plain = e
 			break
 		}

@@ -103,19 +103,19 @@ func CheckMutualExclusion(e registry.Entry, o Options) error {
 }
 
 // CheckTryLock verifies TryLock soundness under contention for
-// CapTryLock entries: half the goroutines acquire with Lock, half
-// with TryLock retries; successful acquisitions bracket an
+// entries whose lock offers TryLock: half the goroutines acquire with
+// Lock, half with TryLock retries; successful acquisitions bracket an
 // AdmissionLog (no false success — a TryLock success while the lock
 // is held would trip the overlap check) and every success is
 // released (no lost unlocks — the lock must be immediately
 // re-acquirable when the goroutines drain).
 func CheckTryLock(e registry.Entry, o Options) error {
-	if !e.Caps.Has(registry.CapTryLock) {
+	l := e.New(nil)
+	tl, ok := l.(bounded.TryLocker)
+	if !ok {
 		return skipError("no TryLock capability")
 	}
 	o = o.withDefaults()
-	l := e.New(nil)
-	tl := l.(bounded.TryLocker)
 	log := lockstat.NewAdmissionLog()
 	counter := 0
 	var successes, attempts atomic.Int64

@@ -204,7 +204,7 @@ func (l *SimplifiedLock) lockBounded(deadline time.Duration, done <-chan struct{
 		succ = nil
 	}
 
-	w := waiter.NewClocked(l.Policy, l.Clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	timedOut := false
 	for e.gate.Load() == 0 {
 		if timedOut {

@@ -25,7 +25,6 @@ type CombinedLock struct {
 	succ *flagElement
 	cur  *flagElement
 
-	Policy waiter.Policy
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
 
@@ -61,7 +60,7 @@ func (l *CombinedLock) Acquire(e *flagElement) *flagElement {
 	if tail != nemo() {
 		succ = tail
 	}
-	w := waiter.NewClocked(l.Policy, l.Clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	for e.gate.Load() == 0 {
 		w.Pause()
 	}

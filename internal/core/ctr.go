@@ -34,7 +34,6 @@ type CTRLock struct {
 	eos  *WaitElement
 	cur  *WaitElement
 
-	Policy waiter.Policy
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
 }
@@ -59,7 +58,7 @@ func (l *CTRLock) Acquire(e *WaitElement) Token {
 		}
 		// Wait politely, then consume the grant with an exchange so
 		// the Gate line retires Modified in our cache.
-		w := waiter.NewClocked(l.Policy, l.Clk)
+		w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 		for {
 			if e.gate.Load() != nil {
 				eos = e.gate.Swap(nil)

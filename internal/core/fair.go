@@ -43,7 +43,6 @@ type FairLock struct {
 
 	rng atomic.Uint64 // xorshift state for the Bernoulli trial
 
-	Policy waiter.Policy
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
 
@@ -98,7 +97,7 @@ func (l *FairLock) Acquire(e *WaitElement) fairToken {
 	}
 
 	deferred := false
-	w := waiter.NewClocked(l.Policy, l.Clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	for {
 		// Waiting phase.
 		for {

@@ -26,7 +26,6 @@ type FetchAddLock struct {
 	succ *taggedElement
 	cur  *taggedElement
 
-	Policy waiter.Policy
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
 
@@ -68,7 +67,7 @@ func (l *FetchAddLock) Acquire(e *taggedElement) *taggedElement {
 }
 
 func (l *FetchAddLock) waitGate(e *taggedElement) {
-	w := waiter.NewClocked(l.Policy, l.Clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	for e.gate.Load() == 0 {
 		w.Pause()
 	}

@@ -29,7 +29,6 @@ type RelayLock struct {
 	succ *flagElement
 	cur  *flagElement
 
-	Policy waiter.Policy
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
 
@@ -64,7 +63,7 @@ func (l *RelayLock) Acquire(e *flagElement) *flagElement {
 	if succ == nemo() {
 		succ = nil
 	}
-	w := waiter.NewClocked(l.Policy, l.Clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	for e.gate.Load() == 0 {
 		w.Pause()
 	}

@@ -31,7 +31,6 @@ type SimplifiedLock struct {
 	succ *flagElement
 	cur  *flagElement
 
-	Policy waiter.Policy
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
 
@@ -63,7 +62,7 @@ func (l *SimplifiedLock) Acquire(e *flagElement) *flagElement {
 	if succ == nemo() {
 		succ = nil
 	}
-	w := waiter.NewClocked(l.Policy, l.Clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	for e.gate.Load() == 0 {
 		if l.Park && w.Spins() >= parkThreshold {
 			// A futex park bypasses Pause, so report it to the

@@ -24,7 +24,6 @@ type SimplifiedEOSLock struct {
 	succ *taggedElement
 	cur  *taggedElement
 
-	Policy waiter.Policy
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
 
@@ -58,7 +57,7 @@ func (l *SimplifiedEOSLock) Acquire(e *taggedElement) *taggedElement {
 	}
 
 	succ := annulMarked(prev)
-	w := waiter.NewClocked(l.Policy, l.Clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	for e.gate.Load() == 0 {
 		w.Pause()
 	}

@@ -45,10 +45,13 @@ func recordAdmissions(l sync.Locker, workers, iters int) []int {
 // barging and can exhibit much larger — in principle unbounded —
 // bypass.
 //
-// Caveat: on a small-GOMAXPROCS scheduler a waiter that never gets a
-// processor cannot be bypassed *at the lock*; the in-CS yields make
-// queues form, so observed bypass is a lower bound for barging locks
-// and an upper-bound check for the bounded ones.
+// The table is informational, not a check of the guarantee. It reads
+// only the admission order, so a worker still outside the lock (in its
+// non-critical section, or never scheduled) counts as bypassed: on a
+// multi-core host even strict-FIFO locks show bypass above 1. The
+// guarantee is gated where arrivals are observed: the conformance
+// differential checker measures bypass against doorway-stamped
+// arrivals, and the simulator's Table 2 check counts it exactly.
 func BypassBound(workers, iters int) *table.Table {
 	res := BypassBoundResult(workers, iters)
 	t := table.New("§2/§5 — empirical bypass bound (Track A)",

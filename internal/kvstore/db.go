@@ -25,13 +25,11 @@
 package kvstore
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/registry"
 	"repro/internal/rwlock"
 )
 
@@ -53,13 +51,9 @@ var (
 
 // Options configures a DB.
 type Options struct {
-	// Lock guards the database; nil selects the Reciprocating Lock
-	// (or the LockName catalog entry, when set).
+	// Lock guards the database; nil selects the Reciprocating Lock.
+	// Build one from the repository catalog with registry.Build.
 	Lock sync.Locker
-	// LockName selects the guarding lock from the repository catalog
-	// (internal/registry) by name or alias when Lock is nil. Unknown
-	// names panic in Open. Empty means the default.
-	LockName string
 	// MemTableBytes is the freeze threshold (default 1 MiB).
 	MemTableBytes int
 	// MaxRuns triggers a full merge when exceeded (default 4).
@@ -97,13 +91,6 @@ type DB struct {
 
 // Open creates an empty database.
 func Open(opts Options) *DB {
-	if opts.Lock == nil && opts.LockName != "" {
-		lf, ok := registry.Lookup(opts.LockName)
-		if !ok {
-			panic(fmt.Sprintf("kvstore: unknown Options.LockName %q", opts.LockName))
-		}
-		opts.Lock = lf.New(nil)
-	}
 	if opts.Lock == nil {
 		opts.Lock = new(core.Lock)
 	}

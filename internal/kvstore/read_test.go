@@ -9,30 +9,33 @@ import (
 	"repro/internal/rwlock"
 )
 
+// buildLock builds a catalog lock for a test store.
+func buildLock(t testing.TB, name string, opts ...registry.Option) sync.Locker {
+	t.Helper()
+	l, err := registry.Build(name, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 // Open must resolve the shared-read surface exactly when the
-// configured lock actually shares — a decorator whose RLock is the
-// exclusive fallback satisfies the interface structurally but must not
+// configured lock actually shares: a decorated exclusive lock must not
 // flip the store into shared-read mode.
 func TestOpenResolvesSharedReadSurface(t *testing.T) {
 	if db := Open(Options{}); db.rmu != nil {
 		t.Fatal("default exclusive lock resolved a shared-read surface")
 	}
-	if db := Open(Options{LockName: "rw:Recipro"}); db.rmu == nil {
+	if db := Open(Options{Lock: buildLock(t, "rw:Recipro")}); db.rmu == nil {
 		t.Fatal("rw:Recipro did not resolve a shared-read surface")
 	}
-	l, err := registry.Build("RW-Recipro", registry.WithBounded(), registry.WithStats(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := buildLock(t, "RW-Recipro", registry.WithBounded(), registry.WithStats(nil))
 	if db := Open(Options{Lock: l}); db.rmu == nil {
 		t.Fatal("fully decorated RW lock did not resolve a shared-read surface")
 	}
-	excl, err := registry.Build("GoMutex", registry.WithBounded(), registry.WithStats(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	excl := buildLock(t, "GoMutex", registry.WithBounded(), registry.WithStats(nil))
 	if db := Open(Options{Lock: excl}); db.rmu != nil {
-		t.Fatal("decorator's exclusive-fallback RLock was mistaken for real sharing")
+		t.Fatal("decorated exclusive lock was mistaken for real sharing")
 	}
 }
 
@@ -42,7 +45,7 @@ func TestOpenResolvesSharedReadSurface(t *testing.T) {
 // happens-before edges around the snapshot).
 func TestSharedGetMatchesExclusive(t *testing.T) {
 	const keys = 512
-	db := Open(Options{LockName: "rw:Recipro", MemTableBytes: 16 << 10})
+	db := Open(Options{Lock: buildLock(t, "rw:Recipro"), MemTableBytes: 16 << 10})
 	FillSeq(db, keys, 32)
 
 	var wg sync.WaitGroup
@@ -96,7 +99,11 @@ func TestSharedGetMatchesExclusive(t *testing.T) {
 // set when every shard lock shares; the snapshot must still be atomic
 // with respect to cross-shard batches.
 func TestShardedSharedSnapshotExcludesBatches(t *testing.T) {
-	s := OpenSharded(ShardedOptions{Shards: 4, LockName: "rw:Recipro", MemTableBytes: 16 << 10})
+	s := OpenSharded(ShardedOptions{
+		Shards:        4,
+		NewLock:       func() sync.Locker { return buildLock(t, "rw:Recipro") },
+		MemTableBytes: 16 << 10,
+	})
 	if s.table.rlocks == nil {
 		t.Fatal("rw:Recipro shards did not resolve the stripe read set")
 	}
@@ -167,7 +174,7 @@ func TestShardedSharedSnapshotExcludesBatches(t *testing.T) {
 // atomic loads and an add, and the stats episode is atomic counters.
 func TestSharedGetAddsNoAllocs(t *testing.T) {
 	const keys = 2048
-	db := Open(Options{LockName: "rw:Recipro", MemTableBytes: 64 << 10})
+	db := Open(Options{Lock: buildLock(t, "rw:Recipro"), MemTableBytes: 64 << 10})
 	if db.rmu == nil {
 		t.Fatal("rw:Recipro did not resolve a shared-read surface")
 	}
@@ -194,7 +201,11 @@ func TestReadRandomReadFracMixes(t *testing.T) {
 			name = "default-exclusive"
 		}
 		t.Run(name, func(t *testing.T) {
-			db := Open(Options{LockName: lockName, MemTableBytes: 64 << 10})
+			var l sync.Locker
+			if lockName != "" {
+				l = buildLock(t, lockName)
+			}
+			db := Open(Options{Lock: l, MemTableBytes: 64 << 10})
 			FillSeq(db, 1000, 32)
 			res := ReadRandom(db, ReadRandomConfig{
 				Threads:      2,

@@ -1,11 +1,10 @@
 package kvstore
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
-	"repro/internal/registry"
+	"repro/internal/core"
 )
 
 // ShardedOptions configures a ShardedDB.
@@ -16,18 +15,9 @@ type ShardedOptions struct {
 	// NewLock constructs one guarding lock per shard; it is called
 	// exactly Shards times, in shard order (shard 0 first), so callers
 	// can associate instrumentation with shard indices. Nil selects
-	// LockName.
+	// the Reciprocating Lock; build catalog locks, with any decorator
+	// options, through registry.Build.
 	NewLock func() sync.Locker
-	// LockName selects the per-shard lock from the repository catalog
-	// when NewLock is nil; the lock is built through registry.Build
-	// with BuildOpts, so the whole decorator pipeline (chaos veto,
-	// bounded guarantee, lockstat telemetry) is available per shard.
-	// Unknown names panic in OpenSharded. Empty means the catalog
-	// default (the Reciprocating Lock).
-	LockName string
-	// BuildOpts are the registry decorator options applied when
-	// LockName (or the default) selects the per-shard lock.
-	BuildOpts []registry.Option
 	// MemTableBytes is the per-shard freeze threshold (default 1 MiB,
 	// like the coarse store; callers comparing against a coarse DB of
 	// budget B typically pass B/Shards).
@@ -63,17 +53,7 @@ func OpenSharded(opts ShardedOptions) *ShardedDB {
 	}
 	mk := opts.NewLock
 	if mk == nil {
-		name := opts.LockName
-		if name == "" {
-			name = "Recipro"
-		}
-		if _, err := registry.Build(name, opts.BuildOpts...); err != nil {
-			panic(fmt.Sprintf("kvstore: ShardedOptions.LockName: %v", err))
-		}
-		mk = func() sync.Locker {
-			l, _ := registry.Build(name, opts.BuildOpts...)
-			return l
-		}
+		mk = func() sync.Locker { return new(core.Lock) }
 	}
 	s := &ShardedDB{shards: make([]*DB, n)}
 	locks := make([]sync.Locker, n)

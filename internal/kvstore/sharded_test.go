@@ -221,17 +221,3 @@ func TestShardIndexPartition(t *testing.T) {
 		t.Fatalf("per-shard puts sum to %d, want 2000", total)
 	}
 }
-
-func TestOpenShardedLockName(t *testing.T) {
-	db := OpenSharded(ShardedOptions{Shards: 3, LockName: "MCS"})
-	db.Put([]byte("k"), []byte("v"))
-	if v, ok := db.Get([]byte("k")); !ok || string(v) != "v" {
-		t.Fatalf("Get = %q,%v", v, ok)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown LockName did not panic")
-		}
-	}()
-	OpenSharded(ShardedOptions{Shards: 2, LockName: "no-such-lock"})
-}

@@ -21,8 +21,7 @@ type ABQLock struct {
 	ticket atomic.Uint64
 	// self is the owner's slot index (acquire-to-release context,
 	// owner-owned).
-	self   uint64
-	Policy waiter.Policy
+	self uint64
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
 }
@@ -48,7 +47,7 @@ func NewABQL(capacity int, c Clock) *ABQLock {
 func (l *ABQLock) Lock() {
 	tx := l.ticket.Add(1) - 1
 	idx := tx % uint64(len(l.slots))
-	w := waiter.NewClocked(l.Policy, l.Clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	for l.slots[idx].flag.Load() == 0 {
 		w.Pause()
 	}

@@ -85,7 +85,7 @@ func (l *TASLock) LockCtx(ctx context.Context) error {
 }
 
 func (l *TASLock) lockBounded(deadline time.Duration, done <-chan struct{}) bool {
-	w := waiter.NewClocked(l.Policy, l.Clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	for l.word.Swap(1) != 0 {
 		if !w.PauseBounded(deadline, done) {
 			return false
@@ -109,7 +109,7 @@ func (l *TTASLock) LockCtx(ctx context.Context) error {
 }
 
 func (l *TTASLock) lockBounded(deadline time.Duration, done <-chan struct{}) bool {
-	w := waiter.NewClocked(l.Policy, l.Clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	for {
 		if l.word.Load() == 0 && l.word.Swap(1) == 0 {
 			return true
@@ -136,7 +136,7 @@ func (l *TicketLock) LockCtx(ctx context.Context) error {
 }
 
 func (l *TicketLock) lockBounded(deadline time.Duration, done <-chan struct{}) bool {
-	w := waiter.NewClocked(l.Policy, l.Clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	for !l.TryLock() {
 		if !w.PauseBounded(deadline, done) {
 			return false
@@ -170,7 +170,7 @@ func (l *MCSLock) lockBounded(deadline time.Duration, done <-chan struct{}) bool
 		return true
 	}
 	pred.next.Store(n)
-	w := waiter.NewClocked(l.Policy, l.Clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	for n.locked.Load() != mcsGranted {
 		if !w.PauseBounded(deadline, done) {
 			siteMcsAbandon.Hit()
@@ -206,7 +206,7 @@ func (l *CLHLock) LockCtx(ctx context.Context) error {
 func (l *CLHLock) lockBounded(deadline time.Duration, done <-chan struct{}) bool {
 	l.ensureInit()
 	n, pred := l.enqueue()
-	w := waiter.NewClocked(l.Policy, l.Clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	for pred.succMustWait.Load() != 0 {
 		if a := pred.aband.Load(); a != nil {
 			pred = hop(pred, a)

@@ -45,7 +45,6 @@ type ChenLock struct {
 	succ *chenNode
 	cur  *chenNode
 
-	Policy waiter.Policy
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
 }
@@ -64,7 +63,7 @@ func (l *ChenLock) Lock() {
 		succ = nil
 	}
 	// Global spinning on the central current word.
-	w := waiter.NewClocked(l.Policy, l.Clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	for l.current.Load() != e {
 		w.Pause()
 	}

@@ -42,8 +42,7 @@ type CLHLock struct {
 	tail atomic.Pointer[clhNode]
 	// head is the owner's node (owner-owned acquire-to-release
 	// context), making the lock body two words as in Table 1.
-	head   *clhNode
-	Policy waiter.Policy
+	head *clhNode
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
 }
@@ -86,7 +85,7 @@ func (l *CLHLock) Lock() {
 	l.ensureInit()
 	n, pred := l.enqueue()
 	// Dependent load chain: spin on the predecessor's node.
-	w := waiter.NewClocked(l.Policy, l.Clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	for pred.succMustWait.Load() != 0 {
 		if a := pred.aband.Load(); a != nil {
 			pred = hop(pred, a)

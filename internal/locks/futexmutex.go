@@ -17,8 +17,7 @@ import (
 // States: 0 unlocked, 1 locked, 2 locked with (possible) waiters.
 // The zero value is an unlocked mutex.
 type FutexMutex struct {
-	state  atomic.Uint32
-	Policy waiter.Policy
+	state atomic.Uint32
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
 }
@@ -30,7 +29,7 @@ func (m *FutexMutex) Lock() {
 	}
 	// Short adaptive spin before sleeping, like adaptive pthread
 	// mutexes.
-	w := waiter.NewClocked(m.Policy, m.Clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, m.Clk)
 	for i := 0; i < 32; i++ {
 		if m.state.Load() == 0 && m.state.CompareAndSwap(0, 1) {
 			return

@@ -34,8 +34,7 @@ var hemPool = sync.Pool{New: func() any { return new(hemNode) }}
 type HemLock struct {
 	tail atomic.Pointer[hemNode]
 	// self is the owner's element (owner-owned context).
-	self   *hemNode
-	Policy waiter.Policy
+	self *hemNode
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
 }
@@ -48,7 +47,7 @@ func (l *HemLock) Lock() {
 	if pred != nil {
 		// Semi-local spinning on the predecessor's element, waiting
 		// for it to publish this lock's address.
-		w := waiter.NewClocked(l.Policy, l.Clk)
+		w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 		for pred.grant.Load() != l {
 			w.Pause()
 		}
@@ -77,7 +76,7 @@ func (l *HemLock) Unlock() {
 	// Contended: publish ownership address-wise, then wait for the
 	// successor's acknowledgement to protect the element lifecycle.
 	n.grant.Store(l)
-	w := waiter.NewClocked(l.Policy, l.Clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	for n.grant.Load() != nil {
 		w.Pause()
 	}

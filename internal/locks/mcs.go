@@ -41,8 +41,7 @@ const (
 type MCSLock struct {
 	tail atomic.Pointer[mcsNode]
 	// head is the owner's node (owner-owned context).
-	head   *mcsNode
-	Policy waiter.Policy
+	head *mcsNode
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
 }
@@ -57,7 +56,7 @@ func (l *MCSLock) Lock() {
 	if pred != nil {
 		// Enqueue behind pred and spin locally on our own node.
 		pred.next.Store(n)
-		w := waiter.NewClocked(l.Policy, l.Clk)
+		w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 		for n.locked.Load() != mcsGranted {
 			w.Pause()
 		}
@@ -89,7 +88,7 @@ func (l *MCSLock) unlockNode(n *mcsNode) {
 			}
 			// A successor is mid-enqueue: wait for its link to appear.
 			// This is the non-constant-time release path of MCS (§6).
-			w := waiter.NewClocked(l.Policy, l.Clk)
+			w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 			for n.next.Load() == nil {
 				w.Pause()
 			}

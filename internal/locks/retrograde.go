@@ -23,9 +23,8 @@ type RetrogradeLock struct {
 	grant  atomic.Int64
 	// top and base are owner-owned (Listing 7: "only the current lock
 	// holder accesses Top and Base").
-	top    int64
-	base   int64
-	Policy waiter.Policy
+	top  int64
+	base int64
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
 }
@@ -34,7 +33,7 @@ type RetrogradeLock struct {
 // lock.
 func (l *RetrogradeLock) Lock() {
 	tx := l.ticket.Add(1) - 1
-	w := waiter.NewClocked(l.Policy, l.Clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	for l.grant.Load() != tx {
 		w.Pause()
 	}
@@ -110,7 +109,6 @@ type RetrogradeRandLock struct {
 	// TailPeriod is the mean number of head extractions between tail
 	// extractions (the Bernoulli bias M). Zero selects 8.
 	TailPeriod int
-	Policy     waiter.Policy
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
 }
@@ -118,7 +116,7 @@ type RetrogradeRandLock struct {
 // Lock acquires l (classic ticket doorway).
 func (l *RetrogradeRandLock) Lock() {
 	tx := l.ticket.Add(1) - 1
-	w := waiter.NewClocked(l.Policy, l.Clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	for l.grant.Load() != tx {
 		w.Pause()
 	}

@@ -12,15 +12,14 @@ import (
 //
 // The zero value is an unlocked lock.
 type TASLock struct {
-	word   atomic.Uint32
-	Policy waiter.Policy
+	word atomic.Uint32
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
 }
 
 // Lock acquires l.
 func (l *TASLock) Lock() {
-	w := waiter.NewClocked(l.Policy, l.Clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	for l.word.Swap(1) != 0 {
 		w.Pause()
 	}
@@ -40,15 +39,14 @@ func (l *TASLock) TryLock() bool {
 //
 // The zero value is an unlocked lock.
 type TTASLock struct {
-	word   atomic.Uint32
-	Policy waiter.Policy
+	word atomic.Uint32
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
 }
 
 // Lock acquires l.
 func (l *TTASLock) Lock() {
-	w := waiter.NewClocked(l.Policy, l.Clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	for {
 		if l.word.Load() == 0 && l.word.Swap(1) == 0 {
 			return

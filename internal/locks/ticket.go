@@ -16,7 +16,6 @@ import (
 type TicketLock struct {
 	ticket atomic.Uint64
 	grant  atomic.Uint64
-	Policy waiter.Policy
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
 }
@@ -24,7 +23,7 @@ type TicketLock struct {
 // Lock acquires l.
 func (l *TicketLock) Lock() {
 	tx := l.ticket.Add(1) - 1
-	w := waiter.NewClocked(l.Policy, l.Clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	for l.grant.Load() != tx {
 		w.Pause()
 	}

@@ -46,7 +46,6 @@ type TWALock struct {
 	ticket atomic.Uint64
 	grant  atomic.Uint64
 	id     atomic.Uint64
-	Policy waiter.Policy
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
 }
@@ -75,7 +74,7 @@ func (l *TWALock) Lock() {
 		return
 	}
 	id := l.lockID()
-	w := waiter.NewClocked(l.Policy, l.Clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	for {
 		dist := tx - l.grant.Load()
 		if dist == 0 {

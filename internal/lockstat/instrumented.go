@@ -61,14 +61,6 @@ func Decorate(l sync.Locker, c clock.Clock, veto *chaos.Point, poll bool, s *Sta
 // nil s keeps the decorator as a pass-through.
 func Wrap(l sync.Locker, s *Stats) sync.Locker { return Decorate(l, nil, nil, false, s) }
 
-// WrapFactory lifts Wrap over a lock constructor: every lock the
-// returned constructor creates shares the same Stats. This is the
-// shape the benchmark harnesses need (one Stats per lock algorithm,
-// fresh lock instance per run).
-func WrapFactory(newLock func() sync.Locker, s *Stats) func() sync.Locker {
-	return func() sync.Locker { return Wrap(newLock(), s) }
-}
-
 // decorated holds the state of one decorated lock. Its methods are
 // unexported: the exported surface is assembled by expose from the
 // method groups below, so the decorator never answers a type assertion

@@ -225,19 +225,6 @@ type minimalLocker struct{ mu *sync.Mutex }
 func (m minimalLocker) Lock()   { m.mu.Lock() }
 func (m minimalLocker) Unlock() { m.mu.Unlock() }
 
-func TestWrapFactorySharesStats(t *testing.T) {
-	s := New()
-	nf := WrapFactory(func() sync.Locker { return new(core.Lock) }, s)
-	a, b := nf(), nf()
-	a.Lock()
-	a.Unlock()
-	b.Lock()
-	b.Unlock()
-	if got := s.Snapshot().Acquisitions; got != 2 {
-		t.Fatalf("shared stats acquisitions = %d, want 2", got)
-	}
-}
-
 func TestInstallWaiterSinkRestores(t *testing.T) {
 	if waiter.ActiveSink() != nil {
 		t.Fatal("pre-existing global sink")

@@ -58,10 +58,10 @@ func WithBounded() Option {
 // WithClock constructs the lock on c: the base algorithm's waiting
 // (park pacing, bounded deadlines), the polling fallback's sleeps, and
 // the telemetry timestamps all read it. Build fails for the
-// FamilyRuntime entries (the sync.Mutex baselines), which wait inside
-// the Go runtime — silently building a wall-clocked lock under a
-// virtual-time harness would deadlock it. A nil c selects the wall
-// clock.
+// FamilyRuntime entries (the sync.Mutex baselines) and for every
+// rw:/seq:/occ: combinator over them, which wait inside the Go runtime
+// — silently building a wall-clocked lock under a virtual-time harness
+// would deadlock it. A nil c selects the wall clock.
 func WithClock(c clock.Clock) Option {
 	return func(cfg *buildConfig) { cfg.clk, cfg.clkSet = c, true }
 }
@@ -94,7 +94,7 @@ func (e Entry) Build(opts ...Option) (sync.Locker, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.clkSet && e.Family == FamilyRuntime {
+	if cfg.clkSet && e.waitsInRuntime() {
 		return nil, fmt.Errorf("registry: lock %s accepts no injected clock (it waits inside the Go runtime)", e.Name)
 	}
 	l := e.New(cfg.clk)

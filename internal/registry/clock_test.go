@@ -73,3 +73,20 @@ func TestBuildWithClockVirtualLockForExpires(t *testing.T) {
 		time.Sleep(50 * time.Microsecond)
 	}
 }
+
+// A read-path combinator over a runtime baseline still waits inside the
+// runtime, so it refuses the clock exactly as its base does — nested
+// combinators included — while building fine without one.
+func TestBuildWithClockRefusesRuntimeBase(t *testing.T) {
+	for _, prefix := range []string{"rw:", "seq:", "occ:", "rw:seq:"} {
+		for base := range unclockable {
+			name := prefix + base
+			if _, err := Build(name, WithClock(clock.NewVirtual())); err == nil {
+				t.Errorf("Build(%s, WithClock) succeeded, but its base ignores the clock", name)
+			}
+			if _, err := Build(name); err != nil {
+				t.Errorf("Build(%s): %v", name, err)
+			}
+		}
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/bounded"
+	"repro/internal/rwlock"
 	"repro/internal/table"
 )
 
@@ -71,28 +73,31 @@ func FprintCatalog(w io.Writer) {
 	t := table.New("Lock catalog — capability matrix",
 		"Lock", "Aliases", "Family", "Paper", "TryLock", "Bounded", "Park", "AllocFree", "SimTwin", "ReadShared", "OptRead", "Description")
 	for _, e := range All() {
-		twin := e.SimTwin
-		if twin == "" {
-			twin = "-"
-		}
-		t.Add(e.Name,
-			strings.Join(e.Aliases, ","),
-			string(e.Family),
-			yn(e.Paper),
-			yn(e.Caps.Has(CapTryLock)),
-			e.BoundedTier(),
-			yn(e.Caps.Has(CapPark)),
-			yn(e.Caps.Has(CapAllocFree)),
-			twin,
-			yn(e.Caps.Has(CapReadShared)),
-			yn(e.Caps.Has(CapOptimisticRead)),
-			e.Doc)
+		row := append([]string{e.Name, strings.Join(e.Aliases, ","), string(e.Family)}, matrixColumns(e)...)
+		t.Add(append(row, e.Doc)...)
 	}
 	t.Render(w)
 	fmt.Fprintln(w, "\nBounded: native = abandonable in-algorithm LockFor/LockCtx; polling = TryLock retry fallback (barges).")
 	fmt.Fprintln(w, "SimTwin: the internal/simlocks model checked against this lock by the differential conformance harness.")
 	fmt.Fprintln(w, "ReadShared/OptRead: RLock shared readers / version-stamped optimistic reads; derive over any TryLock base with rw:<lock>, seq:<lock>, occ:<lock>.")
 	fmt.Fprintln(w, "Select with -locks=<name,...|paper|all>; names and aliases are case-insensitive.")
+}
+
+// matrixColumns renders e's capability-matrix cells — Paper, TryLock,
+// Bounded, Park, AllocFree, SimTwin, ReadShared, OptRead — reading the
+// surfaces off a fresh instance. FprintCatalog and the ALGORITHMS.md
+// golden test both render rows with it, so the doc checks exactly what
+// -locks=list prints.
+func matrixColumns(e Entry) []string {
+	l := e.New(nil)
+	_, try := l.(bounded.TryLocker)
+	_, rw := l.(rwlock.RWLocker)
+	_, opt := l.(rwlock.OptimisticLocker)
+	twin := e.SimTwin
+	if twin == "" {
+		twin = "-"
+	}
+	return []string{yn(e.Paper), yn(try), e.BoundedTier(), yn(e.Park), yn(e.AllocFree), twin, yn(rw), yn(opt)}
 }
 
 func yn(v bool) string {

@@ -123,9 +123,10 @@ func errorsAs(err error, target **UnknownLockError) bool {
 	return false
 }
 
-// Capability claims are promises: every declared bit must match the
-// constructed lock's actual interface surface and behavior, and every
-// undeclared bit must be genuinely absent.
+// Every surface a fresh lock offers must work: TryLock, native
+// LockFor, RLock and the optimistic read path each complete a round
+// trip, WithBounded builds exactly the boundable entries, and the
+// declared AllocFree property matches the wait-element API.
 func TestCapabilityClaims(t *testing.T) {
 	for _, e := range All() {
 		e := e
@@ -136,13 +137,7 @@ func TestCapabilityClaims(t *testing.T) {
 			l.Lock()
 			l.Unlock()
 
-			// TryLock claim ⟺ interface assertion.
-			tl, isTry := l.(bounded.TryLocker)
-			if isTry != e.Caps.Has(CapTryLock) {
-				t.Fatalf("CapTryLock declared %v but TryLocker assertion is %v",
-					e.Caps.Has(CapTryLock), isTry)
-			}
-			if isTry {
+			if tl, ok := l.(bounded.TryLocker); ok {
 				if !tl.TryLock() {
 					t.Fatal("TryLock on an unheld lock failed")
 				}
@@ -156,14 +151,7 @@ func TestCapabilityClaims(t *testing.T) {
 				tl.Unlock()
 			}
 
-			// NativeBounded claim ⟺ the lock itself implements the
-			// bounded contract (not via the polling adapter).
-			bl, isNative := l.(bounded.Locker)
-			if isNative != e.Caps.Has(CapNativeBounded) {
-				t.Fatalf("CapNativeBounded declared %v but bounded.Locker assertion is %v",
-					e.Caps.Has(CapNativeBounded), isNative)
-			}
-			if isNative {
+			if bl, ok := l.(bounded.Locker); ok {
 				if !bl.LockFor(10 * time.Millisecond) {
 					t.Fatal("LockFor on an unheld lock failed")
 				}
@@ -183,28 +171,14 @@ func TestCapabilityClaims(t *testing.T) {
 				t.Fatalf("Boundable() = %v but Build(WithBounded()) error is %v", e.Boundable(), err)
 			}
 
-			// ReadShared claim ⟺ the rwlock.RWLocker surface, with a
-			// working RLock round-trip.
-			rw, isRW := l.(rwlock.RWLocker)
-			if isRW != e.Caps.Has(CapReadShared) {
-				t.Fatalf("CapReadShared declared %v but RWLocker assertion is %v",
-					e.Caps.Has(CapReadShared), isRW)
-			}
-			if isRW {
+			if rw, ok := l.(rwlock.RWLocker); ok {
 				rw.RLock()
 				rw.RUnlock()
 				rw.Lock()
 				rw.Unlock()
 			}
 
-			// OptimisticRead claim ⟺ the rwlock.OptimisticLocker
-			// surface, with working stamp and section round-trips.
-			opt, isOpt := l.(rwlock.OptimisticLocker)
-			if isOpt != e.Caps.Has(CapOptimisticRead) {
-				t.Fatalf("CapOptimisticRead declared %v but OptimisticLocker assertion is %v",
-					e.Caps.Has(CapOptimisticRead), isOpt)
-			}
-			if isOpt {
+			if opt, ok := l.(rwlock.OptimisticLocker); ok {
 				s := opt.ReadBegin()
 				if !opt.ReadValidate(s) {
 					t.Fatal("quiescent optimistic section failed to validate")
@@ -226,8 +200,8 @@ func TestCapabilityClaims(t *testing.T) {
 	}
 }
 
-// checkAllocFree verifies the CapAllocFree claim by reflection: the
-// capability means the lock exposes the explicit wait-element API —
+// checkAllocFree verifies the declared AllocFree property by
+// reflection: it means the lock exposes the explicit wait-element API —
 // Acquire taking exactly a *core.WaitElement and Release taking
 // exactly Acquire's result — and that a round-trip through it works.
 func checkAllocFree(t *testing.T, e Entry) {
@@ -244,9 +218,9 @@ func checkAllocFree(t *testing.T, e Entry) {
 		hasAPI = rel.IsValid() &&
 			rel.Type().NumIn() == 1 && rel.Type().In(0) == acq.Type().Out(0)
 	}
-	if hasAPI != e.Caps.Has(CapAllocFree) {
-		t.Fatalf("CapAllocFree declared %v but wait-element API presence is %v",
-			e.Caps.Has(CapAllocFree), hasAPI)
+	if hasAPI != e.AllocFree {
+		t.Fatalf("AllocFree declared %v but wait-element API presence is %v",
+			e.AllocFree, hasAPI)
 	}
 	if !hasAPI {
 		return
@@ -259,14 +233,14 @@ func checkAllocFree(t *testing.T, e Entry) {
 	l.Unlock()
 }
 
-// countingSink records park transitions for the CapPark test.
+// countingSink records park transitions for the Park test.
 type countingSink struct{ parks atomic.Int64 }
 
 func (s *countingSink) CountSpin()  {}
 func (s *countingSink) CountYield() {}
 func (s *countingSink) CountPark()  { s.parks.Add(1) }
 
-// CapPark entries must actually block a contended waiter (observed via
+// Park entries must actually block a contended waiter (observed via
 // the waiter sink) rather than spin indefinitely. GoMutex is exempt:
 // it parks inside the Go runtime, invisible to the repository's sink.
 // The converse is deliberately not asserted — the adaptive wait policy
@@ -274,7 +248,7 @@ func (s *countingSink) CountPark()  { s.parks.Add(1) }
 // testable property of non-parking locks.
 func TestCapParkBlocksContendedWaiter(t *testing.T) {
 	for _, e := range All() {
-		if !e.Caps.Has(CapPark) || e.Family == FamilyRuntime {
+		if !e.Park || e.Family == FamilyRuntime {
 			continue
 		}
 		e := e
@@ -381,36 +355,35 @@ func exportedLockTypes(t *testing.T, dir string) []string {
 
 // The rw:/seq:/occ: prefixes derive combinator entries over any
 // TryLock-capable base; bases without the doorway are rejected, and
-// derived entries carry the right capability claims and constructors.
+// derived entries construct the right combinator.
 func TestCombinatorLookup(t *testing.T) {
 	cases := []struct {
 		spec, name string
-		caps       Capability
+		rw         bool // RWLocker, else OptimisticLocker
 	}{
-		{"rw:MCS", "RW:MCS", CapTryLock | CapReadShared},
-		{"seq:tkt", "Seq:TKT", CapTryLock | CapOptimisticRead},
-		{"occ:clh", "OCC:CLH", CapTryLock | CapOptimisticRead},
-		{"RW:GoMutex", "RW:GoMutex", CapTryLock | CapReadShared},
+		{"rw:MCS", "RW:MCS", true},
+		{"seq:tkt", "Seq:TKT", false},
+		{"occ:clh", "OCC:CLH", false},
+		{"RW:GoMutex", "RW:GoMutex", true},
 		// Nesting: the outer combinator sees the inner one's TryLock.
-		{"rw:seq:MCS", "RW:Seq:MCS", CapTryLock | CapReadShared},
+		{"rw:seq:MCS", "RW:Seq:MCS", true},
 	}
 	for _, c := range cases {
 		e, ok := Lookup(c.spec)
 		if !ok {
 			t.Fatalf("Lookup(%q) failed", c.spec)
 		}
-		if e.Name != c.name || e.Caps != c.caps || e.Family != FamilyCombinator {
-			t.Fatalf("Lookup(%q) = {Name:%s Caps:%v Family:%s}, want {%s %v combinator}",
-				c.spec, e.Name, e.Caps, e.Family, c.name, c.caps)
+		if e.Name != c.name || e.Family != FamilyCombinator {
+			t.Fatalf("Lookup(%q) = {Name:%s Family:%s}, want {%s combinator}",
+				c.spec, e.Name, e.Family, c.name)
 		}
 		l := e.New(nil)
 		l.Lock()
 		l.Unlock()
-		if _, isRW := l.(rwlock.RWLocker); isRW != e.Caps.Has(CapReadShared) {
-			t.Fatalf("%s: RWLocker surface %v mismatches claim", e.Name, isRW)
-		}
-		if _, isOpt := l.(rwlock.OptimisticLocker); isOpt != e.Caps.Has(CapOptimisticRead) {
-			t.Fatalf("%s: OptimisticLocker surface %v mismatches claim", e.Name, isOpt)
+		_, isRW := l.(rwlock.RWLocker)
+		_, isOpt := l.(rwlock.OptimisticLocker)
+		if isRW != c.rw || isOpt == c.rw {
+			t.Fatalf("%s (%T): RWLocker %v, OptimisticLocker %v", e.Name, l, isRW, isOpt)
 		}
 	}
 	for _, bad := range []string{"rw:Gated", "seq:TwoLane", "rw:bogus", "rw:", "occ:"} {
@@ -478,14 +451,5 @@ func TestBoundedTier(t *testing.T) {
 		if got := e.BoundedTier(); got != want {
 			t.Errorf("%s.BoundedTier() = %q, want %q", name, got, want)
 		}
-	}
-}
-
-func TestCapabilityString(t *testing.T) {
-	if got := (CapTryLock | CapPark).String(); got != "TryLock|Park" {
-		t.Errorf("String() = %q", got)
-	}
-	if got := Capability(0).String(); got != "-" {
-		t.Errorf("empty String() = %q", got)
 	}
 }

@@ -6,10 +6,8 @@ import (
 	"repro/internal/simlocks"
 )
 
-// The CapSimTwin capability must be an honest claim in both directions:
-// a declared twin name without the capability bit (or vice versa) would
-// silently drop the entry from the differential conformance tier, and a
-// twin name that no longer resolves in simlocks would turn the tier
+// Every declared SimTwin must resolve: a twin name that no longer
+// resolves in simlocks would turn the differential conformance tier
 // into a hard failure. The paper-set queue/ticket locks and the two
 // Reciprocating variants with simulator models are required to stay in
 // the differential tier.
@@ -19,10 +17,6 @@ func TestSimTwinClaims(t *testing.T) {
 		"CLH": false, "MCS": false, "TKT": false,
 	}
 	for _, e := range All() {
-		if e.Caps.Has(CapSimTwin) != (e.SimTwin != "") {
-			t.Errorf("%s: CapSimTwin=%v but SimTwin=%q — capability and field must agree",
-				e.Name, e.Caps.Has(CapSimTwin), e.SimTwin)
-		}
 		if e.SimTwin == "" {
 			continue
 		}

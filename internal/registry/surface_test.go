@@ -11,11 +11,10 @@ import (
 )
 
 // A built lock answers type assertions truthfully: whatever options
-// decorate it, it is a TryLocker exactly when the entry declares
-// CapTryLock, a bounded.Locker exactly when it bounds natively or
-// WithBounded succeeded, an RWLocker exactly when it declares
-// CapReadShared, and an OptimisticLocker exactly when it declares
-// CapOptimisticRead.
+// decorate it, it offers exactly the surfaces of its undecorated base —
+// TryLocker, RWLocker and OptimisticLocker when the base does, and
+// bounded.Locker when the base bounds natively or WithBounded
+// succeeded.
 func TestBuiltSurfacesAreTruthful(t *testing.T) {
 	entries := All()
 	for _, name := range []string{"rw:MCS", "seq:TKT", "occ:CLH"} {
@@ -49,9 +48,9 @@ func TestBuiltSurfacesAreTruthful(t *testing.T) {
 				t.Errorf("%s/%s: %v", e.Name, c.name, err)
 				continue
 			}
-			checkSurfaces(t, e.Name+"/"+c.name, e.Caps, c.bounded, l)
+			checkSurfaces(t, e.Name+"/"+c.name, e.New(nil), c.bounded, l)
 		}
-		checkSurfaces(t, e.Name+"/lockstat.Wrap", e.Caps, false, lockstat.Wrap(e.New(nil), nil))
+		checkSurfaces(t, e.Name+"/lockstat.Wrap", e.New(nil), false, lockstat.Wrap(e.New(nil), nil))
 
 		// With no layer to apply, Build hands back the base lock.
 		if l, _ := e.Build(); reflect.TypeOf(l) != reflect.TypeOf(e.New(nil)) {
@@ -60,23 +59,24 @@ func TestBuiltSurfacesAreTruthful(t *testing.T) {
 	}
 }
 
-func checkSurfaces(t *testing.T, what string, caps Capability, withBounded bool, l sync.Locker) {
+func checkSurfaces(t *testing.T, what string, base sync.Locker, withBounded bool, l sync.Locker) {
 	t.Helper()
-	_, isTry := l.(bounded.TryLocker)
-	_, isBounded := l.(bounded.Locker)
-	_, isRW := l.(rwlock.RWLocker)
-	_, isOpt := l.(rwlock.OptimisticLocker)
 	for _, s := range []struct {
 		surface   string
 		got, want bool
 	}{
-		{"TryLocker", isTry, caps.Has(CapTryLock)},
-		{"bounded.Locker", isBounded, caps.Has(CapNativeBounded) || withBounded},
-		{"RWLocker", isRW, caps.Has(CapReadShared)},
-		{"OptimisticLocker", isOpt, caps.Has(CapOptimisticRead)},
+		{"TryLocker", offers[bounded.TryLocker](l), offers[bounded.TryLocker](base)},
+		{"bounded.Locker", offers[bounded.Locker](l), offers[bounded.Locker](base) || withBounded},
+		{"RWLocker", offers[rwlock.RWLocker](l), offers[rwlock.RWLocker](base)},
+		{"OptimisticLocker", offers[rwlock.OptimisticLocker](l), offers[rwlock.OptimisticLocker](base)},
 	} {
 		if s.got != s.want {
-			t.Errorf("%s (%T): %s = %v, want %v", what, l, s.surface, s.got, s.want)
+			t.Errorf("%s (%T over %T): %s = %v, want %v", what, l, base, s.surface, s.got, s.want)
 		}
 	}
+}
+
+func offers[S any](l sync.Locker) bool {
+	_, ok := l.(S)
+	return ok
 }

@@ -90,7 +90,7 @@ func (l *OCC) OptimisticRead(f func()) {
 }
 
 func (l *OCC) optimisticSlow(f func()) {
-	w := waiter.NewClocked(waiter.Default, l.clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.clk)
 	var bo *backoff.Backoff
 	for attempt := 1; attempt < occMaxAttempts; attempt++ {
 		l.retries.Add(1)

@@ -24,12 +24,13 @@
 //     number of seqlock-optimistic attempts, then the real lock, so
 //     read latency is bounded even under a writer storm.
 //
-// Two interfaces export the read paths; the registry declares them as
-// the capability bits CapReadShared and CapOptimisticRead. The one
-// registry decorator (lockstat.Decorate) exposes a read method exactly
-// when the lock beneath it has one, never a fallback, so harnesses and
-// stores discover read capability with one interface assertion on the
-// built lock. Each constructor takes the clock that paces its waiting.
+// Two interfaces export the read paths, and a lock's type is the only
+// statement of which it has: the registry's ReadShared and OptRead
+// columns are these assertions on a fresh instance. The one registry
+// decorator (lockstat.Decorate) exposes a read method exactly when the
+// lock beneath it has one, never a fallback, so harnesses and stores
+// discover read capability with one interface assertion on the built
+// lock. Each constructor takes the clock that paces its waiting.
 package rwlock
 
 import (
@@ -165,7 +166,7 @@ func (l *RW) Lock() {
 	if l.readers.Load() == 0 {
 		return
 	}
-	w := waiter.NewClocked(waiter.Default, l.clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.clk)
 	for l.readers.Load() != 0 {
 		w.Pause()
 	}
@@ -209,7 +210,7 @@ func (l *RW) RLock() {
 
 // rlockSlow waits out writer intent under the waiter policy.
 func (l *RW) rlockSlow() {
-	w := waiter.NewClocked(waiter.Default, l.clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.clk)
 	for {
 		for l.wflag.Load() {
 			w.Pause()

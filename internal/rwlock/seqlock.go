@@ -90,7 +90,7 @@ func (l *Seqlock) OptimisticRead(f func()) {
 // optimisticSlow is the conflict path: waiter pauses, then jittered
 // sleeps drawn from readRetryPolicy.
 func (l *Seqlock) optimisticSlow(f func()) {
-	w := waiter.NewClocked(waiter.Default, l.clk)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.clk)
 	var bo *backoff.Backoff
 	for attempt := 1; ; attempt++ {
 		l.retries.Add(1)

@@ -90,9 +90,6 @@ const (
 	PolicyBackoff
 )
 
-// Default is the policy used by locks unless overridden.
-var Default = PolicyAdaptive
-
 // spinBudget is the number of hot iterations performed before the
 // first yield under PolicySpin and PolicyAdaptive.
 const spinBudget = 32

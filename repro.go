@@ -83,11 +83,13 @@ type FairLock = core.FairLock
 
 // LockInfo describes one entry of the repository-wide lock catalog:
 // its canonical name and aliases, algorithm family, paper-set
-// membership, declared capabilities, and constructor.
+// membership, the declared Park and AllocFree properties, and
+// constructor. Every other capability (TryLock, bounded acquisition,
+// read paths) is an interface assertion on the lock it constructs.
 type LockInfo = registry.Entry
 
 // Locks returns the full lock catalog in canonical order — every lock
-// implementation in the repository with its declared capabilities.
+// implementation in the repository.
 func Locks() []LockInfo { return registry.All() }
 
 // PaperLocks returns the catalog entries for the six algorithms of the
