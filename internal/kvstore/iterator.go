@@ -18,24 +18,44 @@ type iterSource interface {
 	seek(k []byte)
 }
 
-// slIter walks a skiplist's level-0 chain. Safe on a frozen or
-// quiescent list; on the live memtable it sees a consistent prefix
-// (insert-only structure), matching LevelDB iterator semantics.
+// slIter walks a skiplist's level-0 chain as it stood at snapshot
+// stamp snap: it skips nodes inserted later and reads each key's
+// newest version stamped at or before snap, so writes made after the
+// snapshot — to a frozen or to the live list — stay invisible.
 type slIter struct {
-	sl *SkipList
-	n  *slNode
+	sl   *SkipList
+	snap uint64
+	n    *slNode
+	box  *valueBox // n's version visible at snap
 }
 
-func (it *slIter) valid() bool { return it.n != nil }
-func (it *slIter) key() []byte { return it.n.key }
-func (it *slIter) value() []byte {
-	return it.n.val.Load().data
+// newSlIter pins sl and positions a cursor at its first entry. The
+// caller holds the DB lock, so the snapshot sits between writes.
+func newSlIter(sl *SkipList) *slIter {
+	it := &slIter{sl: sl, snap: sl.snapshot()}
+	it.settle(sl.head.next[0].Load())
+	return it
 }
-func (it *slIter) tombstone() bool { return it.n.val.Load().tombstone }
-func (it *slIter) next()           { it.n = it.n.next[0].Load() }
+
+// settle moves the cursor to the first node from n on that has a
+// version visible at the snapshot.
+func (it *slIter) settle(n *slNode) {
+	for ; n != nil; n = n.next[0].Load() {
+		if it.box = n.visible(it.snap); it.box != nil {
+			break
+		}
+	}
+	it.n = n
+}
+
+func (it *slIter) valid() bool     { return it.n != nil }
+func (it *slIter) key() []byte     { return it.n.key }
+func (it *slIter) value() []byte   { return it.box.data }
+func (it *slIter) tombstone() bool { return it.box.tombstone() }
+func (it *slIter) next()           { it.settle(it.n.next[0].Load()) }
 func (it *slIter) seek(k []byte) {
 	var preds [maxHeight]*slNode
-	it.n = it.sl.findPredecessors(k, &preds)
+	it.settle(it.sl.findPredecessors(k, &preds))
 }
 
 // runIter walks an immutable sorted run.
@@ -63,8 +83,8 @@ func (it *runIter) seek(k []byte) {
 }
 
 // Iterator yields the database's live entries in ascending key order
-// over a consistent snapshot (the memtable and run set captured at
-// creation, exactly what a LevelDB iterator pins). Deleted keys are
+// over a consistent snapshot (the memtable at its last write stamp and
+// the run set captured at creation, what a LevelDB iterator pins). Deleted keys are
 // suppressed; among duplicate keys the newest source wins.
 type Iterator struct {
 	sources []iterSource // ordered newest first
@@ -77,22 +97,19 @@ type Iterator struct {
 // acquisition runs on the lock's shared-read surface when the lock
 // admits concurrent readers.
 func (db *DB) NewIterator() *Iterator {
-	var mem *SkipList
+	var mem *slIter
 	var runs []*Run
 	if db.rmu != nil {
 		db.rmu.RLock()
-		mem, runs = db.mem, db.runs
+		mem, runs = newSlIter(db.mem), db.runs
 		db.rmu.RUnlock()
 	} else {
 		db.mu.Lock()
-		mem, runs = db.mem, db.runs
+		mem, runs = newSlIter(db.mem), db.runs
 		db.mu.Unlock()
 	}
 
-	it := &Iterator{}
-	m := &slIter{sl: mem}
-	m.n = mem.head.next[0].Load()
-	it.sources = append(it.sources, m)
+	it := &Iterator{sources: []iterSource{mem}}
 	for _, r := range runs {
 		it.sources = append(it.sources, &runIter{r: r})
 	}

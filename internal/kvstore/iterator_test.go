@@ -150,3 +150,97 @@ func TestIteratorMatchesModel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// An iterator reads the store as it was when the iterator opened:
+// writes made afterwards to the live memtable — an overwrite, a new
+// key, a deletion — stay invisible to it. Single goroutine, so the
+// check is deterministic for both store shapes.
+func TestIteratorIgnoresLaterWrites(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		db   Store
+	}{
+		{"coarse", Open(Options{})},
+		{"sharded", OpenSharded(ShardedOptions{Shards: 4})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := tc.db
+			db.Put([]byte("a"), []byte("old"))
+			db.Put([]byte("c"), []byte("old"))
+			it := db.NewIterator()
+			db.Put([]byte("a"), []byte("new"))
+			db.Put([]byte("b"), []byte("new"))
+			db.Delete([]byte("c"))
+			var got []string
+			for it.Next() {
+				got = append(got, string(it.Key())+"="+string(it.Value()))
+			}
+			if want := "[a=old c=old]"; fmt.Sprint(got) != want {
+				t.Fatalf("iterator read %v, want %s", got, want)
+			}
+			got = got[:0]
+			for it := db.NewIterator(); it.Next(); {
+				got = append(got, string(it.Key())+"="+string(it.Value()))
+			}
+			if want := "[a=new b=new]"; fmt.Sprint(got) != want {
+				t.Fatalf("fresh iterator read %v, want %s", got, want)
+			}
+		})
+	}
+}
+
+// Seek honours the snapshot too: a key inserted after the iterator
+// opened is skipped even when Seek lands on it.
+func TestIteratorSeekIgnoresLaterInserts(t *testing.T) {
+	db := Open(Options{})
+	db.Put([]byte("a"), []byte("1"))
+	db.Put([]byte("c"), []byte("1"))
+	it := db.NewIterator()
+	db.Put([]byte("b"), []byte("2"))
+	db.Put([]byte("c"), []byte("2"))
+	it.Seek([]byte("b"))
+	if !it.Next() || string(it.Key()) != "c" || string(it.Value()) != "1" {
+		t.Fatalf("Seek(b) then Next = %q=%q, want c=1", it.Key(), it.Value())
+	}
+	if it.Next() {
+		t.Fatalf("unexpected entry %q after c", it.Key())
+	}
+}
+
+// An overwrite keeps the old value only when a snapshot may still read
+// it, and a kept value counts towards Bytes, so the freeze threshold
+// bounds what open iterators retain.
+func TestSkipListKeepsOnlyPinnedVersions(t *testing.T) {
+	sl := NewSkipList()
+	k := []byte("k")
+	versions := func() int {
+		var preds [maxHeight]*slNode
+		n := 0
+		for o := sl.findPredecessors(k, &preds).old.Load(); o != nil; o = o.prev {
+			n++
+		}
+		return n
+	}
+	sl.Put(k, []byte("v1"))
+	sl.Put(k, []byte("v2"))
+	before := sl.Bytes()
+	if n := versions(); n != 0 {
+		t.Fatalf("unpinned overwrite kept %d old versions", n)
+	}
+	snap := sl.snapshot()
+	sl.Put(k, []byte("v3"))
+	sl.Put(k, []byte("v4"))
+	if n := versions(); n != 1 {
+		t.Fatalf("kept %d old versions after a snapshot, want 1 (v2)", n)
+	}
+	if got, want := sl.Bytes(), before+len("v3")+32; got != want {
+		t.Fatalf("Bytes = %d, want %d (kept version charged once)", got, want)
+	}
+	var preds [maxHeight]*slNode
+	if b := sl.findPredecessors(k, &preds).visible(snap); string(b.data) != "v2" {
+		t.Fatalf("snapshot reads %q, want v2", b.data)
+	}
+	if v, _, _ := sl.Get(k); string(v) != "v4" {
+		t.Fatalf("Get = %q, want v4", v)
+	}
+}

@@ -163,20 +163,18 @@ func (s *ShardedDB) NewIterator() *Iterator {
 	for i := range all {
 		all[i] = i
 	}
-	mems := make([]*SkipList, len(s.shards))
+	mems := make([]*slIter, len(s.shards))
 	runs := make([][]*Run, len(s.shards))
 	s.table.rlockSet(all)
 	for i, sh := range s.shards {
-		mems[i] = sh.mem
+		mems[i] = newSlIter(sh.mem)
 		runs[i] = sh.runs
 	}
 	s.table.runlockSet(all)
 
 	it := &Iterator{}
 	for i := range s.shards {
-		m := &slIter{sl: mems[i]}
-		m.n = mems[i].head.next[0].Load()
-		it.sources = append(it.sources, m)
+		it.sources = append(it.sources, mems[i])
 		for _, r := range runs[i] {
 			it.sources = append(it.sources, &runIter{r: r})
 		}
