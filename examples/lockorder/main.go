@@ -1,33 +1,27 @@
 // LockOrder: the §5 "real-world environment" tooling around the lock —
-// the REPRO_LOCK-selected interposition mutex (the paper's LD_PRELOAD
-// methodology) wrapped in the lockdep-style ordering validator (the
-// kernel facility the paper cites for its plural-locking requirement).
+// Reciprocating Locks wrapped in the lockdep-style ordering validator
+// (the kernel facility the paper cites for its plural-locking
+// requirement).
 //
-// Try: REPRO_LOCK=MCS go run ./examples/lockorder
+// Try: go run ./examples/lockorder
 package main
 
 import (
 	"fmt"
 
-	"repro/internal/interpose"
+	"repro"
 	"repro/internal/lockdep"
 )
 
 func main() {
-	impl, err := interpose.Implementation()
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("lock implementation (set %s to change): %s\n\n", interpose.EnvVar, impl)
-
 	dep := lockdep.New()
 	dep.OnViolation = func(v *lockdep.Violation) {
 		fmt.Println("  !! lockdep report:", v.Error())
 	}
 
-	accounts := dep.Wrap(new(interpose.Mutex), "accounts")
-	journal := dep.Wrap(new(interpose.Mutex), "journal")
-	cache := dep.Wrap(new(interpose.Mutex), "cache")
+	accounts := dep.Wrap(new(repro.Lock), "accounts")
+	journal := dep.Wrap(new(repro.Lock), "journal")
+	cache := dep.Wrap(new(repro.Lock), "cache")
 
 	w := dep.NewWorker()
 

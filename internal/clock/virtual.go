@@ -230,16 +230,6 @@ func (v *Virtual) Step() (fired time.Duration, ok bool) {
 	return when, true
 }
 
-// NextDeadline reports the earliest pending timer deadline, if any.
-func (v *Virtual) NextDeadline() (time.Duration, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if len(v.h) == 0 {
-		return 0, false
-	}
-	return v.h[0].when, true
-}
-
 // WaitBlocked blocks until at least n goroutines are inside virtual
 // waits — the synchronization manual-mode tests need between starting
 // sleepers and advancing the clock (registration order, and therefore

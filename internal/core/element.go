@@ -29,10 +29,6 @@ type WaitElement struct {
 // does in C++.
 var lockedEmptySentinel WaitElement
 
-// LockedEmpty returns the distinguished locked-with-empty-arrivals
-// marker. Exported within the package tree for tests and diagnostics.
-func LockedEmpty() *WaitElement { return &lockedEmptySentinel }
-
 // elementPool recycles wait elements for the convenience Lock/Unlock
 // API. Elements re-enter the pool only at Unlock time — never at the
 // end of Acquire — which preserves the TLS-singleton lifecycle rule

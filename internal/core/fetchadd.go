@@ -28,8 +28,6 @@ type FetchAddLock struct {
 
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
-
-	delegations atomic.Uint64
 }
 
 // fetchAndMark is Listing 4's FetchAndMark: atomically increment the
@@ -54,7 +52,6 @@ func (l *FetchAddLock) Acquire(e *taggedElement) *taggedElement {
 		// heads the detached segment and our element lies buried at
 		// its distal end. Delegate ownership to r and wait for
 		// natural succession to reach us.
-		l.delegations.Add(1)
 		rElem := taggedReg.lookup(r >> 2)
 		rElem.gate.Store(1)
 		// Our successor is nil: we terminate the detached segment.
@@ -118,9 +115,6 @@ func (l *FetchAddLock) TryLock() bool {
 	}
 	return false
 }
-
-// Delegations reports how many arrival-race delegations occurred.
-func (l *FetchAddLock) Delegations() uint64 { return l.delegations.Load() }
 
 // Locked reports whether the lock was held at the instant of the load.
 func (l *FetchAddLock) Locked() bool {

@@ -31,11 +31,6 @@ type RelayLock struct {
 
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
-
-	// relays counts arrival-race abdications, which the paper argues
-	// are rare (the window closes as fast as the interconnect can
-	// re-arbitrate the line). Exposed for tests and ablations.
-	relays atomic.Uint64
 }
 
 // Acquire enters the lock and returns the successor context for
@@ -54,7 +49,6 @@ func (l *RelayLock) Acquire(e *flagElement) *flagElement {
 		// segment with our element buried at its distal end. Cede
 		// ownership to r and fall through into waiting: natural
 		// succession through the segment will reach our element.
-		l.relays.Add(1)
 		r.gate.Store(1)
 		// tail was nil, so our successor is nil: we are the natural
 		// end of the detached segment.
@@ -109,9 +103,6 @@ func (l *RelayLock) TryLock() bool {
 	}
 	return false
 }
-
-// Relays reports how many arrival-race abdications have occurred.
-func (l *RelayLock) Relays() uint64 { return l.relays.Load() }
 
 // Locked reports whether the lock was held at the instant of the load.
 func (l *RelayLock) Locked() bool { return l.arrivals.Load() != nil }

@@ -72,17 +72,15 @@ type Stats struct {
 
 // DB is the database.
 type DB struct {
-	mu   sync.Locker
-	opts Options
+	mu sync.Locker
+	// readMu is mu's read side (rwlock.ReadLocker): RLock/RUnlock when
+	// the configured lock admits concurrent readers, mu itself
+	// otherwise. Get and NewIterator snapshot state under it, so shared
+	// readers stop serializing through the writer's lock word.
+	readMu sync.Locker
+	opts   Options
 
-	// rmu is mu's shared-read surface, non-nil exactly when the
-	// configured lock admits concurrent readers (implements
-	// rwlock.RWLocker). When set, Get and NewIterator snapshot state
-	// under RLock instead of Lock, so readers stop serializing through
-	// the writer's lock word.
-	rmu rwlock.RWLocker
-
-	// Guarded by mu (shared readers hold rmu); Get snapshots mem+runs
+	// Guarded by mu (readers hold readMu); Get snapshots mem+runs
 	// under the lock and searches outside it (LevelDB's Get pattern).
 	mem   *SkipList
 	runs  []*Run
@@ -100,9 +98,7 @@ func Open(opts Options) *DB {
 	if opts.MaxRuns <= 0 {
 		opts.MaxRuns = 4
 	}
-	db := &DB{mu: opts.Lock, opts: opts, mem: NewSkipList()}
-	db.rmu, _ = opts.Lock.(rwlock.RWLocker)
-	return db
+	return &DB{mu: opts.Lock, readMu: rwlock.ReadLocker(opts.Lock), opts: opts, mem: NewSkipList()}
 }
 
 // Put inserts or updates a key.
@@ -145,51 +141,29 @@ func (db *DB) maybeFreezeLocked() {
 
 // Get looks up a key, mirroring leveldb::DBImpl::Get's locking
 // pattern: take the central mutex to snapshot references, drop it for
-// the actual search, and retake it to update statistics. When the
-// configured lock admits shared readers the same two acquisitions run
-// on the read path (RLock) instead, so concurrent Gets stop
-// serializing on the lock word while writers keep full exclusion.
+// the actual search, and retake it to update statistics. Both
+// acquisitions run on the lock's read side, so when the lock admits
+// shared readers concurrent Gets stop serializing on the lock word
+// while writers keep full exclusion; snapshot consistency holds because
+// the read side fully excludes writers.
 func (db *DB) Get(key []byte) ([]byte, bool) {
-	if db.rmu != nil {
-		return db.getShared(key)
-	}
-	db.mu.Lock()
+	db.readMu.Lock()
 	mem := db.mem
 	runs := db.runs
-	db.mu.Unlock()
+	db.readMu.Unlock()
 
 	siteKvSnapshot.Hit()
 	val, found := get(mem, runs, key)
 
-	db.mu.Lock()
+	db.readMu.Lock()
 	db.recordGet(found)
-	db.mu.Unlock()
+	db.readMu.Unlock()
 	return val, found
 }
 
-// getShared is Get over the lock's shared-read surface: the same
-// two-acquisition shape, both acquisitions shared. Snapshot
-// consistency holds because RLock fully excludes writers, and the
-// stats episode uses atomic counters because concurrent readers are
-// admitted together.
-func (db *DB) getShared(key []byte) ([]byte, bool) {
-	db.rmu.RLock()
-	mem := db.mem
-	runs := db.runs
-	db.rmu.RUnlock()
-
-	siteKvSnapshot.Hit()
-	val, found := get(mem, runs, key)
-
-	db.rmu.RLock()
-	db.recordGet(found)
-	db.rmu.RUnlock()
-	return val, found
-}
-
-// recordGet bumps the read-path counters. Atomic because in shared
-// mode multiple readers record concurrently; harmless (and still
-// cheap) under the exclusive lock.
+// recordGet bumps the read-path counters. Atomic because shared
+// readers record concurrently; harmless (and still cheap) under an
+// exclusive lock.
 func (db *DB) recordGet(found bool) {
 	atomic.AddUint64(&db.stats.Gets, 1)
 	if found {

@@ -104,7 +104,7 @@ func TestStripeCanonicalOrder(t *testing.T) {
 				t.Fatal("lockSet accepted a non-ascending stripe set")
 			}
 		}()
-		db.table.lockSet([]int{2, 1})
+		db.table.write.lockSet([]int{2, 1})
 	}()
 }
 

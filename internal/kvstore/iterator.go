@@ -94,20 +94,11 @@ type Iterator struct {
 
 // NewIterator captures a snapshot and positions the iterator before
 // the first entry; call Next to advance. Like Get, the snapshot
-// acquisition runs on the lock's shared-read surface when the lock
-// admits concurrent readers.
+// acquisition runs on the lock's read side.
 func (db *DB) NewIterator() *Iterator {
-	var mem *slIter
-	var runs []*Run
-	if db.rmu != nil {
-		db.rmu.RLock()
-		mem, runs = newSlIter(db.mem), db.runs
-		db.rmu.RUnlock()
-	} else {
-		db.mu.Lock()
-		mem, runs = newSlIter(db.mem), db.runs
-		db.mu.Unlock()
-	}
+	db.readMu.Lock()
+	mem, runs := newSlIter(db.mem), db.runs
+	db.readMu.Unlock()
 
 	it := &Iterator{sources: []iterSource{mem}}
 	for _, r := range runs {

@@ -2,9 +2,11 @@ package kvstore
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sync"
 	"testing"
 
+	"repro/internal/lockstat"
 	"repro/internal/registry"
 	"repro/internal/rwlock"
 )
@@ -19,23 +21,42 @@ func buildLock(t testing.TB, name string, opts ...registry.Option) sync.Locker {
 	return l
 }
 
-// Open must resolve the shared-read surface exactly when the
-// configured lock actually shares: a decorated exclusive lock must not
-// flip the store into shared-read mode.
+// Open and OpenSharded must route Get and iterator snapshots through
+// the configured lock's read side: RLock exactly when the lock shares
+// readers, even behind the registry decorator, and the exclusive lock
+// otherwise. The counts are exact: a Get is two episodes on its
+// shard's lock, a snapshot one episode per shard.
 func TestOpenResolvesSharedReadSurface(t *testing.T) {
-	if db := Open(Options{}); db.rmu != nil {
-		t.Fatal("default exclusive lock resolved a shared-read surface")
-	}
-	if db := Open(Options{Lock: buildLock(t, "rw:Recipro")}); db.rmu == nil {
-		t.Fatal("rw:Recipro did not resolve a shared-read surface")
-	}
-	l := buildLock(t, "RW-Recipro", registry.WithBounded(), registry.WithStats(nil))
-	if db := Open(Options{Lock: l}); db.rmu == nil {
-		t.Fatal("fully decorated RW lock did not resolve a shared-read surface")
-	}
-	excl := buildLock(t, "GoMutex", registry.WithBounded(), registry.WithStats(nil))
-	if db := Open(Options{Lock: excl}); db.rmu != nil {
-		t.Fatal("decorated exclusive lock was mistaken for real sharing")
+	const shards = 4
+	for _, tc := range []struct {
+		lock   string
+		shared bool
+	}{{"rw:Recipro", true}, {"Recipro", false}} {
+		for _, n := range []int{1, shards} {
+			tc, n := tc, n
+			t.Run(fmt.Sprintf("%s/shards=%d", tc.lock, n), func(t *testing.T) {
+				st := lockstat.New()
+				mk := func() sync.Locker { return buildLock(t, tc.lock, registry.WithStats(st)) }
+				var s Store
+				if n == 1 {
+					s = Open(Options{Lock: mk()})
+				} else {
+					s = OpenSharded(ShardedOptions{Shards: n, NewLock: mk})
+				}
+				s.Get(Key(0))
+				s.NewIterator()
+
+				snap := st.Snapshot()
+				read, excl := snap.RLocks, snap.Acquisitions
+				if !tc.shared {
+					read, excl = excl, read
+				}
+				if want := uint64(2 + n); read != want || excl != 0 {
+					t.Fatalf("one Get and one snapshot: RLocks=%d Acquisitions=%d, want %d read-side (shared=%v) and 0 of the other kind",
+						snap.RLocks, snap.Acquisitions, want, tc.shared)
+				}
+			})
+		}
 	}
 }
 
@@ -95,8 +116,8 @@ func TestSharedGetMatchesExclusive(t *testing.T) {
 	}
 }
 
-// The sharded iterator snapshot runs on the stripe table's shared-read
-// set when every shard lock shares; the snapshot must still be atomic
+// The sharded iterator snapshot runs on the stripe table's read sides,
+// which share for rw:Recipro shards; the snapshot must still be atomic
 // with respect to cross-shard batches.
 func TestShardedSharedSnapshotExcludesBatches(t *testing.T) {
 	s := OpenSharded(ShardedOptions{
@@ -104,10 +125,6 @@ func TestShardedSharedSnapshotExcludesBatches(t *testing.T) {
 		NewLock:       func() sync.Locker { return buildLock(t, "rw:Recipro") },
 		MemTableBytes: 16 << 10,
 	})
-	if s.table.rlocks == nil {
-		t.Fatal("rw:Recipro shards did not resolve the stripe read set")
-	}
-
 	// Batches write the same value to one key per shard; a snapshot
 	// must never observe a torn batch (mixed generations).
 	keys := make([][]byte, s.NumShards())
@@ -175,9 +192,6 @@ func TestShardedSharedSnapshotExcludesBatches(t *testing.T) {
 func TestSharedGetAddsNoAllocs(t *testing.T) {
 	const keys = 2048
 	db := Open(Options{Lock: buildLock(t, "rw:Recipro"), MemTableBytes: 64 << 10})
-	if db.rmu == nil {
-		t.Fatal("rw:Recipro did not resolve a shared-read surface")
-	}
 	FillSeq(db, keys, 32)
 	i := uint64(0)
 	k := Key(0)

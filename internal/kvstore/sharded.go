@@ -56,17 +56,14 @@ func OpenSharded(opts ShardedOptions) *ShardedDB {
 		mk = func() sync.Locker { return new(core.Lock) }
 	}
 	s := &ShardedDB{shards: make([]*DB, n)}
-	locks := make([]sync.Locker, n)
 	for i := range s.shards {
-		l := mk()
 		s.shards[i] = Open(Options{
-			Lock:          l,
+			Lock:          mk(),
 			MemTableBytes: opts.MemTableBytes,
 			MaxRuns:       opts.MaxRuns,
 		})
-		locks[i] = l
 	}
-	s.table = newStripeTable(locks)
+	s.table = newStripeTable(s.shards)
 	return s
 }
 
@@ -138,20 +135,20 @@ func (s *ShardedDB) Write(b *Batch) {
 		groups[si] = append(groups[si], op)
 	}
 	sort.Ints(touched)
-	s.table.lockSet(touched)
+	s.table.write.lockSet(touched)
 	for _, si := range touched {
 		s.shards[si].applyLocked(groups[si])
 	}
-	s.table.unlockSet(touched)
+	s.table.write.unlockSet(touched)
 }
 
 // NewIterator captures a consistent snapshot of every shard — all
 // shard locks are held simultaneously while the memtable and run
 // references are collected, so the snapshot sits at a single point in
 // the total order of cross-shard batches — and returns a merging
-// iterator over it. When the shard locks admit shared readers the
-// snapshot holds them all in read mode: batch writers (exclusive) are
-// still fully excluded, but concurrent snapshots no longer serialize
+// iterator over it. The snapshot holds every shard lock's read side:
+// batch writers (exclusive) are fully excluded, and where the shard
+// locks admit shared readers concurrent snapshots no longer serialize
 // against each other. Hash partitioning guarantees a key appears in at
 // most one shard, so cross-shard merging never has to resolve
 // duplicate keys.
@@ -165,12 +162,12 @@ func (s *ShardedDB) NewIterator() *Iterator {
 	}
 	mems := make([]*slIter, len(s.shards))
 	runs := make([][]*Run, len(s.shards))
-	s.table.rlockSet(all)
+	s.table.read.lockSet(all)
 	for i, sh := range s.shards {
 		mems[i] = newSlIter(sh.mem)
 		runs[i] = sh.runs
 	}
-	s.table.runlockSet(all)
+	s.table.read.unlockSet(all)
 
 	it := &Iterator{}
 	for i := range s.shards {

@@ -14,13 +14,16 @@ import (
 // family gets the strongest discipline its protocol admits:
 //
 //   - TAS/TTAS have no admission state at all, so bounding is just a
-//     deadline-aware retry of the atomic doorway.
+//     deadline-aware retry of the TryLock doorway: LockFor/LockCtx run
+//     the shared polling loop (bounded.PollFor/PollCtx — adaptive hot
+//     phase, then jittered sleeps), and the doorway's chaos veto
+//     applies (a spurious failure is always legal).
 //   - Ticket (and its retrograde descendants) cannot abandon a taken
 //     ticket — the grant chain would wedge on the unclaimed number —
-//     so the bounded path barges: it polls the TryLock doorway and
-//     never takes a ticket it might have to abandon, trading FIFO
-//     admission for abandonability (the classic timedlock-over-ticket
-//     compromise).
+//     so the bounded path barges: it polls the TryLock doorway through
+//     the same loop and never takes a ticket it might have to abandon,
+//     trading FIFO admission for abandonability (the classic
+//     timedlock-over-ticket compromise).
 //   - MCS abandons by publishing mcsAbandoned into its own node with a
 //     CAS; the release cascades through abandoned nodes (unlockNode).
 //   - CLH abandons by publishing its spin target in its own node's
@@ -73,76 +76,35 @@ var (
 // LockFor acquires l like Lock but gives up after d, reporting whether
 // the lock was acquired. LockFor(0) is equivalent to TryLock.
 func (l *TASLock) LockFor(d time.Duration) bool {
-	if d <= 0 {
-		return l.TryLock()
-	}
-	return l.lockBounded(clock.Or(l.Clk).Now()+d, nil)
+	return bounded.PollFor(l.TryLock, l.Clk, d)
 }
 
 // LockCtx acquires l unless ctx is cancelled or expires first.
 func (l *TASLock) LockCtx(ctx context.Context) error {
-	return bounded.CtxFrom(l.Clk, ctx, l.lockBounded)
-}
-
-func (l *TASLock) lockBounded(deadline time.Duration, done <-chan struct{}) bool {
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
-	for l.word.Swap(1) != 0 {
-		if !w.PauseBounded(deadline, done) {
-			return false
-		}
-	}
-	return true
+	return bounded.PollCtx(l.TryLock, l.Clk, ctx)
 }
 
 // LockFor acquires l like Lock but gives up after d, reporting whether
 // the lock was acquired. LockFor(0) is equivalent to TryLock.
 func (l *TTASLock) LockFor(d time.Duration) bool {
-	if d <= 0 {
-		return l.TryLock()
-	}
-	return l.lockBounded(clock.Or(l.Clk).Now()+d, nil)
+	return bounded.PollFor(l.TryLock, l.Clk, d)
 }
 
 // LockCtx acquires l unless ctx is cancelled or expires first.
 func (l *TTASLock) LockCtx(ctx context.Context) error {
-	return bounded.CtxFrom(l.Clk, ctx, l.lockBounded)
-}
-
-func (l *TTASLock) lockBounded(deadline time.Duration, done <-chan struct{}) bool {
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
-	for {
-		if l.word.Load() == 0 && l.word.Swap(1) == 0 {
-			return true
-		}
-		if !w.PauseBounded(deadline, done) {
-			return false
-		}
-	}
+	return bounded.PollCtx(l.TryLock, l.Clk, ctx)
 }
 
 // LockFor acquires l, giving up after d. The bounded path barges via
 // the TryLock doorway instead of taking a ticket (see the file
 // comment), so it does not participate in the lock's FIFO order.
 func (l *TicketLock) LockFor(d time.Duration) bool {
-	if d <= 0 {
-		return l.TryLock()
-	}
-	return l.lockBounded(clock.Or(l.Clk).Now()+d, nil)
+	return bounded.PollFor(l.TryLock, l.Clk, d)
 }
 
 // LockCtx acquires l unless ctx is cancelled or expires first.
 func (l *TicketLock) LockCtx(ctx context.Context) error {
-	return bounded.CtxFrom(l.Clk, ctx, l.lockBounded)
-}
-
-func (l *TicketLock) lockBounded(deadline time.Duration, done <-chan struct{}) bool {
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
-	for !l.TryLock() {
-		if !w.PauseBounded(deadline, done) {
-			return false
-		}
-	}
-	return true
+	return bounded.PollCtx(l.TryLock, l.Clk, ctx)
 }
 
 // LockFor acquires l like Lock but gives up after d, reporting whether

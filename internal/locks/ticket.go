@@ -43,6 +43,3 @@ func (l *TicketLock) TryLock() bool {
 	g := l.grant.Load()
 	return l.ticket.CompareAndSwap(g, g+1)
 }
-
-// Holder reports the currently granted ticket (diagnostics).
-func (l *TicketLock) Holder() uint64 { return l.grant.Load() }

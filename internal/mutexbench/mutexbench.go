@@ -58,10 +58,11 @@ type Config struct {
 	// workload: each iteration is a read section with this probability
 	// and a write (exclusive critical section over a guarded pair)
 	// otherwise. Read sections go through the lock's strongest read
-	// surface — RLock when it actually shares, OptimisticRead when the
-	// lock is optimistic, and a plain exclusive section for everything
-	// else, which is exactly the baseline the read-path combinators are
-	// measured against.
+	// surface: OptimisticRead when the lock is optimistic and does not
+	// share, otherwise its read side (rwlock.ReadLocker) — RLock when
+	// it shares, a plain exclusive section for everything else, which
+	// is exactly the baseline the read-path combinators are measured
+	// against.
 	ReadFrac float64
 	// Runs is the number of independent runs medianed (paper: 7).
 	Runs int
@@ -129,26 +130,21 @@ func readMostlyWorkload(lf registry.Entry, cfg Config) harness.Workload {
 			ncs := cfg.NCSMaxSteps
 			// Resolve the read surface once per worker; a shared read
 			// path takes precedence over an optimistic one.
-			rw, _ := lk.(rwlock.RWLocker)
 			var opt rwlock.OptimisticLocker
-			if rw == nil {
+			if !rwlock.IsReadShared(lk) {
 				opt, _ = lk.(rwlock.OptimisticLocker)
 			}
+			rl := rwlock.ReadLocker(lk)
 			var sink uint64
 			readBody := func() { sink += gp.x.Load() + gp.y.Load() }
 			return func() {
 				if rng.Intn(100) < readPct {
-					switch {
-					case rw != nil:
-						rw.RLock()
-						readBody()
-						rw.RUnlock()
-					case opt != nil:
+					if opt != nil {
 						opt.OptimisticRead(readBody)
-					default:
-						lk.Lock()
+					} else {
+						rl.Lock()
 						readBody()
-						lk.Unlock()
+						rl.Unlock()
 					}
 				} else {
 					lk.Lock()

@@ -16,9 +16,10 @@ import (
 // default wall clock and under an injected virtual clock alike. A
 // regression here means the substrate stopped being free when unused.
 
-// allocLocks are the fast paths the PR pins: the paper's lock and the
-// two queue baselines the vtime schedules run.
-var allocLocks = []string{"Recipro", "MCS", "CLH"}
+// allocLocks are the pinned fast paths: the paper's lock, the two
+// queue baselines the vtime schedules run, and the spin baselines
+// whose LockFor polls their TryLock method value.
+var allocLocks = []string{"Recipro", "MCS", "CLH", "TAS", "TTAS", "TKT"}
 
 func buildForAlloc(t *testing.T, name string, virtual bool) (bounded.Locker, *clock.Virtual) {
 	t.Helper()

@@ -19,10 +19,10 @@
 //     the stamp to odd on entry and even on exit; readers run without
 //     writing any shared state and retry on stamp conflicts, with the
 //     internal/backoff decorrelated-jitter floor bounding the retry
-//     spin.
-//   - OCC: optimistic-then-fallback in the HTM style — a bounded
-//     number of seqlock-optimistic attempts, then the real lock, so
-//     read latency is bounded even under a writer storm.
+//     spin. NewOCC builds the same Seqlock with an attempt budget:
+//     optimistic-then-fallback in the HTM style, so after a bounded
+//     number of conflicts the read takes the real lock and its latency
+//     stays bounded even under a writer storm.
 //
 // Two interfaces export the read paths, and a lock's type is the only
 // statement of which it has: the registry's ReadShared and OptRead
@@ -30,7 +30,8 @@
 // decorator (lockstat.Decorate) exposes a read method exactly when the
 // lock beneath it has one, never a fallback, so harnesses and stores
 // discover read capability with one interface assertion on the built
-// lock. Each constructor takes the clock that paces its waiting.
+// lock, and ReadLocker turns the answer into one read-side locker.
+// Each constructor takes the clock that paces its waiting.
 package rwlock
 
 import (
@@ -76,7 +77,8 @@ type OptimisticLocker interface {
 	ReadValidate(s uint64) bool
 	// OptimisticRead runs f until one execution validates, applying
 	// the combinator's retry policy (bounded hot retries, then
-	// decorrelated-jitter sleeps, then — for OCC — the real lock).
+	// decorrelated-jitter sleeps, then — under an OCC budget — the
+	// real lock).
 	OptimisticRead(f func())
 }
 
@@ -87,6 +89,24 @@ func IsReadShared(l sync.Locker) bool {
 	_, ok := l.(RWLocker)
 	return ok
 }
+
+// ReadLocker returns l's read side as a plain locker: RLock/RUnlock
+// when l shares readers (implements RWLocker), and l itself otherwise —
+// the sync.RWMutex.RLocker idiom extended to exclusive locks, so a read
+// path has one body whatever the lock. Resolve it once, at
+// construction: the shared case allocates its adapter.
+func ReadLocker(l sync.Locker) sync.Locker {
+	if rw, ok := l.(RWLocker); ok {
+		return rlocker{rw}
+	}
+	return l
+}
+
+// rlocker presents an RWLocker's read side as a sync.Locker.
+type rlocker struct{ rw RWLocker }
+
+func (r rlocker) Lock()   { r.rw.RLock() }
+func (r rlocker) Unlock() { r.rw.RUnlock() }
 
 // requireTry asserts the base lock's TryLock doorway — which the
 // combinators need for their own TryLock surface — at construction,

@@ -322,6 +322,5 @@ func TestSeqlockOptimisticReadFastPathAllocFree(t *testing.T) {
 var (
 	_ RWLocker         = (*RW)(nil)
 	_ OptimisticLocker = (*Seqlock)(nil)
-	_ OptimisticLocker = (*OCC)(nil)
 	_ RWLocker         = (*sync.RWMutex)(nil)
 )

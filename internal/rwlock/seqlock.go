@@ -22,21 +22,44 @@ import (
 // traffic — so under a read-mostly load the stamp line stays in
 // shared state in every reader's cache and the wrapped lock is
 // touched only by writers.
+//
+// A Seqlock built by NewOCC is the optimistic-then-fallback
+// combinator, the software analogue of hardware-transactional lock
+// elision: its read gives up optimism after a bounded number of
+// attempts and takes the wrapped lock for a guaranteed-consistent
+// read, so read latency is bounded by the wrapped lock's acquisition
+// latency even under a continuous writer storm — the property the
+// conformance suite's chaos conflict-storm check pins down.
 type Seqlock struct {
 	w   bounded.TryLocker
 	seq atomic.Uint64
-	// retries counts optimistic attempts that failed validation —
-	// conflict-path only, so the fast path stays write-free.
-	retries atomic.Uint64
+	// budget is the optimistic attempts a read spends before taking
+	// the wrapped lock; zero retries forever.
+	budget int
+	// retries / fallbacks count conflict-path events only; the
+	// optimistic fast path writes no shared memory.
+	retries   atomic.Uint64
+	fallbacks atomic.Uint64
 	// clk paces conflict-path retry sleeps (nil = wall clock).
 	clk clock.Clock
 }
+
+// occMaxAttempts is the total optimistic budget (hot pauses, then
+// jittered sleeps) an OCC read spends before taking the real lock.
+const occMaxAttempts = optHotRetries + 4
 
 // NewSeqlock wraps base (which must expose TryLock) in the
 // version-stamped combinator; c paces its retry sleeps (nil = wall
 // clock).
 func NewSeqlock(base sync.Locker, c clock.Clock) *Seqlock {
 	return &Seqlock{w: requireTry(base, "Seqlock"), clk: c}
+}
+
+// NewOCC wraps base (which must expose TryLock) in a Seqlock whose
+// reads fall back to the wrapped lock after occMaxAttempts optimistic
+// attempts; c paces its retry sleeps (nil = wall clock).
+func NewOCC(base sync.Locker, c clock.Clock) *Seqlock {
+	return &Seqlock{w: requireTry(base, "OCC"), budget: occMaxAttempts, clk: c}
 }
 
 // Lock enters a write section: the wrapped lock, then stamp → odd.
@@ -75,7 +98,10 @@ func (l *Seqlock) ReadValidate(s uint64) bool {
 // attempts, then on the decorrelated-jitter backoff floor — a writer
 // storm degrades readers to bounded sleeping, never unbounded spin.
 // When a begin stamp is odd the section is skipped entirely (it could
-// not validate) and counts as a conflict.
+// not validate) and counts as a conflict. Under an OCC budget, a read
+// that exhausts it acquires the wrapped lock and runs f once under
+// real exclusion; that fallback does not bump the stamp (it mutates
+// nothing), so concurrent optimistic readers still validate.
 func (l *Seqlock) OptimisticRead(f func()) {
 	s := l.seq.Load()
 	if s&1 == 0 {
@@ -88,11 +114,12 @@ func (l *Seqlock) OptimisticRead(f func()) {
 }
 
 // optimisticSlow is the conflict path: waiter pauses, then jittered
-// sleeps drawn from readRetryPolicy.
+// sleeps drawn from readRetryPolicy, then — once a nonzero budget is
+// spent — the wrapped lock.
 func (l *Seqlock) optimisticSlow(f func()) {
 	w := waiter.NewClocked(waiter.PolicyAdaptive, l.clk)
 	var bo *backoff.Backoff
-	for attempt := 1; ; attempt++ {
+	for attempt := 1; l.budget == 0 || attempt < l.budget; attempt++ {
 		l.retries.Add(1)
 		if attempt <= optHotRetries {
 			w.Pause()
@@ -111,8 +138,16 @@ func (l *Seqlock) optimisticSlow(f func()) {
 			return
 		}
 	}
+	l.fallbacks.Add(1)
+	l.w.Lock()
+	f()
+	l.w.Unlock()
 }
 
 // Retries reports the cumulative count of optimistic attempts that
 // failed validation (diagnostics and conformance).
 func (l *Seqlock) Retries() uint64 { return l.retries.Load() }
+
+// Fallbacks reports how many reads gave up on optimism and took the
+// wrapped lock (always zero without an OCC budget).
+func (l *Seqlock) Fallbacks() uint64 { return l.fallbacks.Load() }
