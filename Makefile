@@ -56,7 +56,8 @@
 #   make fuzz-smoke  — a short fuzz pass (FUZZTIME each) over every fuzz
 #                      target: the registry -locks parser, the admission
 #                      cycle detector, the kvstore differential,
-#                      sharded-batch differential + skiplist targets,
+#                      sharded-batch and iterator-seek differentials +
+#                      skiplist targets,
 #                      the seqlock optimistic-read differential, the
 #                      cluster fault-script interpreter, and the
 #                      schedule shrinker
@@ -158,6 +159,7 @@ fuzz-smoke: build
 	$(GO) test -run '^$$' -fuzz='^FuzzFindCycle$$' -fuzztime=$(FUZZTIME) ./internal/admission
 	$(GO) test -run '^$$' -fuzz='^FuzzDBAgainstMap$$' -fuzztime=$(FUZZTIME) ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz='^FuzzShardedBatch$$' -fuzztime=$(FUZZTIME) ./internal/kvstore
+	$(GO) test -run '^$$' -fuzz='^FuzzIteratorSeek$$' -fuzztime=$(FUZZTIME) ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz='^FuzzSkipListOrdering$$' -fuzztime=$(FUZZTIME) ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz='^FuzzSeqlockRead$$' -fuzztime=$(FUZZTIME) ./internal/atomicstruct
 	$(GO) test -run '^$$' -fuzz='^FuzzFaultScript$$' -fuzztime=$(FUZZTIME) ./internal/cluster

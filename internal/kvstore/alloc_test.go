@@ -38,6 +38,22 @@ func TestShardedGetAddsNoAllocs(t *testing.T) {
 	}
 }
 
+// Next returns slices that alias the store, so once a Seek or the
+// first Next has built the merge heap, advancing allocates nothing: a
+// copy or a boxed source on the way out would tax every scanned entry.
+func TestIteratorNextAddsNoAllocs(t *testing.T) {
+	db := openScanStore(t, 4096)
+	it := db.NewIterator()
+	got := testing.AllocsPerRun(5000, func() {
+		if !it.Next() {
+			it.Seek(nil)
+		}
+	})
+	if got != 0 {
+		t.Fatalf("Iterator.Next allocates %.2f allocs/op, want 0", got)
+	}
+}
+
 // BenchmarkGetHotPath compares the same two paths under -bench with
 // allocation reporting.
 func BenchmarkGetHotPath(b *testing.B) {

@@ -145,7 +145,8 @@ func (db *DB) maybeFreezeLocked() {
 // acquisitions run on the lock's read side, so when the lock admits
 // shared readers concurrent Gets stop serializing on the lock word
 // while writers keep full exclusion; snapshot consistency holds because
-// the read side fully excludes writers.
+// the read side fully excludes writers. The value aliases store memory,
+// under the contract on Store.Get.
 func (db *DB) Get(key []byte) ([]byte, bool) {
 	db.readMu.Lock()
 	mem := db.mem

@@ -114,6 +114,46 @@ func FuzzShardedBatch(f *testing.F) {
 	})
 }
 
+// FuzzIteratorSeek drives a 4-shard store through writes, deletes and
+// freezes decoded from fuzz input, with the per-shard run limit fuzzed
+// (1–8) so merges see from two to nine sources per shard and
+// compactions at every depth. An iterator then takes a few entries and
+// Seeks to the fuzzed key — forwards or backwards — and the suffix it
+// yields must match the sorted model.
+func FuzzIteratorSeek(f *testing.F) {
+	f.Add(uint8(7), uint8(40), []byte{0, 1, 2, 3, 4, 5, 250, 9})
+	f.Add(uint8(0), uint8(0), []byte("seek into a compacted store"))
+	f.Add(uint8(3), uint8(129), bytes.Repeat([]byte{3, 5, 4, 6, 5, 7}, 20))
+	f.Fuzz(func(t *testing.T, maxRuns, seek uint8, data []byte) {
+		db := OpenSharded(ShardedOptions{Shards: 4, MaxRuns: int(maxRuns%8) + 1})
+		m := model{}
+		for i := 0; i+1 < len(data); i += 2 {
+			// Even ids only, so a Seek to an odd id falls between keys.
+			key := Key(uint64(data[i]%64) * 2)
+			switch data[i+1] % 8 {
+			case 0, 1, 2, 3:
+				v := fmt.Sprintf("v%d", i)
+				db.Put(key, []byte(v))
+				m[string(key)] = v
+			case 4, 5:
+				db.Delete(key)
+				delete(m, string(key))
+			default:
+				freeze(db.shards[db.ShardIndex(key)])
+			}
+		}
+		it := db.NewIterator()
+		for i := 0; i < len(data)%5; i++ {
+			it.Next()
+		}
+		k := Key(uint64(seek % 132))
+		it.Seek(k)
+		if got, want := take(it, -1), m.suffix(k, -1); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("Seek(%x) (MaxRuns %d):\n got %v\nwant %v", k, maxRuns%8+1, got, want)
+		}
+	})
+}
+
 // FuzzSkipListOrdering: arbitrary insertions keep Ascend sorted and
 // Get consistent.
 func FuzzSkipListOrdering(f *testing.F) {

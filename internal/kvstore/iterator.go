@@ -2,156 +2,239 @@ package kvstore
 
 import "bytes"
 
-// iterSource is a cursor over one sorted source (memtable or run).
-// Sources yield entries including tombstones; the merging iterator
-// applies newest-wins and tombstone suppression.
-type iterSource interface {
-	// valid reports whether the cursor points at an entry.
-	valid() bool
-	// key/value/tombstone describe the current entry.
-	key() []byte
-	value() []byte
-	tombstone() bool
-	// next advances the cursor.
-	next()
-	// seek positions the cursor at the first entry >= k.
-	seek(k []byte)
-}
+// source is a cursor over one sorted source: a memtable read at a
+// snapshot stamp, or an immutable run. Sources yield entries including
+// tombstones; the merger applies newest-wins and tombstone
+// suppression. The current entry is cached so the merge heap compares
+// keys without reaching back into the source.
+type source struct {
+	key, val []byte
+	tomb     bool
+	valid    bool // the cursor points at an entry
 
-// slIter walks a skiplist's level-0 chain as it stood at snapshot
-// stamp snap: it skips nodes inserted later and reads each key's
-// newest version stamped at or before snap, so writes made after the
-// snapshot — to a frozen or to the live list — stay invisible.
-type slIter struct {
-	sl   *SkipList
+	run *Run // a run source; nil for a memtable source
+	i   int  // run position
+
+	// A memtable source walks mem's level-0 chain as it stood at stamp
+	// snap: it skips nodes inserted later and reads each key's newest
+	// version stamped at or before snap, so writes made after the
+	// snapshot — to a frozen or to the live list — stay invisible.
+	mem  *SkipList
 	snap uint64
 	n    *slNode
-	box  *valueBox // n's version visible at snap
 }
 
-// newSlIter pins sl and positions a cursor at its first entry. The
-// caller holds the DB lock, so the snapshot sits between writes.
-func newSlIter(sl *SkipList) *slIter {
-	it := &slIter{sl: sl, snap: sl.snapshot()}
-	it.settle(sl.head.next[0].Load())
-	return it
+// first positions the cursor at the source's first entry.
+func (s *source) first() {
+	if s.run != nil {
+		s.at(0)
+		return
+	}
+	s.settle(s.mem.head.next[0].Load())
 }
 
-// settle moves the cursor to the first node from n on that has a
-// version visible at the snapshot.
-func (it *slIter) settle(n *slNode) {
+// seek positions the cursor at the first entry >= k.
+func (s *source) seek(k []byte) {
+	if s.run != nil {
+		s.at(s.run.search(k))
+		return
+	}
+	var preds [maxHeight]*slNode
+	s.settle(s.mem.findPredecessors(k, &preds))
+}
+
+// next advances the cursor and reports whether it points at an entry.
+func (s *source) next() bool {
+	if s.run != nil {
+		s.at(s.i + 1)
+	} else {
+		s.settle(s.n.next[0].Load())
+	}
+	return s.valid
+}
+
+// at moves a run cursor to index i.
+func (s *source) at(i int) {
+	s.i = i
+	if s.valid = i < s.run.Len(); s.valid {
+		s.key, s.val, s.tomb = s.run.keys[i], s.run.vals[i], s.run.tombs[i]
+	}
+}
+
+// settle moves a memtable cursor to the first node from n on that has
+// a version visible at the snapshot.
+func (s *source) settle(n *slNode) {
 	for ; n != nil; n = n.next[0].Load() {
-		if it.box = n.visible(it.snap); it.box != nil {
+		if b := n.visible(s.snap); b != nil {
+			s.key, s.val, s.tomb = n.key, b.data, b.tombstone()
 			break
 		}
 	}
-	it.n = n
+	s.n, s.valid = n, n != nil
 }
 
-func (it *slIter) valid() bool     { return it.n != nil }
-func (it *slIter) key() []byte     { return it.n.key }
-func (it *slIter) value() []byte   { return it.box.data }
-func (it *slIter) tombstone() bool { return it.box.tombstone() }
-func (it *slIter) next()           { it.settle(it.n.next[0].Load()) }
-func (it *slIter) seek(k []byte) {
-	var preds [maxHeight]*slNode
-	it.settle(it.sl.findPredecessors(k, &preds))
+// merger is the package's one k-way merge, shared by iterators and
+// compaction: a binary min-heap of source indices ordered by (current
+// key, source index). Sources are ordered newest first, so among equal
+// keys the newest version is on top. Each entry costs O(log S) key
+// comparisons over S sources.
+type merger struct {
+	src  []source
+	heap []int32 // indices of the valid sources, in heap order
 }
 
-// runIter walks an immutable sorted run.
-type runIter struct {
-	r   *Run
-	idx int
+// first positions every source at its first entry and builds the heap.
+func (m *merger) first() {
+	for i := range m.src {
+		m.src[i].first()
+	}
+	m.build()
 }
 
-func (it *runIter) valid() bool     { return it.idx < it.r.Len() }
-func (it *runIter) key() []byte     { return it.r.keys[it.idx] }
-func (it *runIter) value() []byte   { return it.r.vals[it.idx] }
-func (it *runIter) tombstone() bool { return it.r.tombs[it.idx] }
-func (it *runIter) next()           { it.idx++ }
-func (it *runIter) seek(k []byte) {
-	lo, hi := 0, it.r.Len()
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(it.r.keys[mid], k) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
+// seek positions every source at its first entry >= k and builds the
+// heap.
+func (m *merger) seek(k []byte) {
+	for i := range m.src {
+		m.src[i].seek(k)
+	}
+	m.build()
+}
+
+func (m *merger) build() {
+	m.heap = m.heap[:0]
+	for i := range m.src {
+		if m.src[i].valid {
+			m.heap = append(m.heap, int32(i))
 		}
 	}
-	it.idx = lo
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		m.down(i)
+	}
+}
+
+// next returns the newest version of the smallest live key and moves
+// every source past that key, skipping keys whose newest version is a
+// tombstone. ok is false once the sources are exhausted. The returned
+// slices alias the sources.
+func (m *merger) next() (key, val []byte, ok bool) {
+	for len(m.heap) > 0 {
+		top := &m.src[m.heap[0]]
+		key, val, tomb := top.key, top.val, top.tomb
+		// Older versions of key sit at the heap top in turn.
+		for {
+			m.advanceTop()
+			if len(m.heap) == 0 || !bytes.Equal(m.src[m.heap[0]].key, key) {
+				break
+			}
+		}
+		if !tomb {
+			return key, val, true
+		}
+	}
+	return nil, nil, false
+}
+
+// advanceTop moves the top source to its next entry, dropping it from
+// the heap once exhausted, and restores heap order.
+func (m *merger) advanceTop() {
+	if !m.src[m.heap[0]].next() {
+		last := len(m.heap) - 1
+		m.heap[0] = m.heap[last]
+		m.heap = m.heap[:last]
+	}
+	m.down(0)
+}
+
+func (m *merger) less(a, b int32) bool {
+	if c := bytes.Compare(m.src[a].key, m.src[b].key); c != 0 {
+		return c < 0
+	}
+	return a < b
+}
+
+func (m *merger) down(i int) {
+	h := m.heap
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && m.less(h[r], h[j]) {
+			j = r
+		}
+		if !m.less(h[j], h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // Iterator yields the database's live entries in ascending key order
 // over a consistent snapshot (the memtable at its last write stamp and
-// the run set captured at creation, what a LevelDB iterator pins). Deleted keys are
-// suppressed; among duplicate keys the newest source wins.
+// the run set captured at creation, what a LevelDB iterator pins).
+// Deleted keys are suppressed; among duplicate keys the newest source
+// wins.
 type Iterator struct {
-	sources []iterSource // ordered newest first
+	m       merger
+	started bool
 	k, v    []byte
-	ok      bool
+}
+
+// newIterator returns an iterator over src, ordered newest first, with
+// the heap built lazily by the first Seek or Next.
+func newIterator(src []source) *Iterator {
+	return &Iterator{m: merger{src: src, heap: make([]int32, 0, len(src))}}
+}
+
+// snapshotLocked appends db's sources, newest first, to src, pinning
+// the memtable at its last write. The caller holds db's lock, on
+// either side, so the snapshot sits between writes.
+func (db *DB) snapshotLocked(src []source) []source {
+	src = append(src, source{mem: db.mem, snap: db.mem.snapshot()})
+	for _, r := range db.runs {
+		src = append(src, source{run: r})
+	}
+	return src
 }
 
 // NewIterator captures a snapshot and positions the iterator before
 // the first entry; call Next to advance. Like Get, the snapshot
 // acquisition runs on the lock's read side.
 func (db *DB) NewIterator() *Iterator {
+	src := make([]source, 0, 1+db.opts.MaxRuns)
 	db.readMu.Lock()
-	mem, runs := newSlIter(db.mem), db.runs
+	src = db.snapshotLocked(src)
 	db.readMu.Unlock()
-
-	it := &Iterator{sources: []iterSource{mem}}
-	for _, r := range runs {
-		it.sources = append(it.sources, &runIter{r: r})
-	}
-	return it
+	return newIterator(src)
 }
 
 // Seek positions the iterator so the following Next returns the first
-// live entry with key >= k.
+// live entry with key >= k. It may move backwards.
 func (it *Iterator) Seek(k []byte) {
-	for _, s := range it.sources {
-		s.seek(k)
-	}
+	it.m.seek(k)
+	it.started = true
 }
 
 // Next advances to the next live entry, reporting false at the end.
 func (it *Iterator) Next() bool {
-	for {
-		// Smallest current key across sources; ties resolve to the
-		// newest (earliest) source.
-		var best iterSource
-		for _, s := range it.sources {
-			if !s.valid() {
-				continue
-			}
-			if best == nil || bytes.Compare(s.key(), best.key()) < 0 {
-				best = s
-			}
-		}
-		if best == nil {
-			it.ok = false
-			return false
-		}
-		k := append([]byte(nil), best.key()...)
-		v := append([]byte(nil), best.value()...)
-		tomb := best.tombstone()
-		// Skip this key in every source (shadowed older versions).
-		for _, s := range it.sources {
-			for s.valid() && bytes.Equal(s.key(), k) {
-				s.next()
-			}
-		}
-		if tomb {
-			continue
-		}
-		it.k, it.v, it.ok = k, v, true
-		return true
+	if !it.started {
+		it.m.first()
+		it.started = true
 	}
+	k, v, ok := it.m.next()
+	if ok {
+		it.k, it.v = k, v
+	}
+	return ok
 }
 
-// Key returns the current entry's key (valid after a true Next).
+// Key returns the current entry's key (valid after a true Next). The
+// slice aliases the store's immutable memory: it stays valid for the
+// store's lifetime and must not be modified, nor appended to in place.
 func (it *Iterator) Key() []byte { return it.k }
 
 // Value returns the current entry's value (valid after a true Next).
+// Like Key, the slice aliases immutable store memory and must not be
+// modified, nor appended to in place.
 func (it *Iterator) Value() []byte { return it.v }

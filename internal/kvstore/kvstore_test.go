@@ -155,19 +155,24 @@ func TestMergeRunsNewestWins(t *testing.T) {
 		return buildRun(sl)
 	}
 	newest := mk(map[int]string{1: "new1", 3: "new3"}, 2)
-	oldest := mk(map[int]string{1: "old1", 2: "old2", 4: "old4"})
-	merged := mergeRuns([]*Run{newest, oldest})
-	if v, _, ok := merged.Get(Key(1)); !ok || string(v) != "new1" {
-		t.Fatalf("key 1 = %q, want new1", v)
+	middle := mk(map[int]string{1: "mid1", 3: "mid3", 5: "mid5"}, 4)
+	oldest := mk(map[int]string{1: "old1", 2: "old2", 4: "old4", 6: "old6"})
+	merged := mergeRuns([]*Run{newest, middle, oldest})
+	var got []string
+	for i, k := range merged.keys {
+		if merged.tombs[i] {
+			t.Fatalf("merged run keeps the tombstone at %x", k)
+		}
+		got = append(got, fmt.Sprintf("%d=%s", k[len(k)-1], merged.vals[i]))
 	}
-	if _, _, ok := merged.Get(Key(2)); ok {
-		t.Fatal("tombstoned key survived full merge")
+	// 1 and 3: newest wins; 2 and 4: a newer tombstone hides the older
+	// value, and both go; 5 and 6: a key in one run survives.
+	if want := "[1=new1 3=new3 5=mid5 6=old6]"; fmt.Sprint(got) != want {
+		t.Fatalf("merged run %v, want %s", got, want)
 	}
-	if v, _, ok := merged.Get(Key(4)); !ok || string(v) != "old4" {
-		t.Fatalf("key 4 = %q, want old4", v)
-	}
-	if merged.Len() != 3 {
-		t.Fatalf("merged len %d, want 3 (1,3,4)", merged.Len())
+	if cap(merged.keys) != len(got) || cap(merged.vals) != len(got) || cap(merged.tombs) != len(got) {
+		t.Fatalf("merged run caps keys %d, vals %d, tombs %d; want len %d each",
+			cap(merged.keys), cap(merged.vals), cap(merged.tombs), len(got))
 	}
 }
 

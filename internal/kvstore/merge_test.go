@@ -1,0 +1,260 @@
+package kvstore
+
+import (
+	"encoding/binary"
+	"fmt"
+	"sort"
+	"testing"
+
+	"repro/internal/xrand"
+)
+
+// freeze freezes db's memtable into a run through the store's own
+// freeze path, which compacts once the run stack outgrows MaxRuns.
+func freeze(db *DB) {
+	db.mu.Lock()
+	limit := db.opts.MemTableBytes
+	db.opts.MemTableBytes = 0
+	db.maybeFreezeLocked()
+	db.opts.MemTableBytes = limit
+	db.mu.Unlock()
+}
+
+// model is the sorted-map reference the differential tests hold a
+// store to.
+type model map[string]string
+
+// suffix renders up to n of the model's entries with key >= k in
+// ascending key order; n < 0 takes them all.
+func (m model) suffix(k []byte, n int) []string {
+	var keys []string
+	for key := range m {
+		if key >= string(k) {
+			keys = append(keys, key)
+		}
+	}
+	sort.Strings(keys)
+	if n >= 0 && len(keys) > n {
+		keys = keys[:n]
+	}
+	out := make([]string, len(keys))
+	for i, key := range keys {
+		out[i] = fmt.Sprintf("%x=%s", key, m[key])
+	}
+	return out
+}
+
+// take renders up to n further entries of it; n < 0 takes them all.
+func take(it *Iterator, n int) []string {
+	out := []string{}
+	for ; n != 0 && it.Next(); n-- {
+		out = append(out, fmt.Sprintf("%x=%s", it.Key(), it.Value()))
+	}
+	return out
+}
+
+// checkMerge holds db's iterator to m: a full scan, then Seeks on one
+// iterator to random keys — present, absent and between two keys — so
+// about half of them move backwards after some Next calls, and a final
+// Seek back to the start.
+func checkMerge(t *testing.T, db Store, m model, r *xrand.XorShift64, keyspace int) {
+	t.Helper()
+	if got, want := take(db.NewIterator(), -1), m.suffix(nil, -1); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("scan:\n got %v\nwant %v", got, want)
+	}
+	it := db.NewIterator()
+	for i := 0; i < 40; i++ {
+		k := Key(uint64(r.Intn(keyspace + 4)))
+		if r.Intn(2) == 0 {
+			k = append(k, 0) // between k and its successor
+		}
+		n := 1 + r.Intn(6)
+		it.Seek(k)
+		if got, want := take(it, n), m.suffix(k, n); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("Seek(%x) then %d Next:\n got %v\nwant %v", k, n, got, want)
+		}
+	}
+	it.Seek(nil)
+	if got, want := take(it, -1), m.suffix(nil, -1); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Seek(nil) rescan:\n got %v\nwant %v", got, want)
+	}
+}
+
+// A ShardedDB with MaxRuns 8 gives each shard up to nine sources: the
+// merge must agree with a sorted-map model when one key has a version
+// in every source, when the newest version is a tombstone, and across
+// random writes, freezes and compactions.
+func TestShardedIteratorMergeMatchesModel(t *testing.T) {
+	const keyspace = 300
+	db := OpenSharded(ShardedOptions{Shards: 4, MaxRuns: 8})
+	m := model{}
+	r := xrand.NewXorShift64(7)
+	put := func(k []byte, v string) {
+		db.Put(k, []byte(v))
+		m[string(k)] = v
+	}
+	del := func(k []byte) {
+		db.Delete(k)
+		delete(m, string(k))
+	}
+	// background writes keys around k into every generation, so the
+	// heap holds many sources with entries on both sides of k.
+	background := func(gen string) {
+		for i := 0; i < 60; i++ {
+			put(Key(uint64(r.Intn(keyspace))), fmt.Sprintf("%s.%d", gen, i))
+		}
+	}
+	freezeAll := func() {
+		for _, sh := range db.shards {
+			freeze(sh)
+		}
+	}
+	k := Key(keyspace / 2)
+	wantGet := func(want string, ok bool) {
+		t.Helper()
+		if v, found := db.Get(k); found != ok || string(v) != want {
+			t.Fatalf("Get(%x) = %q,%v; want %q,%v", k, v, found, want, ok)
+		}
+	}
+
+	// One key, a distinct version in three runs and the memtable.
+	for _, gen := range []string{"run3", "run2", "run1"} {
+		background(gen)
+		put(k, gen)
+		freezeAll()
+	}
+	background("mem")
+	put(k, "mem")
+	wantGet("mem", true)
+	checkMerge(t, db, m, r, keyspace)
+	freezeAll() // the newest version now heads the newest run
+	checkMerge(t, db, m, r, keyspace)
+
+	// A tombstone in the newest source hides every older live version,
+	// first from the memtable, then from the newest run.
+	del(k)
+	wantGet("", false)
+	checkMerge(t, db, m, r, keyspace)
+	freezeAll()
+	checkMerge(t, db, m, r, keyspace)
+	put(k, "again")
+	checkMerge(t, db, m, r, keyspace)
+	if runs := db.shards[db.ShardIndex(k)].Runs(); runs != 5 {
+		t.Fatalf("k's shard holds %d runs, want 5 (one per freeze)", runs)
+	}
+
+	// Random writes and deletes, freezing one shard or all of them,
+	// until every shard has compacted at least once.
+	for round := 0; round < 12; round++ {
+		for i := 0; i < 40; i++ {
+			key := Key(uint64(r.Intn(keyspace)))
+			if r.Intn(4) == 0 {
+				del(key)
+			} else {
+				put(key, fmt.Sprintf("r%d.%d", round, i))
+			}
+		}
+		if r.Intn(3) == 0 {
+			freeze(db.shards[r.Intn(len(db.shards))])
+		} else {
+			freezeAll()
+		}
+		checkMerge(t, db, m, r, keyspace)
+	}
+	for i := range db.shards {
+		if db.ShardStats(i).Compactions == 0 {
+			t.Fatalf("shard %d never compacted", i)
+		}
+	}
+}
+
+// Get and iterators return slices that alias the store's own memory,
+// which is safe only because every write copies its key and value on
+// the way in: a caller that reuses its buffers after Put or Batch.Put
+// must not change what the store returns, from the memtable or a run.
+func TestStoreCopiesWrittenBuffers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		db   Store
+	}{
+		{"coarse", Open(Options{})},
+		{"sharded", OpenSharded(ShardedOptions{Shards: 4})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := tc.db
+			k1, v1 := []byte("key1"), []byte("val1")
+			db.Put(k1, v1)
+			var b Batch
+			k2, v2 := []byte("key2"), []byte("val2")
+			b.Put(k2, v2)
+			copy(k2, "XXXX") // after Batch.Put, before Write
+			copy(v2, "YYYY")
+			k2, v2 = []byte("key3"), []byte("val3")
+			b.Put(k2, v2)
+			db.Write(&b)
+			for _, buf := range [][]byte{k1, v1, k2, v2} {
+				copy(buf, "ZZZZ")
+			}
+			check := func(where string) {
+				t.Helper()
+				for _, k := range []string{"key1", "key2", "key3"} {
+					if v, ok := db.Get([]byte(k)); !ok || string(v) != "val"+k[3:] {
+						t.Fatalf("%s: Get(%s) = %q,%v", where, k, v, ok)
+					}
+				}
+				if got, want := fmt.Sprint(take(db.NewIterator(), -1)),
+					fmt.Sprintf("[%x=val1 %x=val2 %x=val3]", "key1", "key2", "key3"); got != want {
+					t.Fatalf("%s: iterator read %s, want %s", where, got, want)
+				}
+			}
+			check("memtable")
+			switch db := db.(type) {
+			case *DB:
+				freeze(db)
+			case *ShardedDB:
+				for _, sh := range db.shards {
+					freeze(sh)
+				}
+			}
+			check("run")
+		})
+	}
+}
+
+// openScanStore builds the scan-batch store shape: 4 shards holding
+// keys sequential keys with 32-byte values, and at least two runs in
+// every shard.
+func openScanStore(tb testing.TB, keys int) *ShardedDB {
+	// An entry charges about 80 bytes (16-byte key, value, 32 bytes of
+	// node), so each shard fills about seven memtables.
+	db := OpenSharded(ShardedOptions{Shards: 4, MemTableBytes: keys * 80 / 4 / 7})
+	FillSeq(db, keys, 32)
+	for i, sh := range db.shards {
+		if n := sh.Runs(); n < 2 {
+			tb.Fatalf("shard %d holds %d runs, want at least 2", i, n)
+		}
+	}
+	return db
+}
+
+// BenchmarkIteratorScan prices the iterator layer alone in the
+// scan-batch shape: open a snapshot over 4 shards of 64 Ki keys, Seek
+// to a random key, then take 32 entries.
+func BenchmarkIteratorScan(b *testing.B) {
+	const keys = 1 << 16
+	db := openScanStore(b, keys)
+	r := xrand.NewXorShift64(1)
+	k := Key(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		binary.BigEndian.PutUint64(k[8:], uint64(r.Intn(keys-32)))
+		it := db.NewIterator()
+		it.Seek(k)
+		for j := 0; j < 32; j++ {
+			if !it.Next() {
+				b.Fatalf("scan from %x ended early", k)
+			}
+		}
+	}
+}

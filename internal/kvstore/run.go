@@ -30,12 +30,16 @@ func buildRun(sl *SkipList) *Run {
 	return r
 }
 
+// search returns the index of the first key >= k.
+func (r *Run) search(k []byte) int {
+	return sort.Search(len(r.keys), func(i int) bool {
+		return bytes.Compare(r.keys[i], k) >= 0
+	})
+}
+
 // Get binary-searches the run.
 func (r *Run) Get(key []byte) (val []byte, tombstone, found bool) {
-	i := sort.Search(len(r.keys), func(i int) bool {
-		return bytes.Compare(r.keys[i], key) >= 0
-	})
-	if i < len(r.keys) && bytes.Equal(r.keys[i], key) {
+	if i := r.search(key); i < len(r.keys) && bytes.Equal(r.keys[i], key) {
 		return r.vals[i], r.tombs[i], true
 	}
 	return nil, false, false
@@ -46,36 +50,23 @@ func (r *Run) Len() int { return len(r.keys) }
 
 // mergeRuns merges runs (ordered newest first) into one, applying
 // newest-wins semantics and dropping tombstones (a full merge is the
-// bottom level, so tombstones have nothing left to shadow).
+// bottom level, so tombstones have nothing left to shadow). A counting
+// pass sizes the result, so the merged run holds no spare capacity.
 func mergeRuns(runs []*Run) *Run {
-	idx := make([]int, len(runs))
-	out := &Run{}
-	for {
-		// Find the smallest current key across runs; ties resolve to
-		// the newest run (lowest index).
-		best := -1
-		for ri := range runs {
-			if idx[ri] >= runs[ri].Len() {
-				continue
-			}
-			if best == -1 || bytes.Compare(runs[ri].keys[idx[ri]], runs[best].keys[idx[best]]) < 0 {
-				best = ri
-			}
-		}
-		if best == -1 {
-			return out
-		}
-		key := runs[best].keys[idx[best]]
-		if !runs[best].tombs[idx[best]] {
-			out.keys = append(out.keys, key)
-			out.vals = append(out.vals, runs[best].vals[idx[best]])
-			out.tombs = append(out.tombs, false)
-		}
-		// Skip this key in every run.
-		for ri := range runs {
-			for idx[ri] < runs[ri].Len() && bytes.Equal(runs[ri].keys[idx[ri]], key) {
-				idx[ri]++
-			}
-		}
+	m := merger{src: make([]source, len(runs)), heap: make([]int32, 0, len(runs))}
+	for i, r := range runs {
+		m.src[i].run = r
 	}
+	n := 0
+	m.first()
+	for _, _, ok := m.next(); ok; _, _, ok = m.next() {
+		n++
+	}
+	out := &Run{keys: make([][]byte, 0, n), vals: make([][]byte, 0, n), tombs: make([]bool, n)}
+	m.first()
+	for k, v, ok := m.next(); ok; k, v, ok = m.next() {
+		out.keys = append(out.keys, k)
+		out.vals = append(out.vals, v)
+	}
+	return out
 }

@@ -96,7 +96,8 @@ func (s *ShardedDB) shard(key []byte) *DB {
 	return s.shards[shardIndex(key, len(s.shards))]
 }
 
-// Get looks up a key in its shard: hash → shard → lock → lookup.
+// Get looks up a key in its shard: hash → shard → lock → lookup. The
+// value aliases store memory, under the contract on Store.Get.
 func (s *ShardedDB) Get(key []byte) ([]byte, bool) {
 	return s.shard(key).Get(key)
 }
@@ -151,7 +152,7 @@ func (s *ShardedDB) Write(b *Batch) {
 // locks admit shared readers concurrent snapshots no longer serialize
 // against each other. Hash partitioning guarantees a key appears in at
 // most one shard, so cross-shard merging never has to resolve
-// duplicate keys.
+// duplicate keys: every shard's sources join one flat merge heap.
 func (s *ShardedDB) NewIterator() *Iterator {
 	if len(s.shards) == 1 {
 		return s.shards[0].NewIterator()
@@ -160,23 +161,13 @@ func (s *ShardedDB) NewIterator() *Iterator {
 	for i := range all {
 		all[i] = i
 	}
-	mems := make([]*slIter, len(s.shards))
-	runs := make([][]*Run, len(s.shards))
+	src := make([]source, 0, len(s.shards)*(1+s.shards[0].opts.MaxRuns))
 	s.table.read.lockSet(all)
-	for i, sh := range s.shards {
-		mems[i] = newSlIter(sh.mem)
-		runs[i] = sh.runs
+	for _, sh := range s.shards {
+		src = sh.snapshotLocked(src)
 	}
 	s.table.read.unlockSet(all)
-
-	it := &Iterator{}
-	for i := range s.shards {
-		it.sources = append(it.sources, mems[i])
-		for _, r := range runs[i] {
-			it.sources = append(it.sources, &runIter{r: r})
-		}
-	}
-	return it
+	return newIterator(src)
 }
 
 // Stats sums the per-shard counters.

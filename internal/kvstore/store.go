@@ -8,7 +8,10 @@ package kvstore
 // linearizable single-key operations — and differ only in how many
 // locks guard the keyspace.
 type Store interface {
-	// Get looks up a key.
+	// Get looks up a key. The returned value aliases immutable store
+	// memory: it stays valid for the store's lifetime and must not be
+	// modified, nor appended to in place. Writes copy their keys and
+	// values on the way in, which is what makes the aliasing safe.
 	Get(key []byte) ([]byte, bool)
 	// Put inserts or updates a key.
 	Put(key, value []byte)
