@@ -40,14 +40,20 @@
 #                      cmd/clustersim (invariant violations exit
 #                      non-zero with a one-command repro), plus the
 #                      cluster package's test suite under -race
-#   make explore     — cluster model-checking tier: the explore package
-#                      and cmd/clusterexplore test suites, exhaustive
-#                      schedule searches over the explore-small preset
-#                      (must exit 0 VERIFIED), and the three mutation
-#                      hunts (-no-fencing, -break-dedup,
-#                      -skip-reconcile), each of which must exit 1 with
-#                      a shrunk repro script that cmd/clustersim then
-#                      replays to the same violation
+#   make explore     — model-checking tier: the schedule-search core
+#                      (internal/explore), internal/coherence and
+#                      cmd/modelcheck test suites, then 3-thread proofs
+#                      of every simulated lock (modelcheck -lock=all
+#                      -threads=3 -episodes=1 and -lock=Recipro
+#                      -threads=3 -episodes=2, both must exit 0
+#                      VERIFIED); then the cluster explorer's and
+#                      cmd/clusterexplore's suites, exhaustive schedule
+#                      searches over the explore-small preset (must exit
+#                      0 VERIFIED), and the three mutation hunts
+#                      (-no-fencing, -break-dedup, -skip-reconcile),
+#                      each of which must exit 1 with a shrunk repro
+#                      script that cmd/clustersim then replays to the
+#                      same violation
 #   make kvperf      — the repository benchmark module (kvperf/, its own
 #                      go.mod): go vet and go test there (the root
 #                      ./... never reaches it), then a 1-second run of
@@ -128,6 +134,9 @@ cluster: build
 	done
 
 explore: build
+	$(GO) test ./internal/explore ./internal/coherence ./cmd/modelcheck
+	$(GO) run ./cmd/modelcheck -lock=all -threads=3 -episodes=1
+	$(GO) run ./cmd/modelcheck -lock=Recipro -threads=3 -episodes=2
 	$(GO) test ./internal/cluster/explore ./cmd/clusterexplore ./internal/verdict
 	@set -e; for seed in 1 2 3; do \
 		$(GO) run ./cmd/clusterexplore -seed=$$seed; \

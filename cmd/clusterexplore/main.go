@@ -11,7 +11,7 @@
 //	clusterexplore -list
 //	clusterexplore [-preset=explore-small] [-seed=1] [-script=NAME|FILE]
 //	               [-delays=N] [-window=DUR] [-budget=N] [-max-branch=N]
-//	               [-no-prune] [-no-fencing] [-break-dedup] [-skip-reconcile]
+//	               [-no-fencing] [-break-dedup] [-skip-reconcile]
 //	               [-schedule=0,0,1] [-repro-out=FILE] [-quiet]
 //
 // -delays bounds the search to schedules within N delays of canonical
@@ -39,6 +39,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/cluster/explore"
+	search "repro/internal/explore"
 	"repro/internal/verdict"
 )
 
@@ -50,7 +51,6 @@ type options struct {
 	window      time.Duration
 	budget      int
 	maxBr       int
-	noPrune     bool
 	noFence     bool
 	dedup       bool
 	skipRec     bool
@@ -72,7 +72,6 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.DurationVar(&o.window, "window", 0, "override the preset's schedule window (0 = preset value)")
 	fs.IntVar(&o.budget, "budget", 0, "max schedules to run (0 = default)")
 	fs.IntVar(&o.maxBr, "max-branch", 0, "max branch points per schedule (0 = unlimited)")
-	fs.BoolVar(&o.noPrune, "no-prune", false, "disable sleep-set pruning")
 	fs.BoolVar(&o.noFence, "no-fencing", false, "mutation: disable the replica fencing gate")
 	fs.BoolVar(&o.dedup, "break-dedup", false, "mutation: disable replica write dedup")
 	fs.BoolVar(&o.skipRec, "skip-reconcile", false, "mutation: drop the post-heal reconcile pass")
@@ -175,7 +174,7 @@ func (o *options) reproLine(scriptArg string, schedule []int) string {
 		parts = append(parts, fmt.Sprintf("-window=%v", o.window))
 	}
 	parts = append(parts, o.mutationFlags()...)
-	parts = append(parts, fmt.Sprintf("-schedule=%s", explore.FormatSchedule(schedule)))
+	parts = append(parts, fmt.Sprintf("-schedule=%s", search.FormatSchedule(schedule)))
 	return strings.Join(parts, " ")
 }
 
@@ -219,7 +218,7 @@ func run(args []string, out, errOut io.Writer) int {
 
 // runReplay executes one fixed schedule — the repro path.
 func (o *options) runReplay(cfg cluster.Config, out, errOut io.Writer) int {
-	sched, err := explore.ParseSchedule(o.schedule)
+	sched, err := search.ParseSchedule(o.schedule)
 	if err != nil {
 		fmt.Fprintln(errOut, err)
 		return verdict.ExitUsage
@@ -244,13 +243,11 @@ func (o *options) runReplay(cfg cluster.Config, out, errOut io.Writer) int {
 // runSearch is the main path: enumerate, and on a violation shrink and
 // report.
 func (o *options) runSearch(cfg cluster.Config, out, errOut io.Writer) int {
-	opts := explore.Options{
-		Config:    cfg,
+	opts := explore.Options{Config: cfg, Options: search.Options{
 		MaxBranch: o.maxBr,
 		Budget:    o.budget,
 		Delays:    o.delays,
-		NoPrune:   o.noPrune,
-	}
+	}}
 	res, err := explore.Search(opts)
 	if err != nil {
 		return runtimeFailure(o.preset, "search", err, out, errOut)
@@ -283,7 +280,7 @@ func (o *options) runSearch(cfg cluster.Config, out, errOut io.Writer) int {
 func (o *options) reportViolation(cfg cluster.Config, res *explore.Result, out, errOut io.Writer) int {
 	fmt.Fprintln(out, verdict.Line(o.preset, verdict.Violation,
 		fmt.Sprintf("after %d schedules: %v\nschedule: %s",
-			res.Stats.Schedules, res.Violation.Violations[0], explore.FormatSchedule(res.Schedule))))
+			res.Stats.Schedules, res.Violation.Violations[0], search.FormatSchedule(res.Schedule))))
 
 	sh, err := explore.Shrink(cfg, res.Schedule)
 	if err != nil {
@@ -299,7 +296,7 @@ func (o *options) reportViolation(cfg cluster.Config, res *explore.Result, out, 
 	}
 	if !o.quiet {
 		fmt.Fprintf(out, "shrunk: class=%s schedule=[%s] script=%d step(s)\n",
-			sh.Class, explore.FormatSchedule(sh.Schedule), steps)
+			sh.Class, search.FormatSchedule(sh.Schedule), steps)
 		fmt.Fprint(errOut, sh.Result.FailureReport(""))
 	}
 

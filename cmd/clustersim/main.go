@@ -33,7 +33,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/cluster/explore"
+	search "repro/internal/explore"
 )
 
 type options struct {
@@ -147,11 +147,11 @@ func (o *options) buildConfig() (cluster.Config, error) {
 	cfg.Script = script
 
 	if o.set["schedule"] {
-		sched, err := explore.ParseSchedule(o.schedule)
+		sched, err := search.ParseSchedule(o.schedule)
 		if err != nil {
 			return cluster.Config{}, err
 		}
-		cfg.Scheduler = explore.FixedSchedule(sched)
+		cfg.Scheduler = search.FixedSchedule[cluster.ReadyEvent](sched)
 	}
 	return cfg, nil
 }

@@ -1,8 +1,9 @@
 // Command modelcheck runs bounded exhaustive interleaving exploration
-// (stateless model checking) over a simulated lock: every interleaving
-// of the algorithm's memory operations for the given configuration is
-// executed, checking mutual exclusion, deadlock freedom, and MESI
-// invariants.
+// (stateless model checking) over a simulated lock: the shared schedule
+// search (internal/explore) executes one interleaving of the
+// algorithm's memory operations from every Mazurkiewicz class —
+// sleep sets skip reorderings of independent operations — checking
+// mutual exclusion, deadlock freedom, and MESI invariants.
 //
 // Usage:
 //
@@ -28,6 +29,7 @@ import (
 	"os"
 
 	"repro/internal/coherence"
+	"repro/internal/explore"
 	"repro/internal/simlocks"
 	"repro/internal/verdict"
 )
@@ -62,40 +64,30 @@ func run(args []string, out, errOut io.Writer) int {
 	var statuses []verdict.Status
 	for _, mk := range targets {
 		name := mk().Name()
-		var counterAddr coherence.Addr
-		res := coherence.Explore(*threads, *budget, func() (*coherence.System, func(c *coherence.Ctx)) {
-			sys := coherence.NewSystem(coherence.Config{CPUs: *threads})
-			lock := mk()
-			lock.Setup(sys, *threads)
-			counterAddr = sys.Alloc("counter")
-			return sys, func(c *coherence.Ctx) {
-				for i := 0; i < *episodes; i++ {
-					lock.Acquire(c, c.CPU)
-					v := c.Load(counterAddr)
-					c.Store(counterAddr, v+1)
-					lock.Release(c, c.CPU)
-				}
-			}
-		}, func(sys *coherence.System) error {
-			want := uint64(*threads * *episodes)
-			if got := sys.Peek(counterAddr); got != want {
-				return fmt.Errorf("counter = %d, want %d (mutual exclusion violated)", got, want)
-			}
-			return sys.CheckInvariants()
-		})
+		prog := simlocks.CounterProgram(mk, *threads, *episodes)
+		res, err := explore.Search(explore.Options{Budget: *budget, Delays: explore.Unbounded},
+			prog.Run, coherence.Independent)
+		if err != nil {
+			fmt.Fprintln(errOut, err)
+			statuses = append(statuses, verdict.Incomplete)
+			fmt.Fprintln(out, verdict.Line(name, verdict.Incomplete, fmt.Sprintf("search aborted: %v", err)))
+			continue
+		}
 		switch {
-		case res.Violation != nil:
+		case res.Failed:
 			statuses = append(statuses, verdict.Violation)
 			fmt.Fprintln(out, verdict.Line(name, verdict.Violation,
-				fmt.Sprintf("after %d schedules: %v\nschedule: %v", res.Schedules, res.Violation, res.FailingSchedule)))
-		case res.Exhausted:
+				fmt.Sprintf("after %d schedules: %v\nschedule: %s",
+					res.Stats.Schedules, prog.Violation, explore.FormatSchedule(res.Schedule))))
+		case res.Complete:
 			statuses = append(statuses, verdict.Verified)
 			fmt.Fprintln(out, verdict.Line(name, verdict.Verified,
-				fmt.Sprintf("all %d interleavings pass (%d threads × %d episodes)", res.Schedules, *threads, *episodes)))
+				fmt.Sprintf("%d schedules (%d pruned tails) cover every interleaving (%d threads × %d episodes)",
+					res.Stats.Schedules, res.Stats.PrunedTails, *threads, *episodes)))
 		default:
 			statuses = append(statuses, verdict.Incomplete)
 			fmt.Fprintln(out, verdict.Line(name, verdict.Incomplete,
-				fmt.Sprintf("%d-schedule budget exhausted before the tree was; no violation found, but this is not a verification — raise -budget", res.Schedules)))
+				fmt.Sprintf("%d-schedule budget exhausted before the tree was; no violation found, but this is not a verification — raise -budget", res.Stats.Schedules)))
 		}
 	}
 	return verdict.Exit(statuses...)

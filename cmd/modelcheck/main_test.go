@@ -12,9 +12,9 @@ import (
 func TestRunDistinguishesVerifiedFromIncomplete(t *testing.T) {
 	var out, errOut strings.Builder
 
-	// TKT at 2×1 has a few hundred interleavings: comfortably within
-	// the default budget, hopelessly beyond a budget of 10.
-	if code := run([]string{"-lock=TKT", "-threads=2", "-episodes=1"}, &out, &errOut); code != 0 {
+	// Recipro at 3×1 takes about a hundred schedules: comfortably
+	// within the default budget, beyond a budget of 10.
+	if code := run([]string{"-lock=Recipro", "-threads=3", "-episodes=1"}, &out, &errOut); code != 0 {
 		t.Fatalf("full exploration: exit %d, want 0 (stderr %q)", code, errOut.String())
 	}
 	if !strings.Contains(out.String(), "VERIFIED") || strings.Contains(out.String(), "INCOMPLETE") {
@@ -22,7 +22,7 @@ func TestRunDistinguishesVerifiedFromIncomplete(t *testing.T) {
 	}
 
 	out.Reset()
-	if code := run([]string{"-lock=TKT", "-threads=2", "-episodes=1", "-budget=10"}, &out, &errOut); code != 3 {
+	if code := run([]string{"-lock=Recipro", "-threads=3", "-episodes=1", "-budget=10"}, &out, &errOut); code != 3 {
 		t.Fatalf("truncated exploration: exit %d, want 3", code)
 	}
 	if !strings.Contains(out.String(), "INCOMPLETE") || strings.Contains(out.String(), "VERIFIED") {

@@ -1,11 +1,10 @@
-// Package explore is a stateless model checker for the cluster
-// simulation: it enumerates the delivery and timer orders a
-// Config.Scheduler can impose, replaying the deterministic simulation
-// once per schedule and running the full invariant battery at every
-// leaf. The search is depth-first over branch points (dispatches where
-// two or more normal-band events are ready), replay-based (no state
-// snapshotting — a prefix of choices re-executes the sim up to the
-// frontier), and pruned with sleep sets keyed on event independence.
+// Package explore adapts the cluster simulation to the shared schedule
+// search (internal/explore): it enumerates the delivery and timer
+// orders a Config.Scheduler can impose, replaying the deterministic
+// simulation once per schedule and running the full invariant battery
+// at every leaf. Branch points are dispatches where two or more
+// normal-band events are ready; sleep sets prune with the Independent
+// relation below.
 //
 // Independence is deliberately conservative. Two ready events commute
 // only when they carry the same timestamp and target distinct
@@ -28,86 +27,29 @@ package explore
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/cluster"
+	search "repro/internal/explore"
 )
 
-// Unbounded disables delay bounding (full DFS); see Options.Delays.
-const Unbounded = -1
-
-// DefaultBudget caps completed schedules when Options.Budget is zero.
-const DefaultBudget = 200_000
-
-// Options configures one search.
+// Options configures one search: the simulation under test plus the
+// shared search bounds. Config.Scheduler is owned by the search.
 type Options struct {
-	// Config is the simulation under test: topology, timing, seed,
-	// script, mutations. Its Scheduler field is owned by the search.
 	Config cluster.Config
-
-	// MaxBranch caps branch points per schedule; beyond it the run
-	// continues canonically and the search reports DepthCapped (the
-	// tree was truncated, so a clean result is INCOMPLETE, not
-	// VERIFIED). Zero means unlimited.
-	MaxBranch int
-
-	// Budget caps completed schedules; exhausting it with work left
-	// reports an incomplete search. Zero selects DefaultBudget;
-	// negative means unlimited.
-	Budget int
-
-	// Delays is the delay-bounding budget: picking candidate j at a
-	// branch point costs j (it delays j earlier-due events), and a
-	// schedule's total cost may not exceed Delays. Zero explores
-	// exactly the canonical schedule; Unbounded (negative) disables
-	// the bound. Note the zero value is the tightest bound, not the
-	// default — use DefaultOptions for exhaustive search.
-	Delays int
-
-	// NoPrune disables sleep-set pruning even when Prunable allows it.
-	NoPrune bool
+	search.Options
 }
 
 // DefaultOptions is an exhaustive (unbounded-delay, default-budget)
 // search over cfg.
 func DefaultOptions(cfg cluster.Config) Options {
-	return Options{Config: cfg, Delays: Unbounded}
+	return Options{Config: cfg, Options: search.Options{Delays: search.Unbounded}}
 }
 
-// Stats counts search work.
-type Stats struct {
-	Schedules   int // completed schedules (each a full simulation run)
-	PrunedTails int // schedules abandoned because every ready candidate was slept
-	Branches    int // distinct branch points discovered
-	Slept       int // candidate selections skipped by sleep sets
-	MaxDepth    int // deepest branch-point stack reached
-}
-
-// Result is one search's outcome.
+// Result is one search's outcome; Violation is the first violating
+// run, nil if none.
 type Result struct {
-	// Complete reports that the schedule tree (within the configured
-	// MaxBranch/Delays bounds) was exhausted.
-	Complete bool
-	// DepthCapped reports that some schedule hit MaxBranch and ran a
-	// canonical tail — the tree was truncated below the cap.
-	DepthCapped bool
-	// Pruning reports whether sleep-set pruning was active (Prunable
-	// and not NoPrune).
-	Pruning bool
-
-	// Violation is the first violating run found, nil if none; Schedule
-	// is its branch-choice sequence, replayable with Replay.
+	search.Result
 	Violation *cluster.Result
-	Schedule  []int
-
-	Stats Stats
-}
-
-// Verified reports a clean exhaustive result: no violation, the tree
-// exhausted, no depth truncation. A clean but un-Verified result is
-// the INCOMPLETE verdict.
-func (r *Result) Verified() bool {
-	return r.Violation == nil && r.Complete && !r.DepthCapped
 }
 
 // Independent reports whether two ready events commute: equal
@@ -160,264 +102,54 @@ func Prunable(cfg cluster.Config) bool {
 	return true
 }
 
-// errPruned aborts a run whose remaining tree is covered elsewhere
-// (sleep-set theory: every enabled action slept ⇒ every continuation
-// is equivalent to one explored in a sibling subtree).
-var errPruned = errors.New("explore: schedule pruned")
+// errAbandoned unwinds cluster.Run when the search abandons a run.
+var errAbandoned = errors.New("explore: run abandoned")
 
-// frame is one branch point on the DFS stack.
-type frame struct {
-	cands  []cluster.ReadyEvent          // the ready set, identical on every replay
-	choice int                           // index currently being explored
-	order  []int                         // indices explored so far, in order (last = choice)
-	tried  map[string]bool               // descriptors of explored candidates
-	sleep  map[string]cluster.ReadyEvent // sleep set on entry (never mutated)
-}
-
-type search struct {
-	opts     Options
-	prunable bool
-	stack    []*frame
-	stats    Stats
-	capped   bool
-}
-
-// Search runs the model checker. It returns an error only for invalid
-// configuration or a broken determinism contract (a replayed prefix
-// producing a different ready set); violations come back in Result.
+// Search runs the model checker. Sleep-set pruning is on when Prunable
+// allows it and NoPrune is unset. It returns an error only for invalid
+// configuration or a broken determinism contract; violations come back
+// in Result.
 func Search(opts Options) (*Result, error) {
-	if opts.Budget == 0 {
-		opts.Budget = DefaultBudget
+	var indep func(a, b cluster.ReadyEvent) bool
+	if Prunable(opts.Config) {
+		indep = Independent
 	}
-	s := &search{opts: opts, prunable: !opts.NoPrune && Prunable(opts.Config)}
-	res := &Result{Pruning: s.prunable}
-	for {
-		if opts.Budget > 0 && s.stats.Schedules >= opts.Budget {
-			break // budget exhausted with work remaining: incomplete
+	var last *cluster.Result
+	run := func(choose func([]cluster.ReadyEvent) int) (bool, error) {
+		cfg := opts.Config
+		cfg.Scheduler = func(ready []cluster.ReadyEvent) int {
+			j := choose(ready)
+			if j < 0 {
+				panic(errAbandoned)
+			}
+			return j
 		}
-		out, pruned, err := s.runOne()
+		defer func() {
+			if r := recover(); r != nil && r != errAbandoned {
+				panic(r)
+			}
+		}()
+		res, err := cluster.Run(cfg)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
-		if pruned {
-			s.stats.PrunedTails++
-		} else {
-			s.stats.Schedules++
-			if len(out.Violations) > 0 {
-				res.Violation = out
-				res.Schedule = s.schedule()
-				res.Stats = s.stats
-				return res, nil
-			}
-		}
-		if !s.advance() {
-			res.Complete = true
-			break
-		}
+		last = res
+		return len(res.Violations) > 0, nil
 	}
-	res.DepthCapped = s.capped
-	res.Stats = s.stats
-	return res, nil
+	res, err := search.Search(opts.Options, run, indep)
+	if err != nil {
+		return nil, err
+	}
+	out := &Result{Result: *res}
+	if res.Failed {
+		out.Violation = last
+	}
+	return out, nil
 }
 
-// schedule returns the current stack's choice sequence.
-func (s *search) schedule() []int {
-	out := make([]int, len(s.stack))
-	for i, f := range s.stack {
-		out[i] = f.choice
-	}
-	return out
-}
-
-// runOne replays the stack's choice prefix and extends it to a leaf,
-// pushing a frame for every new branch point. It reports pruned=true
-// when the run was abandoned at an all-slept frontier.
-func (s *search) runOne() (res *cluster.Result, pruned bool, err error) {
-	depth := 0
-	delaysUsed := 0
-	capped := false
-	pend := map[string]cluster.ReadyEvent{} // sleep set for the next frontier
-
-	cfg := s.opts.Config
-	cfg.Scheduler = func(ready []cluster.ReadyEvent) int {
-		if len(ready) < 2 {
-			// Forced dispatch. A forced normal event that is itself
-			// slept means this whole continuation is covered elsewhere
-			// (faults never enter sleep sets — Independent rejects
-			// them — so the prune check stays gated on non-fault).
-			if len(ready) == 1 {
-				if s.prunable && !ready[0].Fault {
-					if _, ok := pend[ready[0].Desc]; ok {
-						panic(errPruned)
-					}
-				}
-				// Executing ANY event wakes every sleeping event
-				// dependent with it — including fault/heal dispatches,
-				// which are dependent with everything and so empty the
-				// set. Skipping this for faults would let events sleep
-				// across a dispatch that does not commute with them,
-				// wrongly pruning schedules near fault timestamps.
-				pend = filterIndependent(pend, ready[0])
-			}
-			return 0
-		}
-		if depth < len(s.stack) {
-			// Replaying the prefix.
-			f := s.stack[depth]
-			if msg := mismatch(f.cands, ready); msg != "" {
-				panic(fmt.Errorf("explore: nondeterministic replay at branch %d: %s", depth, msg))
-			}
-			depth++
-			delaysUsed += f.choice
-			pend = s.childSleep(f, ready[f.choice])
-			return f.choice
-		}
-		// Frontier: a new branch point.
-		if capped || (s.opts.MaxBranch > 0 && len(s.stack) >= s.opts.MaxBranch) {
-			capped = true
-			pend = filterIndependent(pend, ready[0])
-			return 0
-		}
-		f := &frame{
-			cands: append([]cluster.ReadyEvent(nil), ready...),
-			tried: make(map[string]bool),
-			sleep: pend,
-		}
-		j := s.selectNext(f, delaysUsed)
-		if j < 0 {
-			panic(errPruned)
-		}
-		f.choice = j
-		f.tried[ready[j].Desc] = true
-		f.order = append(f.order, j)
-		s.stack = append(s.stack, f)
-		s.stats.Branches++
-		if len(s.stack) > s.stats.MaxDepth {
-			s.stats.MaxDepth = len(s.stack)
-		}
-		depth++
-		delaysUsed += j
-		pend = s.childSleep(f, ready[j])
-		return j
-	}
-
-	defer func() {
-		if r := recover(); r != nil {
-			if r == errPruned {
-				res, pruned, err = nil, true, nil
-				// Abandon any frames this run pushed beyond the prune
-				// point? None: the prune fires before pushing.
-				return
-			}
-			if e, ok := r.(error); ok {
-				res, pruned, err = nil, false, e
-				return
-			}
-			panic(r)
-		}
-	}()
-
-	out, rerr := cluster.Run(cfg)
-	if rerr != nil {
-		return nil, false, rerr
-	}
-	if capped {
-		s.capped = true
-	}
-	return out, false, nil
-}
-
-// selectNext picks the lowest-index candidate of f not yet tried, not
-// slept, and within the delay budget. Candidate j costs j delays, so
-// costs rise with the index and the scan can stop at the budget.
-func (s *search) selectNext(f *frame, delaysUsed int) int {
-	for j := 0; j < len(f.cands); j++ {
-		if s.opts.Delays >= 0 && delaysUsed+j > s.opts.Delays {
-			break
-		}
-		d := f.cands[j].Desc
-		if f.tried[d] {
-			continue
-		}
-		if s.prunable {
-			if _, ok := f.sleep[d]; ok {
-				s.stats.Slept++
-				continue
-			}
-		}
-		return j
-	}
-	return -1
-}
-
-// advance moves the DFS to the next unexplored schedule: find the
-// deepest frame with an untried, unslept, in-budget candidate, select
-// it, and drop everything deeper. False means the tree is exhausted.
-func (s *search) advance() bool {
-	for len(s.stack) > 0 {
-		f := s.stack[len(s.stack)-1]
-		used := 0
-		for _, g := range s.stack[:len(s.stack)-1] {
-			used += g.choice
-		}
-		if j := s.selectNext(f, used); j >= 0 {
-			f.choice = j
-			f.tried[f.cands[j].Desc] = true
-			f.order = append(f.order, j)
-			return true
-		}
-		s.stack = s.stack[:len(s.stack)-1]
-	}
-	return false
-}
-
-// childSleep computes the sleep set below frame f's current choice:
-// f's own sleep set plus every candidate explored at f before this
-// choice, keeping only events independent of the chosen one.
-func (s *search) childSleep(f *frame, chosen cluster.ReadyEvent) map[string]cluster.ReadyEvent {
-	out := make(map[string]cluster.ReadyEvent)
-	if !s.prunable {
-		return out
-	}
-	for d, e := range f.sleep {
-		if Independent(e, chosen) {
-			out[d] = e
-		}
-	}
-	for _, j := range f.order[:len(f.order)-1] {
-		if e := f.cands[j]; Independent(e, chosen) {
-			out[e.Desc] = e
-		}
-	}
-	return out
-}
-
-// filterIndependent wakes every sleeping event dependent with the
-// executed one: sleep persists only across independent actions. The
-// input map is never mutated (frames alias it).
-func filterIndependent(sleep map[string]cluster.ReadyEvent, executed cluster.ReadyEvent) map[string]cluster.ReadyEvent {
-	if len(sleep) == 0 {
-		return sleep
-	}
-	out := make(map[string]cluster.ReadyEvent, len(sleep))
-	for d, e := range sleep {
-		if Independent(e, executed) {
-			out[d] = e
-		}
-	}
-	return out
-}
-
-// mismatch compares a frame's recorded ready set with the one seen on
-// replay; any difference breaks the determinism contract.
-func mismatch(want, got []cluster.ReadyEvent) string {
-	if len(want) != len(got) {
-		return fmt.Sprintf("ready set size %d, recorded %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i].Desc != got[i].Desc {
-			return fmt.Sprintf("candidate %d is %q, recorded %q", i, got[i].Desc, want[i].Desc)
-		}
-	}
-	return ""
+// Replay runs cfg once under the given branch-choice schedule. An
+// empty (or nil) schedule is the canonical order.
+func Replay(cfg cluster.Config, schedule []int) (*cluster.Result, error) {
+	cfg.Scheduler = search.FixedSchedule[cluster.ReadyEvent](schedule)
+	return cluster.Run(cfg)
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	search "repro/internal/explore"
 )
 
 // smallCfg returns the explore-small preset with the given seed and
@@ -199,27 +200,27 @@ func TestExploreMaxBranch(t *testing.T) {
 
 // TestFaultDispatchWakesSleepers pins the wake-up rule the forced
 // dispatch path relies on: a fault-band event is dependent with
-// everything (Independent rejects faults outright), so filtering a
-// sleep set through a fault or heal dispatch must empty it. Leaving
-// events asleep across a fault would wrongly prune schedules that
-// reorder normal events around the fault's timestamp — exactly where
-// violations live.
+// everything, so the shared search's sleep-set filter empties the set
+// when a fault or heal is dispatched. Leaving events asleep across a
+// fault would wrongly prune schedules that reorder normal events
+// around the fault's timestamp — exactly where violations live.
 func TestFaultDispatchWakesSleepers(t *testing.T) {
 	a := cluster.ReadyEvent{At: time.Millisecond, Endpoint: 0, Desc: "timer@1ms n0 write s0 g1 w0"}
 	b := cluster.ReadyEvent{At: time.Millisecond, Endpoint: 1, Deliver: true, Desc: "deliver@1ms x"}
-	sleep := map[string]cluster.ReadyEvent{a.Desc: a, b.Desc: b}
 	for _, forced := range []cluster.ReadyEvent{
 		{At: time.Millisecond, Fault: true, Endpoint: cluster.AnyEndpoint, Desc: "fault@1ms step 0"},
 		{At: time.Millisecond, Fault: true, Endpoint: cluster.AnyEndpoint, Desc: "heal@1ms"},
 	} {
-		if got := filterIndependent(sleep, forced); len(got) != 0 {
-			t.Errorf("sleep set survived %q: %v", forced.Desc, got)
+		for _, sleeper := range []cluster.ReadyEvent{a, b} {
+			if Independent(sleeper, forced) || Independent(forced, sleeper) {
+				t.Errorf("%q stays asleep across %q", sleeper.Desc, forced.Desc)
+			}
 		}
 	}
 	// Sanity: a dispatch independent of both sleepers keeps them.
 	other := cluster.ReadyEvent{At: time.Millisecond, Endpoint: 2, Desc: "timer@1ms n2 x"}
-	if got := filterIndependent(sleep, other); len(got) != 2 {
-		t.Errorf("independent sleepers woken: %v", got)
+	if !Independent(a, other) || !Independent(b, other) {
+		t.Errorf("independent sleepers woken by %q", other.Desc)
 	}
 }
 
@@ -317,7 +318,7 @@ func TestPrunable(t *testing.T) {
 // lines.
 func TestScheduleRoundTrip(t *testing.T) {
 	for _, sched := range [][]int{nil, {0}, {2, 0, 1}, {0, 0, 0, 5}} {
-		got, err := ParseSchedule(FormatSchedule(sched))
+		got, err := search.ParseSchedule(search.FormatSchedule(sched))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +332,7 @@ func TestScheduleRoundTrip(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{"1,-2", "a", "1,,2"} {
-		if _, err := ParseSchedule(bad); err == nil {
+		if _, err := search.ParseSchedule(bad); err == nil {
 			t.Errorf("ParseSchedule(%q) should fail", bad)
 		}
 	}

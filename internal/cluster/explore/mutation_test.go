@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	search "repro/internal/explore"
 )
 
 // mutations is the table of seeded protocol breaks the explorer must
@@ -166,7 +167,7 @@ func TestReproFileRoundTrip(t *testing.T) {
 	if !strings.Contains(text, "class="+sh.Class) {
 		t.Errorf("repro file missing class header:\n%s", text)
 	}
-	if !strings.Contains(text, "# schedule: "+FormatSchedule(sh.Schedule)) {
+	if !strings.Contains(text, "# schedule: "+search.FormatSchedule(sh.Schedule)) {
 		t.Errorf("repro file missing schedule header:\n%s", text)
 	}
 	parsed, err := cluster.ParseScript(text)

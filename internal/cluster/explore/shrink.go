@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
+	search "repro/internal/explore"
 )
 
 // Shrunk is a minimized failing repro: the smallest (script, schedule)
@@ -23,12 +24,12 @@ type Shrunk struct {
 // still yield at least one violation of that class, so the shrunk
 // repro fails the same way, not merely somehow.
 //
-// Reductions, applied to fixpoint: drop the whole schedule (canonical
-// order), remove single schedule entries, zero nonzero entries, and
-// remove single script steps. At the fixpoint no single removal
-// reproduces the class — the result is 1-minimal. The shrinker is a
-// pure function of its inputs (every trial is a deterministic replay),
-// so the same failure always shrinks to the same repro.
+// The schedule half is the shared shrinker (search.Shrink); this
+// adapter alternates it with removing single script steps until
+// neither reduces further. At the fixpoint no single removal
+// reproduces the class — the result is 1-minimal. Every trial is a
+// deterministic replay, so the same failure always shrinks to the
+// same repro.
 func Shrink(cfg cluster.Config, schedule []int) (*Shrunk, error) {
 	cfg.Scheduler = nil
 	base, err := Replay(cfg, schedule)
@@ -55,50 +56,26 @@ func Shrink(cfg cluster.Config, schedule []int) (*Shrunk, error) {
 		return false
 	}
 
-	sched := append([]int(nil), schedule...)
+	sched := schedule
 	script := cfg.Script
 	for changed := true; changed; {
 		changed = false
-		// Whole-schedule drop first: most repros need no reordering at
-		// all once the script is in place, and this skips the slow
-		// per-entry walk for them.
-		if len(sched) > 0 && fails(script, nil) {
-			sched = nil
-			changed = true
+		sched = search.Shrink(sched, func(s []int) bool { return fails(script, s) })
+		if script == nil {
+			break
 		}
-		for i := 0; i < len(sched); i++ {
-			trial := append(append([]int(nil), sched[:i]...), sched[i+1:]...)
-			if fails(script, trial) {
-				sched = trial
+		for i := 0; i < len(script.Steps); i++ {
+			trial := &cluster.Script{
+				Steps: append(append([]cluster.Step(nil), script.Steps[:i]...), script.Steps[i+1:]...),
+			}
+			if fails(trial, sched) {
+				script = trial
 				changed = true
 				i--
 			}
 		}
-		for i := range sched {
-			if sched[i] == 0 {
-				continue
-			}
-			trial := append([]int(nil), sched...)
-			trial[i] = 0
-			if fails(script, trial) {
-				sched = trial
-				changed = true
-			}
-		}
-		if script != nil {
-			for i := 0; i < len(script.Steps); i++ {
-				trial := &cluster.Script{
-					Steps: append(append([]cluster.Step(nil), script.Steps[:i]...), script.Steps[i+1:]...),
-				}
-				if fails(trial, sched) {
-					script = trial
-					changed = true
-					i--
-				}
-			}
-			if len(script.Steps) == 0 {
-				script = nil
-			}
+		if len(script.Steps) == 0 {
+			script = nil
 		}
 	}
 
@@ -123,7 +100,7 @@ func (sh *Shrunk) ReproFile(preset string, seed uint64, mutations []string) stri
 	if len(mutations) > 0 {
 		fmt.Fprintf(&b, "# mutations: %s\n", strings.Join(mutations, " "))
 	}
-	fmt.Fprintf(&b, "# schedule: %s\n", FormatSchedule(sh.Schedule))
+	fmt.Fprintf(&b, "# schedule: %s\n", search.FormatSchedule(sh.Schedule))
 	if sh.Script != nil {
 		b.WriteString(sh.Script.Format())
 	}

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/xrand"
 )
@@ -51,13 +52,28 @@ const (
 	Random
 )
 
-// Ctx is a simulated thread's handle onto the system. All memory
-// operations yield to the scheduler, so every interleaving decision is
-// the scheduler's.
+// Ctx is a simulated thread's handle onto the system. Every memory
+// operation is one scheduling step: the thread reports the operation's
+// footprint (an Op) and waits until the scheduler picks it, so every
+// interleaving decision is the scheduler's.
 type Ctx struct {
 	CPU   int
 	sched *Scheduler
 	t     *thread
+}
+
+// Op is the footprint a simulated thread reports before each
+// operation: the cache line the operation touches and whether it may
+// write it. Schedulers that pick by footprint (RunChosen) see the op
+// of every runnable thread.
+type Op struct {
+	Thread int
+	// Line is the first word address of the touched cache line; 0
+	// for a step that touches no line (Work, a body's return).
+	Line Addr
+	// Write marks stores and every read-modify-write, including a
+	// CAS that fails.
+	Write bool
 }
 
 // eventKind classifies one operation for the cost model.
@@ -82,16 +98,28 @@ type opResult struct {
 	// the monitor-arming race — a write landing between a caller's
 	// last observation and the park cannot be missed.
 	blockUnless func(uint64) bool
-	finished    bool
 }
 
+// thread is one simulated thread. Its goroutine and the scheduler
+// hand the turn back and forth over resume and yield, so exactly one
+// of them runs at a time.
 type thread struct {
-	id        int
-	resume    chan struct{}
-	yield     chan opResult
+	id     int
+	resume chan struct{} // closed to release the goroutine early
+	// yield hands the turn back to the scheduler: nil once the
+	// thread has reported its next op (or returned), else the value
+	// its body panicked with.
+	yield     chan any
+	op        Op   // what the thread does when next stepped
+	exited    bool // body returned: the next step only marks it finished
 	finished  bool
 	blockedOn Addr // nonzero: parked until this line is written
+	// resumeOnWake marks a thread parked mid-body (AwaitWrite): its
+	// next op is unknown until a wake lets it run on.
+	resumeOnWake bool
 }
+
+func (t *thread) runnable() bool { return !t.finished && t.blockedOn == 0 }
 
 // Scheduler coordinates simulated threads over a System.
 type Scheduler struct {
@@ -100,6 +128,12 @@ type Scheduler struct {
 	costs    CostModel
 	seed     uint64
 	maxSteps uint64
+
+	threads []*thread
+	live    int       // threads not yet finished
+	parked  int       // threads blocked on a line
+	woken   []*thread // AwaitWrite parkers a write released, not yet resumed
+	ready   []Op      // readyOps' buffer
 
 	clocks     []uint64
 	busFreeAt  uint64
@@ -111,10 +145,6 @@ type Scheduler struct {
 	// executes (deterministically ordered). Used by the §4 scenario
 	// narrator and for debugging simulated locks.
 	Trace func(cpu int, op string, a Addr, value uint64)
-
-	// guide carries the decision sequence for Guided mode (set by the
-	// exploration driver in explore.go).
-	guide *guidance
 }
 
 // NewScheduler creates a scheduler over sys. maxSteps bounds the total
@@ -172,122 +202,249 @@ func (r Result) TotalEpisodes() uint64 {
 
 // Run executes body once per CPU as a simulated thread and returns the
 // aggregated result. It is deterministic for a given (mode, seed,
-// body).
+// body). A deadlock, a livelock past maxSteps, or a panic in body
+// panics in the caller's goroutine.
 func (s *Scheduler) Run(body func(c *Ctx)) Result {
-	n := s.sys.CPUs()
-	threads := make([]*thread, n)
-	for i := 0; i < n; i++ {
-		t := &thread{id: i, resume: make(chan struct{}), yield: make(chan opResult)}
-		threads[i] = t
+	s.run(body, s.pickByMode())
+	return s.result()
+}
+
+// RunChosen is Run with the interleaving left to choose: before every
+// step it is offered the op of each runnable thread, in thread order,
+// and returns the index of the one to execute (a body's return is
+// taken without asking). A negative index abandons the run, whose
+// result is then partial. A deadlock, a livelock past maxSteps, or a
+// panic in body ends the run and comes back as the error. Either way
+// no simulated thread outlives the call.
+func (s *Scheduler) RunChosen(body func(c *Ctx), choose func(ready []Op) int) (res Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = s.result(), fmt.Errorf("%v", r)
+		}
+	}()
+	s.run(body, func() int {
+		ready := s.readyOps()
+		// A returned body touches nothing: finish it without offering
+		// a choice, so the search never branches on it.
+		for _, op := range ready {
+			if s.threads[op.Thread].exited {
+				return op.Thread
+			}
+		}
+		if j := choose(ready); j >= 0 {
+			return ready[j].Thread
+		}
+		return -1
+	})
+	return s.result(), nil
+}
+
+// run drives one simulated thread per CPU until every body returns.
+// next picks the runnable thread to step (one exists whenever it is
+// called), or returns -1 to abandon the run. Whatever ends the run,
+// the threads still blocked are released.
+func (s *Scheduler) run(body func(c *Ctx), next func() int) {
+	bodies := make([]func(*Ctx), s.sys.CPUs())
+	for i := range bodies {
+		bodies[i] = body
+	}
+	defer s.stop()
+	s.start(bodies)
+	for s.live > 0 {
+		if s.parked == s.live {
+			panic(s.deadlock())
+		}
+		i := next()
+		if i < 0 {
+			return
+		}
+		s.step(s.threads[i])
+	}
+}
+
+// pickByMode returns the mode's interleaving policy.
+func (s *Scheduler) pickByMode() func() int {
+	switch s.mode {
+	case Timed:
+		// The thread with the smallest clock runs next.
+		return func() int {
+			pick := -1
+			for i, t := range s.threads {
+				if t.runnable() && (pick < 0 || s.clocks[i] < s.clocks[pick]) {
+					pick = i
+				}
+			}
+			return pick
+		}
+	case Random:
+		rng := xrand.NewXorShift64(s.seed | 1)
+		return func() int {
+			for {
+				if i := rng.Intn(len(s.threads)); s.threads[i].runnable() {
+					return i
+				}
+			}
+		}
+	default: // RoundRobin
+		rr := 0
+		return func() int {
+			n := len(s.threads)
+			for k := 0; ; k++ {
+				if i := (rr + k) % n; s.threads[i].runnable() {
+					rr = i + 1
+					return i
+				}
+			}
+		}
+	}
+}
+
+// start launches one simulated thread per body and lets each run up
+// to its first op.
+func (s *Scheduler) start(bodies []func(c *Ctx)) {
+	s.threads = make([]*thread, 0, len(bodies))
+	s.live, s.parked = len(bodies), 0
+	for i, body := range bodies {
+		t := &thread{id: i, resume: make(chan struct{}), yield: make(chan any)}
+		s.threads = append(s.threads, t)
 		ctx := &Ctx{CPU: i, sched: s, t: t}
 		go func() {
-			<-t.resume
+			defer func() {
+				// A nil recover is runtime.Goexit from stop.
+				if r := recover(); r != nil {
+					t.yield <- r
+				}
+			}()
 			body(ctx)
-			t.yield <- opResult{finished: true}
+			t.op = Op{Thread: t.id}
+			t.exited = true
+			t.yield <- nil
 		}()
+		s.await(t)
 	}
+}
 
-	rng := xrand.NewXorShift64(s.seed | 1)
-	live := n
-	rr := 0
-	runnable := func(t *thread) bool { return !t.finished && t.blockedOn == 0 }
-	for live > 0 {
-		pick := -1
-		switch s.mode {
-		case Guided:
-			pick = s.pickGuided(threads)
-		case Timed:
-			var best uint64
-			for i, t := range threads {
-				if !runnable(t) {
-					continue
-				}
-				if pick < 0 || s.clocks[i] < best {
-					pick, best = i, s.clocks[i]
-				}
-			}
-		case Random:
-			anyRunnable := false
-			for _, t := range threads {
-				if runnable(t) {
-					anyRunnable = true
-					break
-				}
-			}
-			if anyRunnable {
-				for {
-					pick = rng.Intn(n)
-					if runnable(threads[pick]) {
-						break
-					}
-				}
-			}
-		default: // RoundRobin
-			for i := 0; i < n; i++ {
-				cand := (rr + i) % n
-				if runnable(threads[cand]) {
-					pick = cand
-					rr = cand + 1
-					break
-				}
-			}
-		}
-		if pick < 0 {
-			// Every live thread is parked on a line nobody will
-			// write: the simulated lock has deadlocked.
-			blocked := []string{}
-			for _, t := range threads {
-				if !t.finished {
-					blocked = append(blocked,
-						fmt.Sprintf("cpu%d on %q", t.id, s.sys.Name(t.blockedOn)))
-				}
-			}
-			panic(fmt.Sprintf("coherence: deadlock — all live threads parked (%v)", blocked))
-		}
-
-		t := threads[pick]
-		t.resume <- struct{}{}
-		res := <-t.yield
-		if res.finished {
+// stop releases every simulated thread that has not finished.
+func (s *Scheduler) stop() {
+	for _, t := range s.threads {
+		if !t.finished {
 			t.finished = true
-			live--
-			continue
+			close(t.resume)
 		}
-		s.steps++
-		if s.steps > s.maxSteps {
-			panic(fmt.Sprintf("coherence: exceeded %d steps — livelock?", s.maxSteps))
+	}
+}
+
+// await blocks until t hands the turn back, re-raising a panic from
+// its body in the caller's goroutine.
+func (s *Scheduler) await(t *thread) {
+	if r := <-t.yield; r != nil {
+		t.finished = true
+		panic(r)
+	}
+}
+
+// readyOps lists the op of every runnable thread, in thread order.
+// The slice is reused by the next call.
+func (s *Scheduler) readyOps() []Op {
+	s.ready = s.ready[:0]
+	for _, t := range s.threads {
+		if t.runnable() {
+			s.ready = append(s.ready, t.op)
 		}
-		s.advanceClock(pick, res)
-		if res.block != 0 {
-			if res.blockUnless == nil || !res.blockUnless(s.sys.Peek(res.block)) {
-				t.blockedOn = res.block
+	}
+	return s.ready
+}
+
+// deadlock describes a run in which every live thread is parked on a
+// line nobody will write.
+func (s *Scheduler) deadlock() string {
+	blocked := []string{}
+	for _, t := range s.threads {
+		if !t.finished {
+			blocked = append(blocked, fmt.Sprintf("cpu%d on %q", t.id, s.sys.Name(t.blockedOn)))
+		}
+	}
+	return fmt.Sprintf("coherence: deadlock — all live threads parked (%v)", blocked)
+}
+
+// step executes runnable thread t's reported op — the one step every
+// driver (Run, RunChosen, Stepper) takes. The thread settles the op's
+// bookkeeping itself (settle) and runs on to its next op; AwaitWrite
+// parkers the op woke then run on to theirs.
+func (s *Scheduler) step(t *thread) {
+	if t.exited {
+		t.finished = true
+		s.live--
+		return
+	}
+	t.resume <- struct{}{}
+	s.await(t)
+	s.resumeWoken()
+}
+
+// resumeWoken lets every AwaitWrite parker a write released continue
+// its body up to its next op.
+func (s *Scheduler) resumeWoken() {
+	for _, w := range s.woken {
+		w.resume <- struct{}{}
+		s.await(w)
+	}
+	s.woken = s.woken[:0]
+}
+
+// settle is the bookkeeping of one executed op: count the step (the
+// livelock guard), charge its cost, park the thread if the op asks,
+// and wake every thread parked on a line it wrote. It runs on the
+// stepping thread's goroutine before its body continues, so code
+// between two ops reads a clock that already includes the first.
+func (s *Scheduler) settle(t *thread, res opResult) {
+	s.steps++
+	if s.steps > s.maxSteps {
+		panic(fmt.Sprintf("coherence: exceeded %d steps — livelock?", s.maxSteps))
+	}
+	s.advanceClock(t.id, res)
+	if res.block != 0 {
+		if res.blockUnless == nil || !res.blockUnless(s.sys.Peek(res.block)) {
+			t.blockedOn = res.block
+			s.parked++
+		}
+	}
+	if res.wrote != 0 {
+		s.wake(res.wrote, t)
+	}
+}
+
+// wake unparks every thread blocked on the written address's *line* —
+// a write to any word of the line invalidates a spinner's copy,
+// forcing a re-read even when the watched word is untouched (false
+// sharing). In timed mode a woken thread's clock catches up with the
+// writer's: its re-read cannot begin before the write completed.
+// writer is nil for a harness write (Stepper.Poke).
+func (s *Scheduler) wake(a Addr, writer *thread) {
+	ln := s.sys.lineOf(a)
+	for _, w := range s.threads {
+		if w.blockedOn != 0 && s.sys.lineOf(w.blockedOn) == ln {
+			w.blockedOn = 0
+			s.parked--
+			if w.resumeOnWake {
+				w.resumeOnWake = false
+				s.woken = append(s.woken, w)
 			}
-		}
-		if res.wrote != 0 {
-			// Wake every thread parked on the written *line* — a
-			// write to any word of the line invalidates a spinner's
-			// copy, forcing a re-read even when the watched word is
-			// untouched (false sharing). Re-reads cannot begin before
-			// the writer's op completed.
-			wroteLine := s.sys.lineOf(res.wrote)
-			for _, w := range threads {
-				if w.blockedOn != 0 && s.sys.lineOf(w.blockedOn) == wroteLine {
-					w.blockedOn = 0
-					if s.mode == Timed && s.clocks[w.id] < s.clocks[pick] {
-						s.clocks[w.id] = s.clocks[pick]
-					}
-				}
+			if writer != nil && s.mode == Timed && s.clocks[w.id] < s.clocks[writer.id] {
+				s.clocks[w.id] = s.clocks[writer.id]
 			}
 		}
 	}
+}
 
+func (s *Scheduler) result() Result {
 	clock := uint64(0)
 	for _, c := range s.clocks {
 		if c > clock {
 			clock = c
 		}
 	}
-	stats := make([]CPUStats, n)
+	stats := make([]CPUStats, s.sys.CPUs())
 	for i := range stats {
 		stats[i] = s.sys.Stats(i)
 	}
@@ -335,18 +492,27 @@ func (s *Scheduler) advanceClock(cpu int, res opResult) {
 	}
 }
 
-// yieldOp hands the turn back to the scheduler, reporting the event
-// class of the operation just performed.
-func (c *Ctx) yieldOp(kind eventKind, cycles uint64) {
-	c.t.yield <- opResult{kind: kind, cycles: cycles}
-	<-c.t.resume
+// do performs one operation as one scheduling step: report op, wait to
+// be picked, execute, settle.
+func (c *Ctx) do(op Op, exec func() opResult) {
+	c.t.op = op
+	c.handBack()
+	c.sched.settle(c.t, exec())
 }
 
-// yieldWrite is yieldOp for write-class ops, which additionally wake
-// any threads parked on the written line.
-func (c *Ctx) yieldWrite(kind eventKind, a Addr) {
-	c.t.yield <- opResult{kind: kind, wrote: a}
-	<-c.t.resume
+// handBack yields the turn and waits for it to come back; a released
+// thread (Scheduler.stop) exits here.
+func (c *Ctx) handBack() {
+	c.t.yield <- nil
+	if _, ok := <-c.t.resume; !ok {
+		runtime.Goexit()
+	}
+}
+
+// footprint is the Op for an access to a.
+func (c *Ctx) footprint(a Addr, write bool) Op {
+	sys := c.sched.sys
+	return Op{Thread: c.CPU, Line: sys.lineOf(a)*sys.wpl + 1, Write: write}
 }
 
 // classify converts the delta of the CPU's counters across one
@@ -371,58 +537,70 @@ func (c *Ctx) trace(op string, a Addr, v uint64) {
 	}
 }
 
+// write performs one write-class op on a: rmw runs it against the
+// system, and the op wakes threads parked on a's line.
+func (c *Ctx) write(a Addr, rmw func()) {
+	c.do(c.footprint(a, true), func() opResult {
+		before := c.sched.sys.Stats(c.CPU)
+		rmw()
+		return opResult{kind: c.classify(before), wrote: a}
+	})
+}
+
 // Load performs a coherent read.
-func (c *Ctx) Load(a Addr) uint64 {
-	before := c.sched.sys.Stats(c.CPU)
-	v := c.sched.sys.Load(c.CPU, a)
-	c.trace("load", a, v)
-	c.yieldOp(c.classify(before), 0)
+func (c *Ctx) Load(a Addr) (v uint64) {
+	c.do(c.footprint(a, false), func() opResult {
+		before := c.sched.sys.Stats(c.CPU)
+		v = c.sched.sys.Load(c.CPU, a)
+		c.trace("load", a, v)
+		return opResult{kind: c.classify(before)}
+	})
 	return v
 }
 
 // Store performs a coherent write.
 func (c *Ctx) Store(a Addr, v uint64) {
-	before := c.sched.sys.Stats(c.CPU)
-	c.sched.sys.Store(c.CPU, a, v)
-	c.trace("store", a, v)
-	c.yieldWrite(c.classify(before), a)
+	c.write(a, func() {
+		c.sched.sys.Store(c.CPU, a, v)
+		c.trace("store", a, v)
+	})
 }
 
 // Swap performs an atomic exchange.
-func (c *Ctx) Swap(a Addr, v uint64) uint64 {
-	before := c.sched.sys.Stats(c.CPU)
-	old := c.sched.sys.Swap(c.CPU, a, v)
-	c.trace("swap", a, v)
-	c.yieldWrite(c.classify(before), a)
+func (c *Ctx) Swap(a Addr, v uint64) (old uint64) {
+	c.write(a, func() {
+		old = c.sched.sys.Swap(c.CPU, a, v)
+		c.trace("swap", a, v)
+	})
 	return old
 }
 
 // CAS performs an atomic compare-and-swap.
-func (c *Ctx) CAS(a Addr, old, new uint64) bool {
-	before := c.sched.sys.Stats(c.CPU)
-	ok := c.sched.sys.CAS(c.CPU, a, old, new)
-	if ok {
-		c.trace("cas-ok", a, new)
-	} else {
-		c.trace("cas-fail", a, old)
-	}
-	c.yieldWrite(c.classify(before), a)
+func (c *Ctx) CAS(a Addr, old, new uint64) (ok bool) {
+	c.write(a, func() {
+		ok = c.sched.sys.CAS(c.CPU, a, old, new)
+		if ok {
+			c.trace("cas-ok", a, new)
+		} else {
+			c.trace("cas-fail", a, old)
+		}
+	})
 	return ok
 }
 
 // FetchAdd performs an atomic fetch-and-add.
-func (c *Ctx) FetchAdd(a Addr, d uint64) uint64 {
-	before := c.sched.sys.Stats(c.CPU)
-	old := c.sched.sys.FetchAdd(c.CPU, a, d)
-	c.trace("fetchadd", a, old)
-	c.yieldWrite(c.classify(before), a)
+func (c *Ctx) FetchAdd(a Addr, d uint64) (old uint64) {
+	c.write(a, func() {
+		old = c.sched.sys.FetchAdd(c.CPU, a, d)
+		c.trace("fetchadd", a, old)
+	})
 	return old
 }
 
 // Work consumes local computation cycles without touching memory
 // (critical/non-critical section bodies).
 func (c *Ctx) Work(cycles uint64) {
-	c.yieldOp(evWork, cycles)
+	c.do(Op{Thread: c.CPU}, func() opResult { return opResult{kind: evWork, cycles: cycles} })
 }
 
 // AwaitWrite parks the thread until line a is next written, without
@@ -434,13 +612,22 @@ func (c *Ctx) Work(cycles uint64) {
 // line was touched since MONITOR). No coherence event is charged for
 // the wait itself; callers typically follow with an atomic exchange to
 // claim the value, avoiding the load+upgrade pair of a classic spin.
+// Its footprint is a read of a: the ready check observes the line.
 func (c *Ctx) AwaitWrite(a Addr, ready func(uint64) bool) {
-	c.t.yield <- opResult{kind: evHit, block: a, blockUnless: ready}
-	<-c.t.resume
+	c.do(c.footprint(a, false), func() opResult {
+		return opResult{kind: evHit, block: a, blockUnless: ready}
+	})
+	if c.t.blockedOn != 0 {
+		// Parked: the body continues only once a write wakes it.
+		c.t.resumeOnWake = true
+		c.handBack()
+	}
 }
 
 // SpinUntil busy-waits on line a until pred holds for its value, and
-// returns the satisfying value. Semantically it is a polite spin loop:
+// returns the satisfying value. A parked spinner's next op is already
+// known — the re-read — so it reports it at once and a wake only makes
+// it runnable again. Semantically it is a polite spin loop:
 // while the line stays valid in our cache the spin costs nothing; when
 // the value disappoints, the thread parks and is woken by the next
 // write to the line, paying one coherence re-read per wakeup — exactly
@@ -450,16 +637,20 @@ func (c *Ctx) AwaitWrite(a Addr, ready func(uint64) bool) {
 // simulated locks into immediate failures.
 func (c *Ctx) SpinUntil(a Addr, pred func(uint64) bool) uint64 {
 	for {
-		before := c.sched.sys.Stats(c.CPU)
-		v := c.sched.sys.Load(c.CPU, a)
-		kind := c.classify(before)
-		if pred(v) {
-			c.yieldOp(kind, 0)
+		var v uint64
+		var ok bool
+		c.do(c.footprint(a, false), func() opResult {
+			before := c.sched.sys.Stats(c.CPU)
+			v = c.sched.sys.Load(c.CPU, a)
+			res := opResult{kind: c.classify(before)}
+			if ok = pred(v); !ok {
+				res.block = a // park until the line is next written
+			}
+			return res
+		})
+		if ok {
 			return v
 		}
-		// Park until the line is next written.
-		c.t.yield <- opResult{kind: kind, block: a}
-		<-c.t.resume
 	}
 }
 

@@ -11,95 +11,51 @@ import "fmt"
 // drives a sim lock and a real lock through one shared event script
 // this way).
 //
-// The Stepper reuses the Scheduler's thread machinery, so simulated
-// code behaves identically: SpinUntil parks threads on lines, writes
-// wake parked threads on the same cache line, AwaitWrite's ready
-// predicate is evaluated atomically with parking, and Ctx.Admit
-// records admission order.
+// The Stepper takes the Scheduler's own step, so simulated code
+// behaves identically: SpinUntil parks threads on lines, writes wake
+// parked threads on the same cache line, AwaitWrite's ready predicate
+// is evaluated atomically with parking, and Ctx.Admit records
+// admission order.
 type Stepper struct {
-	sched   *Scheduler
-	threads []*thread
+	sched *Scheduler
 }
 
 // NewStepper creates a stepper over sys with one simulated thread per
 // body; len(bodies) must equal sys.CPUs(). maxSteps bounds the total
 // operation count (0 selects a large default); exceeding it panics,
-// converting livelock into a loud failure. All threads start suspended
-// before their first operation.
+// converting livelock into a loud failure. Each thread runs up to its
+// first operation and waits there.
 func NewStepper(sys *System, maxSteps uint64, bodies []func(c *Ctx)) *Stepper {
 	if len(bodies) != sys.CPUs() {
 		panic(fmt.Sprintf("coherence: %d bodies for %d CPUs", len(bodies), sys.CPUs()))
 	}
 	st := &Stepper{sched: NewScheduler(sys, RoundRobin, DefaultCosts, 1, maxSteps)}
-	for i, body := range bodies {
-		t := &thread{id: i, resume: make(chan struct{}), yield: make(chan opResult)}
-		st.threads = append(st.threads, t)
-		ctx := &Ctx{CPU: i, sched: st.sched, t: t}
-		body := body
-		go func() {
-			<-t.resume
-			body(ctx)
-			t.yield <- opResult{finished: true}
-		}()
-	}
+	st.sched.start(bodies)
 	return st
 }
 
 // Threads reports the number of simulated threads.
-func (st *Stepper) Threads() int { return len(st.threads) }
+func (st *Stepper) Threads() int { return len(st.sched.threads) }
 
 // Finished reports whether thread id's body has returned.
-func (st *Stepper) Finished(id int) bool { return st.threads[id].finished }
+func (st *Stepper) Finished(id int) bool { return st.sched.threads[id].finished }
 
 // Blocked reports whether thread id is parked on a line awaiting a
 // write (SpinUntil or AwaitWrite).
-func (st *Stepper) Blocked(id int) bool { return st.threads[id].blockedOn != 0 }
+func (st *Stepper) Blocked(id int) bool { return st.sched.threads[id].blockedOn != 0 }
 
 // Runnable reports whether thread id can perform another operation.
-func (st *Stepper) Runnable(id int) bool {
-	t := st.threads[id]
-	return !t.finished && t.blockedOn == 0
-}
+func (st *Stepper) Runnable(id int) bool { return st.sched.threads[id].runnable() }
 
 // Step runs exactly one memory operation (or the body's return) of
 // thread id. Calling Step on a non-runnable thread is a harness bug and
 // panics.
 func (st *Stepper) Step(id int) {
-	t := st.threads[id]
-	if t.finished || t.blockedOn != 0 {
+	t := st.sched.threads[id]
+	if !t.runnable() {
 		panic(fmt.Sprintf("coherence: Step(%d) on non-runnable thread", id))
 	}
-	t.resume <- struct{}{}
-	res := <-t.yield
-	if res.finished {
-		t.finished = true
-		return
-	}
-	s := st.sched
-	s.steps++
-	if s.steps > s.maxSteps {
-		panic(fmt.Sprintf("coherence: exceeded %d steps — livelock?", s.maxSteps))
-	}
-	s.advanceClock(id, res)
-	if res.block != 0 {
-		if res.blockUnless == nil || !res.blockUnless(s.sys.Peek(res.block)) {
-			t.blockedOn = res.block
-		}
-	}
-	if res.wrote != 0 {
-		st.wake(res.wrote)
-	}
-}
-
-// wake unparks every thread blocked on the written address's cache
-// line, mirroring Scheduler.Run's invalidation-wake rule.
-func (st *Stepper) wake(a Addr) {
-	ln := st.sched.sys.lineOf(a)
-	for _, w := range st.threads {
-		if w.blockedOn != 0 && st.sched.sys.lineOf(w.blockedOn) == ln {
-			w.blockedOn = 0
-		}
-	}
+	st.sched.step(t)
 }
 
 // Poke performs a harness-level write: it sets a's value directly
@@ -109,7 +65,8 @@ func (st *Stepper) wake(a Addr) {
 // critical-section hold gate.
 func (st *Stepper) Poke(a Addr, v uint64) {
 	st.sched.sys.InitValue(a, v)
-	st.wake(a)
+	st.sched.wake(a, nil)
+	st.sched.resumeWoken()
 }
 
 // Admissions returns a copy of the admission order recorded by
