@@ -3,8 +3,9 @@
 #
 #   make check       — the pre-push aggregate: gofmt gate (fails listing
 #                      any unformatted file), go vet, the full
-#                      build+test suite, the conformance tier, the
-#                      kvperf benchmark smoke, and the fuzz smoke.
+#                      build+test suite, the conformance, vtime and
+#                      explore tiers, the kvperf benchmark smoke, the
+#                      fuzz smoke, and the benchdiff smoke.
 #   make test        — tier 1: build + full test suite (the CI gate)
 #   make race        — race tier: go vet + the full suite under -race
 #                      (includes the registry capability-claims tests)
@@ -35,25 +36,20 @@
 #                      clock.Virtual for seeds 1–3, each required to be
 #                      byte-identical across runs (cmd/conformance
 #                      -vtime)
-#   make cluster     — deterministic cluster-simulation tier: every
-#                      canonical fault script × seeds {1,2,3} through
-#                      cmd/clustersim (invariant violations exit
-#                      non-zero with a one-command repro), plus the
-#                      cluster package's test suite under -race
 #   make explore     — model-checking tier: the schedule-search core
 #                      (internal/explore), internal/coherence and
 #                      cmd/modelcheck test suites, then 3-thread proofs
 #                      of every simulated lock (modelcheck -lock=all
 #                      -threads=3 -episodes=1 and -lock=Recipro
 #                      -threads=3 -episodes=2, both must exit 0
-#                      VERIFIED); then the cluster explorer's and
-#                      cmd/clusterexplore's suites, exhaustive schedule
-#                      searches over the explore-small preset (must exit
-#                      0 VERIFIED), and the three mutation hunts
-#                      (-no-fencing, -break-dedup, -skip-reconcile),
-#                      each of which must exit 1 with a shrunk repro
-#                      script that cmd/clustersim then replays to the
-#                      same violation
+#                      VERIFIED); then the kvstore schedule search over
+#                      the real store code: exhaustive VERIFIED searches
+#                      of the coarse DB and a 2-shard ShardedDB, and
+#                      three mutation hunts (unstamped memtable
+#                      snapshot, per-shard batch apply, descending
+#                      stripe order), each of which must catch its
+#                      violation, shrink the schedule, and replay the
+#                      shrunk schedule to the same violation
 #   make kvperf      — the repository benchmark module (kvperf/, its own
 #                      go.mod): go vet and go test there (the root
 #                      ./... never reaches it), then a 1-second run of
@@ -64,9 +60,8 @@
 #                      cycle detector, the kvstore differential,
 #                      sharded-batch and iterator-seek differentials +
 #                      skiplist targets,
-#                      the seqlock optimistic-read differential, the
-#                      cluster fault-script interpreter, and the
-#                      schedule shrinker
+#                      the seqlock optimistic-read differential, and
+#                      the schedule shrinker
 
 GO ?= go
 GOFMT ?= gofmt
@@ -75,14 +70,14 @@ CONF_SEED ?= 1
 FUZZTIME ?= 5s
 BENCH_BASELINE ?= results/bench_baseline.json
 
-.PHONY: all build check fmt-check test vet race bench bench-json benchdiff-check chaos conformance vtime cluster explore kvperf fuzz-smoke
+.PHONY: all build check fmt-check test vet race bench bench-json benchdiff-check chaos conformance vtime explore kvperf fuzz-smoke
 
 all: test
 
 build:
 	$(GO) build ./...
 
-check: fmt-check vet test conformance vtime cluster explore kvperf fuzz-smoke benchdiff-check
+check: fmt-check vet test conformance vtime explore kvperf fuzz-smoke benchdiff-check
 
 fmt-check:
 	@out="$$($(GOFMT) -l .)"; if [ -n "$$out" ]; then \
@@ -124,35 +119,11 @@ vtime: build
 	$(GO) test -race -count=1 -run 'Wall|Virtual|Deadline|NoDirectWallClock|VTime' ./internal/clock ./internal/conformance
 	$(GO) run ./cmd/conformance -vtime -seed=1 -vtime-seeds=3
 
-cluster: build
-	$(GO) test -race ./internal/cluster ./cmd/clustersim
-	@set -e; for script in lease-expiry-mid-cs thundering-herd asym-partition slow-node crash-during-handoff restart-storm expire-churn; do \
-		for seed in 1 2 3; do \
-			$(GO) run ./cmd/clustersim -quiet -script=$$script -seed=$$seed; \
-		done; \
-		echo "cluster: $$script OK (seeds 1 2 3)"; \
-	done
-
 explore: build
 	$(GO) test ./internal/explore ./internal/coherence ./cmd/modelcheck
 	$(GO) run ./cmd/modelcheck -lock=all -threads=3 -episodes=1
 	$(GO) run ./cmd/modelcheck -lock=Recipro -threads=3 -episodes=2
-	$(GO) test ./internal/cluster/explore ./cmd/clusterexplore ./internal/verdict
-	@set -e; for seed in 1 2 3; do \
-		$(GO) run ./cmd/clusterexplore -seed=$$seed; \
-		$(GO) run ./cmd/clusterexplore -seed=$$seed -script=expire-churn-tiny -window=1ms -delays=2; \
-	done
-	@set -e; mkdir -p results; for mut in no-fencing break-dedup skip-reconcile; do \
-		repro=results/.repro-$$mut.script; code=0; \
-		$(GO) run ./cmd/clusterexplore -seed=1 -script=expire-churn-tiny -window=1ms -delays=2 \
-			-$$mut -repro-out=$$repro -quiet || code=$$?; \
-		if [ $$code -ne 1 ]; then echo "explore: -$$mut exited $$code, want 1"; exit 1; fi; \
-		sched="$$(sed -n 's/^# schedule: //p' $$repro)"; code=0; \
-		$(GO) run ./cmd/clustersim -quiet -preset=explore-small -seed=1 -window=1ms -$$mut \
-			-script=$$repro -schedule="$$sched" 2>/dev/null || code=$$?; \
-		if [ $$code -ne 1 ]; then echo "explore: clustersim replay of $$repro exited $$code, want 1"; exit 1; fi; \
-		rm -f $$repro; echo "explore: mutation -$$mut caught, shrunk, and replayed"; \
-	done
+	$(GO) test -count=1 -v -run Explore ./internal/kvstore
 
 kvperf: build
 	$(GO) -C kvperf vet ./...
@@ -171,5 +142,4 @@ fuzz-smoke: build
 	$(GO) test -run '^$$' -fuzz='^FuzzIteratorSeek$$' -fuzztime=$(FUZZTIME) ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz='^FuzzSkipListOrdering$$' -fuzztime=$(FUZZTIME) ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz='^FuzzSeqlockRead$$' -fuzztime=$(FUZZTIME) ./internal/atomicstruct
-	$(GO) test -run '^$$' -fuzz='^FuzzFaultScript$$' -fuzztime=$(FUZZTIME) ./internal/cluster
-	$(GO) test -run '^$$' -fuzz='^FuzzShrink$$' -fuzztime=$(FUZZTIME) ./internal/cluster/explore
+	$(GO) test -run '^$$' -fuzz='^FuzzShrink$$' -fuzztime=$(FUZZTIME) ./internal/explore

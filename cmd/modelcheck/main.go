@@ -31,7 +31,6 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/explore"
 	"repro/internal/simlocks"
-	"repro/internal/verdict"
 )
 
 func main() {
@@ -46,7 +45,7 @@ func run(args []string, out, errOut io.Writer) int {
 	episodes := fs.Int("episodes", 1, "episodes per thread")
 	budget := fs.Int("budget", 500_000, "maximum schedules to explore")
 	if err := fs.Parse(args); err != nil {
-		return verdict.ExitUsage
+		return exitUsage
 	}
 
 	var targets []simlocks.Factory
@@ -56,12 +55,12 @@ func run(args []string, out, errOut io.Writer) int {
 		mk := simlocks.ByName(*lockName)
 		if mk == nil {
 			fmt.Fprintf(errOut, "unknown lock %q; known: %v + variants\n", *lockName, simlocks.Names())
-			return verdict.ExitUsage
+			return exitUsage
 		}
 		targets = []simlocks.Factory{mk}
 	}
 
-	var statuses []verdict.Status
+	var statuses []status
 	for _, mk := range targets {
 		name := mk().Name()
 		prog := simlocks.CounterProgram(mk, *threads, *episodes)
@@ -69,26 +68,26 @@ func run(args []string, out, errOut io.Writer) int {
 			prog.Run, coherence.Independent)
 		if err != nil {
 			fmt.Fprintln(errOut, err)
-			statuses = append(statuses, verdict.Incomplete)
-			fmt.Fprintln(out, verdict.Line(name, verdict.Incomplete, fmt.Sprintf("search aborted: %v", err)))
+			statuses = append(statuses, incomplete)
+			fmt.Fprintln(out, line(name, incomplete, fmt.Sprintf("search aborted: %v", err)))
 			continue
 		}
 		switch {
 		case res.Failed:
-			statuses = append(statuses, verdict.Violation)
-			fmt.Fprintln(out, verdict.Line(name, verdict.Violation,
+			statuses = append(statuses, violation)
+			fmt.Fprintln(out, line(name, violation,
 				fmt.Sprintf("after %d schedules: %v\nschedule: %s",
 					res.Stats.Schedules, prog.Violation, explore.FormatSchedule(res.Schedule))))
 		case res.Complete:
-			statuses = append(statuses, verdict.Verified)
-			fmt.Fprintln(out, verdict.Line(name, verdict.Verified,
+			statuses = append(statuses, verified)
+			fmt.Fprintln(out, line(name, verified,
 				fmt.Sprintf("%d schedules (%d pruned tails) cover every interleaving (%d threads × %d episodes)",
 					res.Stats.Schedules, res.Stats.PrunedTails, *threads, *episodes)))
 		default:
-			statuses = append(statuses, verdict.Incomplete)
-			fmt.Fprintln(out, verdict.Line(name, verdict.Incomplete,
+			statuses = append(statuses, incomplete)
+			fmt.Fprintln(out, line(name, incomplete,
 				fmt.Sprintf("%d-schedule budget exhausted before the tree was; no violation found, but this is not a verification — raise -budget", res.Stats.Schedules)))
 		}
 	}
-	return verdict.Exit(statuses...)
+	return exitCode(statuses...)
 }

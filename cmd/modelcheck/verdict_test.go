@@ -1,4 +1,4 @@
-package verdict
+package main
 
 import (
 	"strings"
@@ -6,8 +6,8 @@ import (
 )
 
 func TestStatusStrings(t *testing.T) {
-	for s, want := range map[Status]string{
-		Verified: "VERIFIED", Violation: "FAIL", Incomplete: "INCOMPLETE",
+	for s, want := range map[status]string{
+		verified: "VERIFIED", violation: "FAIL", incomplete: "INCOMPLETE",
 	} {
 		if s.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(s), s, want)
@@ -20,31 +20,31 @@ func TestStatusStrings(t *testing.T) {
 // documented CLI contract (0/1/3; 2 is reserved for usage errors).
 func TestExitFolding(t *testing.T) {
 	cases := []struct {
-		in   []Status
+		in   []status
 		want int
 	}{
-		{nil, ExitVerified},
-		{[]Status{Verified, Verified}, 0},
-		{[]Status{Verified, Incomplete}, 3},
-		{[]Status{Incomplete, Violation, Verified}, 1},
-		{[]Status{Violation}, 1},
+		{nil, exitVerified},
+		{[]status{verified, verified}, 0},
+		{[]status{verified, incomplete}, 3},
+		{[]status{incomplete, violation, verified}, 1},
+		{[]status{violation}, 1},
 	}
 	for _, c := range cases {
-		if got := Exit(c.in...); got != c.want {
-			t.Errorf("Exit(%v) = %d, want %d", c.in, got, c.want)
+		if got := exitCode(c.in...); got != c.want {
+			t.Errorf("exitCode(%v) = %d, want %d", c.in, got, c.want)
 		}
 	}
-	if ExitVerified != 0 || ExitViolation != 1 || ExitUsage != 2 || ExitIncomplete != 3 {
+	if exitVerified != 0 || exitViolation != 1 || exitUsage != 2 || exitIncomplete != 3 {
 		t.Error("exit code constants drifted from the documented convention")
 	}
 }
 
 func TestLine(t *testing.T) {
-	got := Line("TKT", Verified, "all 100 interleavings pass")
+	got := line("TKT", verified, "all 100 interleavings pass")
 	if !strings.HasPrefix(got, "TKT") || !strings.Contains(got, "VERIFIED: all 100") {
-		t.Errorf("Line = %q", got)
+		t.Errorf("line = %q", got)
 	}
-	multi := Line("x", Violation, "first\nsecond")
+	multi := line("x", violation, "first\nsecond")
 	if !strings.Contains(multi, "\n    second") {
 		t.Errorf("multi-line detail not indented: %q", multi)
 	}

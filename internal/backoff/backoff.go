@@ -3,19 +3,16 @@
 // the AWS architecture blog's backoff study), seeded and fully
 // deterministic.
 //
-// Two retry paths share it:
-//
-//   - bounded.PollFor/PollCtx, the TryLock-polling fallback of the
-//     bounded acquisition contract, use it for its sleep schedule once an
-//     episode escalates past hot spinning.
-//   - the cluster simulation's lease client (internal/cluster) uses it
-//     for lease re-acquisition after a denial or an expiry.
+// bounded.PollFor/PollCtx, the TryLock-polling fallback of the bounded
+// acquisition contract, use it for its sleep schedule once an episode
+// escalates past hot spinning, and the conformance suite's lease
+// re-acquisition check retries under it.
 //
 // The package computes durations only — it never sleeps — so the same
-// policy drives real time.Sleep retries and simulated-time retries
-// under a discrete-event scheduler. Determinism is the point: given a
-// seed, the k-th Next() is the same duration in every run, so a
-// failing seed reproduces the same retry pressure.
+// policy drives real time.Sleep retries and retries on a virtual
+// clock. Determinism is the point: given a seed, the k-th Next() is
+// the same duration in every run, so a failing seed reproduces the
+// same retry pressure.
 //
 // Decorrelated jitter grows the expected delay geometrically while
 // keeping every delay uniformly spread over [Base, prev·Mult], which
@@ -36,28 +33,24 @@ import (
 // conformance schedules depend on it:
 //
 //   - The first Next() is exactly Base — no jitter on the first retry,
-//     so livelock checkers have a guaranteed lower bound and the first
-//     delay of a seeded schedule is seed-independent.
+//     so every retry waits at least Base and the first delay of a
+//     seeded schedule is seed-independent.
 //   - Cap == Base degenerates sanely: every delay is exactly Base
-//     (the draw span collapses to zero; the PRNG is never consulted).
-//   - Mult < 0 is the zero-jitter sentinel, mirroring the cluster
-//     sim's NetJitter < 0 convention: every delay is exactly Base and
-//     the PRNG is never consulted, so the sequence is a pure constant
-//     schedule independent of seed. Distinct from Mult == 0 (a zero
-//     field), which selects the default multiplier.
+//     (the draw span collapses to zero; the PRNG is never consulted),
+//     so the sequence is a constant schedule independent of seed.
 type Policy struct {
 	// Base is the minimum (and first) delay. Default 4ms.
 	Base time.Duration
 	// Cap bounds every delay. Default 64ms.
 	Cap time.Duration
 	// Mult is the decorrelation multiplier: delay k+1 is drawn
-	// uniformly from [Base, delay_k · Mult]. Default 3. Negative
-	// values select the zero-jitter sentinel (every delay == Base).
+	// uniformly from [Base, delay_k · Mult]. Values below 2 select
+	// the default, 3.
 	Mult int
 }
 
-// WithDefaults fills zero fields with the package defaults. Negative
-// Mult (the zero-jitter sentinel) is preserved, not defaulted.
+// WithDefaults fills zero (or out-of-range) fields with the package
+// defaults.
 func (p Policy) WithDefaults() Policy {
 	if p.Base <= 0 {
 		p.Base = 4 * time.Millisecond
@@ -68,7 +61,7 @@ func (p Policy) WithDefaults() Policy {
 	if p.Cap < p.Base {
 		p.Cap = p.Base
 	}
-	if p.Mult >= 0 && p.Mult < 2 {
+	if p.Mult < 2 {
 		p.Mult = 3
 	}
 	return p
@@ -109,12 +102,12 @@ func New(p Policy, seed uint64) *Backoff {
 }
 
 // Next returns the delay to wait before the next retry and advances
-// the sequence: the first call returns Base exactly (fast first retry,
-// and a guaranteed lower bound the livelock checkers can assert
-// against); call k+1 draws uniformly from [Base, min(Cap, delay_k·Mult)].
+// the sequence: the first call returns Base exactly (a fast first
+// retry, and a guaranteed lower bound); call k+1 draws uniformly from
+// [Base, min(Cap, delay_k·Mult)].
 func (b *Backoff) Next() time.Duration {
 	b.attempts++
-	if b.prev == 0 || b.p.Mult < 0 {
+	if b.prev == 0 {
 		b.prev = b.p.Base
 		return b.prev
 	}

@@ -6,9 +6,9 @@ import (
 )
 
 // Boundary-behavior pins (see the Policy doc block): the virtual-time
-// conformance schedules and the cluster sim's livelock checkers depend
-// on these exact semantics, so each is pinned by a test rather than
-// left to the implementation's discretion.
+// conformance schedules depend on these exact semantics, so each is
+// pinned by a test rather than left to the implementation's
+// discretion.
 
 // The first Next() is exactly Base — before and after Reset — for any
 // seed: the first delay of a seeded schedule is seed-independent.
@@ -44,41 +44,26 @@ func TestCapEqualsBaseDegeneratesSanely(t *testing.T) {
 	}
 }
 
-// Mult < 0 is the zero-jitter sentinel (mirroring the cluster sim's
-// NetJitter < 0 convention): every delay is exactly Base regardless of
-// seed, even with a wide-open Cap that would otherwise draw jitter.
-func TestZeroJitterSentinel(t *testing.T) {
-	p := Policy{Base: 5 * time.Millisecond, Cap: time.Second, Mult: -1}
-	if got := p.WithDefaults().Mult; got >= 0 {
-		t.Fatalf("WithDefaults rewrote sentinel Mult -1 to %d", got)
-	}
-	for _, seed := range []uint64{1, 99, 1 << 40} {
-		b := New(p, seed)
+// Mult <= 0 selects the default multiplier: a negative Mult is no
+// zero-jitter mode, and the sequence does jitter past the first draw.
+// A constant schedule is Cap == Base, pinned above.
+func TestMultZeroIsDefaultNotSentinel(t *testing.T) {
+	for _, mult := range []int{0, -1} {
+		p := Policy{Base: time.Millisecond, Cap: 64 * time.Millisecond, Mult: mult}
+		if got := p.WithDefaults().Mult; got != 3 {
+			t.Fatalf("WithDefaults(Mult=%d) = %d, want default 3", mult, got)
+		}
+		b := New(p, 42)
+		b.Next() // Base, pinned above
+		varied := false
 		for i := 0; i < 50; i++ {
-			if d := b.Next(); d != p.Base {
-				t.Fatalf("seed %d draw %d: delay %v, want constant Base %v", seed, i, d, p.Base)
+			if b.Next() != p.Base {
+				varied = true
+				break
 			}
 		}
-	}
-}
-
-// Mult == 0 is a zero field, not the sentinel: it selects the default
-// multiplier and the sequence does jitter past the first draw.
-func TestMultZeroIsDefaultNotSentinel(t *testing.T) {
-	p := Policy{Base: time.Millisecond, Cap: 64 * time.Millisecond, Mult: 0}
-	if got := p.WithDefaults().Mult; got != 3 {
-		t.Fatalf("WithDefaults(Mult=0) = %d, want default 3", got)
-	}
-	b := New(p, 42)
-	b.Next() // Base, pinned above
-	varied := false
-	for i := 0; i < 50; i++ {
-		if b.Next() != p.Base {
-			varied = true
-			break
+		if !varied {
+			t.Fatalf("Mult=%d sequence never left Base", mult)
 		}
-	}
-	if !varied {
-		t.Fatal("Mult=0 sequence never left Base: sentinel semantics leaked into the zero value")
 	}
 }

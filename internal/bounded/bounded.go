@@ -89,8 +89,7 @@ var pollSeq atomic.Uint64
 
 // poll is the shared retry loop: a short hot phase driven by the
 // adaptive waiter policy, then capped decorrelated-jitter sleeps from
-// the shared backoff package (the same policy the cluster simulation's
-// lease client retries under), which desynchronizes competing pollers
+// the shared backoff package, which desynchronizes competing pollers
 // instead of letting them re-collide on a fixed schedule. The deadline
 // is an absolute instant on c; zero means unbounded.
 func poll(try func() bool, c clock.Clock, deadline time.Duration, done <-chan struct{}) bool {

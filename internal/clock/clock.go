@@ -13,12 +13,12 @@
 //     Sleep and ParkFor are the real primitives. This is the
 //     zero-value default everywhere: locks carry a nil Clock and treat
 //     it as Wall, so injection costs nothing when unused.
-//   - Virtual (virtual.go): a discrete-event clock modeled on
-//     internal/cluster's event heap. Time advances only when something
-//     advances it — manually (Advance) or by the runner (Go/Run),
-//     which steps time to the next timer deadline whenever every
-//     registered worker goroutine is blocked in a virtual wait. Same
-//     seed ⇒ same schedule ⇒ byte-identical traces.
+//   - Virtual (virtual.go): a discrete-event clock over a timer
+//     heap. Time advances only when something advances it —
+//     manually (Advance) or by the runner (Go/Run), which steps time
+//     to the next timer deadline whenever every registered worker
+//     goroutine is blocked in a virtual wait. Same seed ⇒ same
+//     schedule ⇒ byte-identical traces.
 //
 // Time is expressed as time.Duration since the clock's epoch rather
 // than time.Time: a virtual clock has no wall anchoring, and duration

@@ -7,11 +7,10 @@ import (
 	"time"
 )
 
-// Virtual is a deterministic discrete-event clock, modeled on the
-// cluster simulation's event heap: pending timers are a min-heap
-// ordered by (deadline, registration sequence), so two timers due at
-// the same instant fire in registration order — a deterministic
-// tiebreak instead of a scheduler race.
+// Virtual is a deterministic discrete-event clock: pending timers are
+// a min-heap ordered by (deadline, registration sequence), so two
+// timers due at the same instant fire in registration order — a
+// deterministic tiebreak instead of a scheduler race.
 //
 // Time never advances on its own. Two driving modes:
 //

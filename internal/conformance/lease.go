@@ -3,71 +3,14 @@ package conformance
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/backoff"
 	"repro/internal/bounded"
 	"repro/internal/chaos"
 	"repro/internal/clock"
-	"repro/internal/cluster"
 	"repro/internal/registry"
 )
-
-// Cluster-level properties: the deterministic cluster simulation
-// (internal/cluster) is parameterized over the per-shard store lock,
-// so every registry entry can be dropped under a replicated, fenced,
-// fault-scripted kvstore cluster — the strongest composition the
-// repository can subject a lock to. The companion re-acquisition check
-// exercises the lease-client pattern (bounded acquisition, expiry,
-// backoff, retry) against the real lock implementation under chaos.
-
-// clusterScript is a compressed fault gauntlet that fits the small
-// conformance topology: a paused holder with a forced expiry (the
-// stale-write window), then a crash/restart through a lease handoff.
-const clusterScript = `
-at 80ms pause n0 for 150ms
-at 100ms expire shard 0
-at 120ms expire shard 1
-at 200ms crash n1
-at 280ms restart n1
-`
-
-// CheckClusterFencing runs the cluster simulation with the entry as
-// every replica's per-shard store lock and demands a violation-free
-// run: lease exclusivity, no stale-fenced applies, version
-// monotonicity, bounded retry, and post-heal convergence all hold with
-// this lock under the store. The simulation is single-threaded, so
-// this is a composition check (the lock behind kvstore.Fenced behind a
-// replicated protocol), not a concurrency check — the concurrency
-// checks live in the rest of the suite.
-func CheckClusterFencing(e registry.Entry, o Options) error {
-	if e.SimTwin == "" {
-		return skipError("cluster properties run on the SimTwin subset")
-	}
-	o = o.withDefaults()
-	script, err := cluster.ParseScript(clusterScript)
-	if err != nil {
-		return fmt.Errorf("internal: bad cluster script: %w", err)
-	}
-	res, err := cluster.Run(cluster.Config{
-		Nodes: 3, Shards: 2, Seed: o.Seed,
-		Duration: 450 * time.Millisecond,
-		Heal:     1200 * time.Millisecond,
-		Script:   script,
-		NewLock:  func() sync.Locker { return e.New(nil) },
-	})
-	if err != nil {
-		return err
-	}
-	if len(res.Violations) > 0 {
-		return fmt.Errorf("cluster invariants broke over this lock:\n%s", res.FailureReport(""))
-	}
-	if res.Counters.Grants == 0 || res.Counters.Committed == 0 {
-		return fmt.Errorf("cluster made no progress over this lock: %+v", res.Counters)
-	}
-	return nil
-}
 
 // CheckLeaseReacquire verifies the lease-client acquisition pattern on
 // Boundable entries with the chaos fault points armed: a bounded

@@ -36,17 +36,17 @@ func (r Report) Failed() bool {
 func CheckNames() []string {
 	return []string{
 		"mutex", "trylock", "bounded", "abandon", "unlock",
-		"read-sharing", "shard-mutex", "shard-iter",
-		"cluster-fence", "lease-reacquire", "differential",
+		"read-sharing", "shard-mutex", "shard-iter", "lease-reacquire",
+		"differential",
 	}
 }
 
 // Run executes the full suite — mutual exclusion, TryLock soundness,
 // bounded contract, abandonment safety, unlock discipline, read-path
 // sharing for entries whose lock offers a read path, the
-// sharded-store and cluster-simulation compositions, lease
-// re-acquisition, and (for twin-declaring entries) the differential
-// checker — against one entry.
+// sharded-store composition, lease re-acquisition, and (for
+// twin-declaring entries) the differential checker — against one
+// entry.
 func Run(e registry.Entry, o Options) Report {
 	o = o.withDefaults()
 	r := Report{Entry: e}
@@ -61,7 +61,6 @@ func Run(e registry.Entry, o Options) Report {
 	add("read-sharing", CheckReadSharing(e, o))
 	add("shard-mutex", CheckShardedMutualExclusion(e, o))
 	add("shard-iter", CheckShardedIterator(e, o))
-	add("cluster-fence", CheckClusterFencing(e, o))
 	add("lease-reacquire", CheckLeaseReacquire(e, o))
 	if e.SimTwin == "" {
 		add("differential", skipError("no sim twin"))

@@ -23,11 +23,13 @@ import (
 // event trace, is a pure function of the seed. Same seed, same trace,
 // byte for byte; that is the property CheckVTime pins.
 //
-// This is weaker than the exhaustive explorer over the abstract
-// cluster FSM (internal/explore) but runs the *actual* lock code:
-// the Reciprocating admission chain, MCS/CLH queue handoff, the
-// waiter escalation ladder, and the decorrelated-jitter backoff all
-// execute their real paths, just on a synthetic time axis.
+// Each seed yields one interleaving, where the schedule searches on
+// internal/explore (cmd/modelcheck over the simulated locks, the
+// kvstore search over the store) enumerate them all; but this runs
+// the *actual* lock code, waiting paths included: the Reciprocating
+// admission chain, MCS/CLH queue handoff, the waiter escalation
+// ladder, and the decorrelated-jitter backoff all execute their real
+// paths, just on a synthetic time axis.
 
 // VTimeLocks are the catalog entries exercised by the virtual-time
 // schedules: the paper's lock plus the two classic queue baselines,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -185,4 +186,75 @@ func TestNondeterministicReplayIsAnError(t *testing.T) {
 	if _, err := Search(Options{}, failing, nil); !errors.Is(err, boom) {
 		t.Fatalf("run error %v not passed up", err)
 	}
+}
+
+func TestScheduleRoundTrip(t *testing.T) {
+	for _, sched := range [][]int{nil, {0}, {2, 0, 1}, {0, 0, 0, 5}} {
+		got, err := ParseSchedule(FormatSchedule(sched))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, sched) {
+			t.Fatalf("round-trip %v -> %v", sched, got)
+		}
+	}
+	for _, bad := range []string{"1,-2", "a", "1,,2"} {
+		if _, err := ParseSchedule(bad); err == nil {
+			t.Errorf("ParseSchedule(%q) should fail", bad)
+		}
+	}
+}
+
+// FuzzShrink drives Shrink over failures of the racy toy system: the
+// input schedule (one choice per byte, mod 4) replays to a final state,
+// and a run fails when that state shows the read picked by target.
+// Whenever the input fails, the shrunk schedule must still fail, be
+// the same on a second shrink, and be 1-minimal: removing any one
+// entry, or zeroing any nonzero one, no longer fails.
+func FuzzShrink(f *testing.F) {
+	targets := []string{"p1:v0=1", "p0:v1=3", "p1:v0=0", "p0:v1=0"}
+	f.Add([]byte{0, 2, 1, 1}, byte(0))
+	f.Add([]byte{1, 2, 0, 3, 0, 0}, byte(1))
+	f.Add([]byte{1, 3, 0, 3, 0, 0}, byte(2))
+	f.Fuzz(func(t *testing.T, raw []byte, target byte) {
+		if len(raw) > 16 {
+			t.Skip()
+		}
+		sched := make([]int, len(raw))
+		for i, b := range raw {
+			sched[i] = int(b % 4)
+		}
+		want := targets[int(target)%len(targets)]
+		ty := racy()
+		ty.bad = func(s string) bool { return strings.Contains(s, want) }
+		fails := func(s []int) bool {
+			failed, err := Replay(ty.run, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return failed
+		}
+		if !fails(sched) {
+			t.Skip() // nothing to shrink
+		}
+		shrunk := Shrink(sched, fails)
+		if !fails(shrunk) {
+			t.Fatalf("shrunk %v (from %v) no longer fails", shrunk, sched)
+		}
+		if again := Shrink(sched, fails); !slices.Equal(again, shrunk) {
+			t.Fatalf("shrink of %v is not deterministic: %v then %v", sched, shrunk, again)
+		}
+		for i := range shrunk {
+			if trial := slices.Delete(slices.Clone(shrunk), i, i+1); fails(trial) {
+				t.Fatalf("shrunk %v not 1-minimal: %v still fails", shrunk, trial)
+			}
+			if shrunk[i] != 0 {
+				trial := slices.Clone(shrunk)
+				trial[i] = 0
+				if fails(trial) {
+					t.Fatalf("shrunk %v not 1-minimal: %v still fails", shrunk, trial)
+				}
+			}
+		}
+	})
 }

@@ -154,10 +154,9 @@ func (w *Waiter) plan() (d time.Duration, yield bool) {
 		return 0, true
 	case PolicyBackoff:
 		// Exponential backoff: 1µs doubling to a 256µs cap (the capped
-		// doubling is backoff.Policy.Exp, shared with the retry paths in
-		// internal/bounded and internal/cluster). Any time between the
-		// lock becoming free and the sleep expiring is dead time — the
-		// §5 objection.
+		// doubling is backoff.Policy.Exp, shared with the retry path in
+		// internal/bounded). Any time between the lock becoming free
+		// and the sleep expiring is dead time — the §5 objection.
 		return backoffSchedule.Exp(w.n), false
 	case PolicySpin:
 		if w.n%spinBudget == 0 {
