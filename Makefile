@@ -59,7 +59,8 @@
 #                      target: the registry -locks parser, the admission
 #                      cycle detector, the kvstore differential,
 #                      sharded-batch and iterator-seek differentials +
-#                      skiplist targets,
+#                      skiplist targets, the sorted-run search against
+#                      sort.Search over arbitrary byte keys,
 #                      the seqlock optimistic-read differential, and
 #                      the schedule shrinker
 
@@ -141,5 +142,6 @@ fuzz-smoke: build
 	$(GO) test -run '^$$' -fuzz='^FuzzShardedBatch$$' -fuzztime=$(FUZZTIME) ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz='^FuzzIteratorSeek$$' -fuzztime=$(FUZZTIME) ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz='^FuzzSkipListOrdering$$' -fuzztime=$(FUZZTIME) ./internal/kvstore
+	$(GO) test -run '^$$' -fuzz='^FuzzRunSearch$$' -fuzztime=$(FUZZTIME) ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz='^FuzzSeqlockRead$$' -fuzztime=$(FUZZTIME) ./internal/atomicstruct
 	$(GO) test -run '^$$' -fuzz='^FuzzShrink$$' -fuzztime=$(FUZZTIME) ./internal/explore

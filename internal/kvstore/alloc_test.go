@@ -54,6 +54,34 @@ func TestIteratorNextAddsNoAllocs(t *testing.T) {
 	}
 }
 
+// A run is pointer-free: keys, values, offsets, tombstones and the
+// search index are a fixed set of arrays, so freezing a memtable and
+// merging runs make as many heap allocations for 64 entries as for
+// 4096. A regression to per-entry key or value slices fails here.
+func TestRunAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(n int) (build, merge float64) {
+		older, newer := NewSkipList(), NewSkipList()
+		for i := 0; i < n; i++ {
+			older.Put(Key(uint64(i)), []byte{byte(i)})
+			if i%3 == 0 {
+				newer.Delete(Key(uint64(i)))
+			} else if i%3 == 1 {
+				newer.Put(Key(uint64(i)), []byte("newer"))
+			}
+		}
+		runs := []*Run{buildRun(newer), buildRun(older)}
+		build = testing.AllocsPerRun(20, func() { buildRun(older) })
+		merge = testing.AllocsPerRun(20, func() { mergeRuns(runs) })
+		return build, merge
+	}
+	b64, m64 := allocs(64)
+	b4k, m4k := allocs(4096)
+	if b64 != b4k || m64 != m4k {
+		t.Fatalf("allocations grow with entries: buildRun %.0f at 64, %.0f at 4096; mergeRuns %.0f at 64, %.0f at 4096",
+			b64, b4k, m64, m4k)
+	}
+}
+
 // BenchmarkGetHotPath compares the same two paths under -bench with
 // allocation reporting.
 func BenchmarkGetHotPath(b *testing.B) {

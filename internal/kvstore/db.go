@@ -21,7 +21,11 @@
 // Structure (per shard): an active memtable (concurrent-read
 // skiplist), a stack of frozen sorted runs (SSTable stand-ins), and a
 // full merge when the run count exceeds a threshold. Reads consult
-// memtable then runs newest-first; deletion uses tombstones.
+// memtable then runs newest-first; deletion uses tombstones. A run is
+// pointer-free — key and value byte arenas addressed by offset arrays
+// — and Get binary-searches it over one machine word of key per entry
+// (run.go), so the search outside the lock costs cache misses in a
+// few flat arrays rather than two pointer chases per probe.
 package kvstore
 
 import (
@@ -174,23 +178,17 @@ func (db *DB) recordGet(found bool) {
 	}
 }
 
-// get searches a snapshot (memtable, then runs newest-first).
+// get searches a snapshot (memtable, then runs newest-first); the
+// first source holding key decides, and a tombstone there hides it.
 func get(mem *SkipList, runs []*Run, key []byte) ([]byte, bool) {
-	if v, ok, tomb := mem.Get(key); ok {
-		if tomb {
-			return nil, false
-		}
-		return v, true
+	v, found, tomb := mem.Get(key)
+	for i := 0; !found && i < len(runs); i++ {
+		v, found, tomb = runs[i].Get(key)
 	}
-	for _, r := range runs {
-		if v, tomb, ok := r.Get(key); ok {
-			if tomb {
-				return nil, false
-			}
-			return v, true
-		}
+	if !found || tomb {
+		return nil, false
 	}
-	return nil, false
+	return v, true
 }
 
 // Stats returns a snapshot of the counters. The exclusive acquisition

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"testing"
 )
 
@@ -179,5 +180,100 @@ func FuzzSkipListOrdering(f *testing.F) {
 				t.Fatalf("Get(%x) inconsistent", b)
 			}
 		}
+	})
+}
+
+// runKeys encodes keys for FuzzRunSearch: a header byte per key, the
+// key's length in its low five bits and a deletion in its top bit,
+// then the key.
+func runKeys(del bool, keys ...string) []byte {
+	var enc []byte
+	for _, k := range keys {
+		h := byte(len(k))
+		if del {
+			h |= 0x80
+		}
+		enc = append(append(enc, h), k...)
+	}
+	return enc
+}
+
+// FuzzRunSearch holds a run's word-index search to sort.Search with
+// bytes.Compare over the same sorted keys, for arbitrary byte keys
+// (the store's own Key ids are all 16 bytes and share a prefix, so
+// they never reach the prefix or word-tie edge cases). Keys decode
+// from enc as runKeys writes them; a later write to a key replaces an
+// earlier one. Each key, each with a byte added and with its last
+// byte dropped, nil and probe are searched and looked up in the frozen
+// run and in the run a full merge of it yields, which drops the
+// tombstones.
+func FuzzRunSearch(f *testing.F) {
+	f.Add(runKeys(false, "", "a", "b"), []byte(nil))
+	f.Add(runKeys(false, "prefix-aaa", "prefix-mmm", "prefix-zzz"), []byte("pre"))
+	f.Add(runKeys(false, "prefix-aaa", "prefix-zzz"), []byte("prea"))
+	f.Add(runKeys(false, "prefix-aaa", "prefix-zzz"), []byte("prefiz"))
+	f.Add(runKeys(false, "prefix-aaa", "prefix-zzz"), []byte("prea-zzzzzz"))
+	f.Add(runKeys(false, "prefix-aaa", "prefix-zzz"), []byte("prefiz-aaa"))
+	f.Add(runKeys(false, "a", "a\x00", "a\x00\x00", "b"), []byte("a\x00\x01"))
+	f.Add(runKeys(false, "a", "b01234567xa", "b01234567xb", "b01234567xc", "c"), []byte("b01234567xbb"))
+	f.Add(runKeys(false, "a0000000a", "b0000000a", "b0000000b", "c0000000a"), []byte("b0000000"))
+	f.Add(runKeys(false, "ab\x00", "ac\x00"), []byte("ab"))
+	f.Add(runKeys(false, "one"), []byte("one"))
+	f.Add(runKeys(true, "gone", "too"), []byte("gone"))
+	f.Fuzz(func(t *testing.T, enc, probe []byte) {
+		sl := NewSkipList()
+		tombs := map[string]bool{}
+		for len(enc) > 0 {
+			n, del := min(int(enc[0]&31), len(enc)-1), enc[0]&0x80 != 0
+			k := enc[1 : 1+n]
+			enc = enc[1+n:]
+			if del {
+				sl.Delete(k)
+			} else {
+				sl.Put(k, append([]byte("v"), k...))
+			}
+			tombs[string(k)] = del
+		}
+		var all, live []string
+		for k, del := range tombs {
+			all = append(all, k)
+			if !del {
+				live = append(live, k)
+			}
+		}
+		sort.Strings(all)
+		sort.Strings(live)
+		probes := [][]byte{nil, probe}
+		for _, k := range all {
+			probes = append(probes, []byte(k), append([]byte(k), 0))
+			if k != "" {
+				probes = append(probes, []byte(k[:len(k)-1]))
+			}
+		}
+		check := func(name string, r *Run, keys []string) {
+			if r.Len() != len(keys) {
+				t.Fatalf("%s run holds %d entries, want %d", name, r.Len(), len(keys))
+			}
+			for _, p := range probes {
+				want := sort.Search(len(keys), func(i int) bool { return bytes.Compare([]byte(keys[i]), p) >= 0 })
+				if got, _ := r.search(p); got != want {
+					t.Fatalf("%s run search(%q) = %d, want %d over %q", name, p, got, want, keys)
+				}
+				wantFound := want < len(keys) && keys[want] == string(p)
+				v, found, tomb := r.Get(p)
+				if found != wantFound {
+					t.Fatalf("%s run Get(%q) found %v, want %v over %q", name, p, found, wantFound, keys)
+				}
+				if wantTomb := found && name == "frozen" && tombs[string(p)]; tomb != wantTomb {
+					t.Fatalf("%s run Get(%q) tombstone %v, want %v", name, p, tomb, wantTomb)
+				}
+				if found && !tomb && string(v) != "v"+string(p) {
+					t.Fatalf("%s run Get(%q) = %q", name, p, v)
+				}
+			}
+		}
+		r := buildRun(sl)
+		check("frozen", r, all)
+		check("merged", mergeRuns([]*Run{r}), live)
 	})
 }

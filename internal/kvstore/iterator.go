@@ -36,7 +36,8 @@ func (s *source) first() {
 // seek positions the cursor at the first entry >= k.
 func (s *source) seek(k []byte) {
 	if s.run != nil {
-		s.at(s.run.search(k))
+		i, _ := s.run.search(k)
+		s.at(i)
 		return
 	}
 	var preds [maxHeight]*slNode
@@ -57,7 +58,7 @@ func (s *source) next() bool {
 func (s *source) at(i int) {
 	s.i = i
 	if s.valid = i < s.run.Len(); s.valid {
-		s.key, s.val, s.tomb = s.run.keys[i], s.run.vals[i], s.run.tombs[i]
+		s.key, s.val, s.tomb = s.run.key(i), s.run.val(i), s.run.tomb(i)
 	}
 }
 
@@ -81,6 +82,10 @@ func (s *source) settle(n *slNode) {
 type merger struct {
 	src  []source
 	heap []int32 // indices of the valid sources, in heap order
+	// from and at locate the entry the last next call returned: its
+	// source and, in a run source, its position there.
+	from int32
+	at   int
 }
 
 // first positions every source at its first entry and builds the heap.
@@ -120,6 +125,7 @@ func (m *merger) next() (key, val []byte, ok bool) {
 	for len(m.heap) > 0 {
 		top := &m.src[m.heap[0]]
 		key, val, tomb := top.key, top.val, top.tomb
+		m.from, m.at = m.heap[0], top.i
 		// Older versions of key sit at the heap top in turn.
 		for {
 			m.advanceTop()
@@ -231,10 +237,11 @@ func (it *Iterator) Next() bool {
 
 // Key returns the current entry's key (valid after a true Next). The
 // slice aliases the store's immutable memory: it stays valid for the
-// store's lifetime and must not be modified, nor appended to in place.
+// store's lifetime and must not be modified. It has cap == len, so an
+// append copies.
 func (it *Iterator) Key() []byte { return it.k }
 
 // Value returns the current entry's value (valid after a true Next).
-// Like Key, the slice aliases immutable store memory and must not be
-// modified, nor appended to in place.
+// Like Key, the slice aliases immutable store memory, must not be
+// modified, and has cap == len.
 func (it *Iterator) Value() []byte { return it.v }

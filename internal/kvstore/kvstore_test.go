@@ -3,6 +3,8 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -132,13 +134,13 @@ func TestRunBuildAndGet(t *testing.T) {
 	if r.Len() != 50 {
 		t.Fatalf("run len %d, want 50", r.Len())
 	}
-	if v, tomb, ok := r.Get(Key(4)); !ok || tomb || v[0] != 2 {
-		t.Fatalf("run Get(4) = %v %v %v", v, tomb, ok)
+	if v, ok, tomb := r.Get(Key(4)); !ok || tomb || v[0] != 2 {
+		t.Fatalf("run Get(4) = %v %v %v", v, ok, tomb)
 	}
-	if _, tomb, ok := r.Get(Key(10)); !ok || !tomb {
+	if _, ok, tomb := r.Get(Key(10)); !ok || !tomb {
 		t.Fatal("tombstone not preserved in run")
 	}
-	if _, _, ok := r.Get(Key(5)); ok {
+	if _, ok, _ := r.Get(Key(5)); ok {
 		t.Fatal("absent key found")
 	}
 }
@@ -159,20 +161,49 @@ func TestMergeRunsNewestWins(t *testing.T) {
 	oldest := mk(map[int]string{1: "old1", 2: "old2", 4: "old4", 6: "old6"})
 	merged := mergeRuns([]*Run{newest, middle, oldest})
 	var got []string
-	for i, k := range merged.keys {
-		if merged.tombs[i] {
+	keyBytes, valBytes := 0, 0
+	for i := 0; i < merged.Len(); i++ {
+		k, v := merged.key(i), merged.val(i)
+		if merged.tomb(i) {
 			t.Fatalf("merged run keeps the tombstone at %x", k)
 		}
-		got = append(got, fmt.Sprintf("%d=%s", k[len(k)-1], merged.vals[i]))
+		got = append(got, fmt.Sprintf("%d=%s", k[len(k)-1], v))
+		keyBytes += len(k)
+		valBytes += len(v)
 	}
 	// 1 and 3: newest wins; 2 and 4: a newer tombstone hides the older
 	// value, and both go; 5 and 6: a key in one run survives.
 	if want := "[1=new1 3=new3 5=mid5 6=old6]"; fmt.Sprint(got) != want {
 		t.Fatalf("merged run %v, want %s", got, want)
 	}
-	if cap(merged.keys) != len(got) || cap(merged.vals) != len(got) || cap(merged.tombs) != len(got) {
-		t.Fatalf("merged run caps keys %d, vals %d, tombs %d; want len %d each",
-			cap(merged.keys), cap(merged.vals), cap(merged.tombs), len(got))
+	// The counting pass sizes every array exactly, and a full merge
+	// keeps no tombstone flags at all.
+	n := len(got)
+	if cap(merged.keys) != keyBytes || cap(merged.vals) != valBytes ||
+		cap(merged.koff) != n+1 || cap(merged.voff) != n+1 || cap(merged.index) != n || merged.tombs != nil {
+		t.Fatalf("merged run caps keys %d, vals %d, koff %d, voff %d, index %d, tombs %d; want %d, %d, %d, %d, %d, nil",
+			cap(merged.keys), cap(merged.vals), cap(merged.koff), cap(merged.voff), cap(merged.index), cap(merged.tombs),
+			keyBytes, valBytes, n+1, n+1, n)
+	}
+}
+
+// Run offsets are 32-bit, so a run whose key or value arena would pass
+// 4 GiB must refuse to build, with a message that says why, rather
+// than wrap.
+func TestRunArenaPast4GiBPanics(t *testing.T) {
+	if uint64(math.MaxInt) <= math.MaxUint32 {
+		t.Skip("int cannot count past 4 GiB on this platform")
+	}
+	for _, b := range []runBuilder{{n: 1, keyBytes: math.MaxInt}, {n: 1, valBytes: math.MaxInt}} {
+		func() {
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), "exceeds 4 GiB") {
+					t.Errorf("alloc for %d key bytes, %d value bytes: recovered %v, want the 4 GiB panic",
+						b.keyBytes, b.valBytes, r)
+				}
+			}()
+			b.alloc(false)
+		}()
 	}
 }
 

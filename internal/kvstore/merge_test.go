@@ -221,6 +221,50 @@ func TestStoreCopiesWrittenBuffers(t *testing.T) {
 	}
 }
 
+// A run's keys and values sit back to back in shared arenas, so every
+// slice the store hands out is capacity-capped: appending to a value
+// from Get, or to a key or value from an iterator, copies instead of
+// overwriting the next entry, in the memtable and in a run alike.
+func TestAppendToReturnedSlicesLeavesStore(t *testing.T) {
+	db := Open(Options{})
+	const n = 4
+	want := model{}
+	for i := 0; i < n; i++ {
+		v := fmt.Sprintf("val%d", i)
+		db.Put(Key(uint64(i)), []byte(v))
+		want[string(Key(uint64(i)))] = v
+	}
+	check := func(where string) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			v, _ := db.Get(Key(uint64(i)))
+			if cap(v) != len(v) {
+				t.Fatalf("%s: Get(%d) has cap %d, len %d", where, i, cap(v), len(v))
+			}
+			_ = append(v, "XXXX"...)
+		}
+		for it := db.NewIterator(); it.Next(); {
+			if k, v := it.Key(), it.Value(); cap(k) != len(k) || cap(v) != len(v) {
+				t.Fatalf("%s: iterator entry %x has key cap %d len %d, value cap %d len %d",
+					where, k, cap(k), len(k), cap(v), len(v))
+			}
+			_ = append(it.Key(), 0xff)
+			_ = append(it.Value(), "YYYY"...)
+		}
+		if got, w := take(db.NewIterator(), -1), want.suffix(nil, -1); fmt.Sprint(got) != fmt.Sprint(w) {
+			t.Fatalf("%s: after appends the store reads %v, want %v", where, got, w)
+		}
+		for i := 0; i < n; i++ {
+			if v, ok := db.Get(Key(uint64(i))); !ok || string(v) != fmt.Sprintf("val%d", i) {
+				t.Fatalf("%s: after appends Get(%d) = %q,%v", where, i, v, ok)
+			}
+		}
+	}
+	check("memtable")
+	freeze(db)
+	check("run")
+}
+
 // openScanStore builds the scan-batch store shape: 4 shards holding
 // keys sequential keys with 32-byte values, and at least two runs in
 // every shard.
@@ -256,5 +300,94 @@ func BenchmarkIteratorScan(b *testing.B) {
 				b.Fatalf("scan from %x ended early", k)
 			}
 		}
+	}
+}
+
+// coldKey writes id i's key to dst: the 16-byte Key(i), plus a
+// trailing byte on odd ids when varlen is set, so that keys differ in
+// length and run search must settle index-word ties in the key arena.
+func coldKey(dst []byte, i uint64, varlen bool) []byte {
+	dst = binary.BigEndian.AppendUint64(append(dst[:0], make([]byte, 8)...), i)
+	if varlen && i%2 == 1 {
+		dst = append(dst, 1)
+	}
+	return dst
+}
+
+// coldRuns builds one shard of the cold-mixed store shape: a run of
+// 256 Ki sequential keys, as compaction leaves it, and small newer
+// runs of about 3.5 Ki random keys each, as frozen 512 KiB memtables
+// leave them, newest first, all with 100-byte values. It returns the
+// runs and the big run's key count.
+func coldRuns(small int, varlen bool) ([]*Run, int) {
+	const big, perRun = 1 << 18, 3500
+	val := make([]byte, 100)
+	r := xrand.NewXorShift64(1)
+	var runs []*Run
+	var k []byte
+	for i := 0; i < small; i++ {
+		sl := NewSkipList()
+		for j := 0; j < perRun; j++ {
+			k = coldKey(k, uint64(r.Intn(big)), varlen)
+			sl.Put(k, val)
+		}
+		runs = append(runs, buildRun(sl))
+	}
+	// The big run is filled directly: a 256 Ki-entry memtable would
+	// cost far more memory than the run itself.
+	var b runBuilder
+	for i := 0; i < big; i++ {
+		b.count(coldKey(nil, uint64(i), varlen), val)
+	}
+	out := b.alloc(false)
+	for i := 0; i < big; i++ {
+		k = coldKey(k, uint64(i), varlen)
+		out.add(k, val)
+	}
+	return append(runs, out), big
+}
+
+// BenchmarkRunGet prices run search alone in the cold-mixed shape: a
+// Get for a random present key searches three small runs, newest
+// first, and then the big one. ids uses the store's 16-byte keys,
+// whose one length lets search skip the key arena; varlen mixes two
+// lengths, so every hit reads the arena to settle a word tie.
+func BenchmarkRunGet(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		varlen bool
+	}{{"ids", false}, {"varlen", true}} {
+		varlen := tc.varlen
+		b.Run(tc.name, func(b *testing.B) {
+			runs, keys := coldRuns(3, varlen)
+			r := xrand.NewXorShift64(2)
+			var k []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k = coldKey(k, uint64(r.Intn(keys)), varlen)
+				found := false
+				for _, run := range runs {
+					if _, found, _ = run.Get(k); found {
+						break
+					}
+				}
+				if !found {
+					b.Fatalf("present key %x not found", k)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMergeRuns prices compaction in the cold-mixed shape: four
+// small runs and the big one, the stack that exceeds the default
+// MaxRuns, merged into one run under the shard's write lock.
+func BenchmarkMergeRuns(b *testing.B) {
+	runs, _ := coldRuns(4, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mergeRuns(runs)
 	}
 }

@@ -2,71 +2,239 @@ package kvstore
 
 import (
 	"bytes"
-	"sort"
+	"encoding/binary"
+	"math"
 )
 
 // Run is an immutable sorted run — the in-memory stand-in for an
 // SSTable: a frozen memtable or the product of merging older runs.
 // Immutability makes concurrent reads trivially safe.
+//
+// Like an SSTable block, a run is pointer-free: keys sit back to back
+// in one byte arena and values in another, each addressed by an offset
+// array, with a tombstone flag per entry beside them. A run is the same
+// handful of heap objects whatever its entry count, and the garbage
+// collector never scans its contents.
+//
+// Binary search runs over index, one machine word per entry: the 8 key
+// bytes after the run's common prefix (the longest common prefix of
+// the first and last key, so of every key), big-endian and zero
+// padded. Zero padding keeps word order consistent with key order (a
+// smaller word means a smaller key), so a probe touches the key arena
+// only to check the common prefix and for entries whose word ties its
+// own — and not for those either when every key has one length that
+// the prefix and a word cover, the store's 16-byte ids among them.
 type Run struct {
-	keys  [][]byte
-	vals  [][]byte
-	tombs []bool
+	keys  []byte   // key arena; key i is keys[koff[i]:koff[i+1]]
+	koff  []uint32 // len(index)+1 offsets into keys
+	vals  []byte   // value arena; value i is vals[voff[i]:voff[i+1]]
+	voff  []uint32 // len(index)+1 offsets into vals
+	tombs []bool   // tombs[i] marks entry i a deletion tombstone
+	index []uint64 // search words, one per entry
+	plen  int      // common prefix length; the prefix is keys[:plen]
+	// klen is the length of every key when all have one length and
+	// their index words hold all of each key past the prefix, and -1
+	// otherwise. Then a word tie is decided by the probe's length and
+	// search never reads the key arena.
+	klen int
+}
+
+// runBuilder makes a run from a counting pass over its entries: their
+// number, arena sizes, key lengths and first and last keys, so every
+// slice is made once at its exact final size.
+type runBuilder struct {
+	n, keyBytes, valBytes int
+	first, last           []byte
+	minLen, maxLen        int
+}
+
+// count records one entry of the counting pass.
+func (b *runBuilder) count(k, v []byte) {
+	if b.n == 0 {
+		b.first, b.minLen = k, len(k)
+	}
+	b.last = k
+	b.minLen, b.maxLen = min(b.minLen, len(k)), max(b.maxLen, len(k))
+	b.n++
+	b.keyBytes += len(k)
+	b.valBytes += len(v)
+}
+
+// alloc makes the run sized by the counting pass. Offsets are 32-bit,
+// so an arena past 4 GiB is refused rather than left to wrap.
+func (b *runBuilder) alloc(tombs bool) *Run {
+	if uint64(b.keyBytes) > math.MaxUint32 || uint64(b.valBytes) > math.MaxUint32 {
+		panic("kvstore: sorted run arena exceeds 4 GiB")
+	}
+	r := &Run{
+		keys:  make([]byte, 0, b.keyBytes),
+		koff:  make([]uint32, 1, b.n+1),
+		vals:  make([]byte, 0, b.valBytes),
+		voff:  make([]uint32, 1, b.n+1),
+		index: make([]uint64, 0, b.n),
+		plen:  commonPrefix(b.first, b.last),
+		klen:  -1,
+	}
+	if b.minLen == b.maxLen && b.maxLen <= r.plen+8 {
+		r.klen = b.maxLen
+	}
+	if tombs {
+		r.tombs = make([]bool, 0, b.n)
+	}
+	return r
+}
+
+// add appends the next entry, in ascending key order.
+func (r *Run) add(k, v []byte) {
+	r.index = append(r.index, word(k[r.plen:]))
+	r.keys = append(r.keys, k...)
+	r.koff = append(r.koff, uint32(len(r.keys)))
+	r.vals = append(r.vals, v...)
+	r.voff = append(r.voff, uint32(len(r.vals)))
 }
 
 // buildRun freezes a memtable into a sorted run.
 func buildRun(sl *SkipList) *Run {
-	r := &Run{
-		keys:  make([][]byte, 0, sl.Len()),
-		vals:  make([][]byte, 0, sl.Len()),
-		tombs: make([]bool, 0, sl.Len()),
-	}
+	var b runBuilder
+	sl.Ascend(func(k, v []byte, _ bool) bool {
+		b.count(k, v)
+		return true
+	})
+	r := b.alloc(true)
 	sl.Ascend(func(k, v []byte, tomb bool) bool {
-		r.keys = append(r.keys, k)
-		r.vals = append(r.vals, v)
+		r.add(k, v)
 		r.tombs = append(r.tombs, tomb)
 		return true
 	})
 	return r
 }
 
-// search returns the index of the first key >= k.
-func (r *Run) search(k []byte) int {
-	return sort.Search(len(r.keys), func(i int) bool {
-		return bytes.Compare(r.keys[i], k) >= 0
-	})
+// mergeRuns merges runs (ordered newest first) into one, applying
+// newest-wins semantics and dropping tombstones (a full merge is the
+// bottom level, so tombstones have nothing left to shadow). The heap
+// merge is also the counting pass: it sizes the result, so the merged
+// run holds no spare capacity, and records where each surviving entry
+// sits, so filling the arenas is a plain copy.
+func mergeRuns(runs []*Run) *Run {
+	m := merger{src: make([]source, len(runs)), heap: make([]int32, 0, len(runs))}
+	total := 0
+	for i, r := range runs {
+		m.src[i].run = r
+		total += r.Len()
+	}
+	var b runBuilder
+	picks := make([]uint64, 0, total) // source<<32 | position
+	m.first()
+	for k, v, ok := m.next(); ok; k, v, ok = m.next() {
+		b.count(k, v)
+		picks = append(picks, uint64(m.from)<<32|uint64(m.at))
+	}
+	out := b.alloc(false)
+	for _, p := range picks {
+		r, i := runs[p>>32], int(uint32(p))
+		out.add(r.key(i), r.val(i))
+	}
+	return out
 }
 
-// Get binary-searches the run.
-func (r *Run) Get(key []byte) (val []byte, tombstone, found bool) {
-	if i := r.search(key); i < len(r.keys) && bytes.Equal(r.keys[i], key) {
-		return r.vals[i], r.tombs[i], true
+// commonPrefix returns the length of the longest common prefix of a
+// and b.
+func commonPrefix(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
+// word packs the first 8 bytes of s big-endian, zero padded.
+func word(s []byte) uint64 {
+	if len(s) >= 8 {
+		return binary.BigEndian.Uint64(s)
+	}
+	var w uint64
+	for _, c := range s {
+		w = w<<8 | uint64(c)
+	}
+	return w << (64 - 8*len(s))
+}
+
+// key returns entry i's key, capacity-capped.
+func (r *Run) key(i int) []byte {
+	a, b := r.koff[i], r.koff[i+1]
+	return r.keys[a:b:b]
+}
+
+// val returns entry i's value, capacity-capped so an append by a
+// caller copies instead of overwriting the next value.
+func (r *Run) val(i int) []byte {
+	a, b := r.voff[i], r.voff[i+1]
+	return r.vals[a:b:b]
+}
+
+// tomb reports whether entry i is a tombstone. Merged runs keep none.
+func (r *Run) tomb(i int) bool { return r.tombs != nil && r.tombs[i] }
+
+// search returns the index of the first key >= k, and whether that
+// entry's index word ties k's, the only case in which its key can
+// equal k.
+func (r *Run) search(k []byte) (int, bool) {
+	n := len(r.index)
+	if n == 0 {
+		return 0, false
+	}
+	// Every key starts with the common prefix, so a probe without it
+	// sorts before or after all of them.
+	if p := r.keys[:r.plen]; !bytes.HasPrefix(k, p) {
+		if bytes.Compare(k, p) < 0 {
+			return 0, false
+		}
+		return n, false
+	}
+	rest := k[r.plen:]
+	w := word(rest)
+	lo, hi := 0, n
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if x := r.index[h]; x < w || x == w && r.tieLess(h, rest) {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < n && r.index[lo] == w
+}
+
+// tieLess reports whether entry h, whose index word ties the probe's,
+// sorts before the probe, given rest, the probe past the prefix.
+func (r *Run) tieLess(h int, rest []byte) bool {
+	if r.klen >= 0 {
+		// Entry h's key past the prefix is the word's first klen-plen
+		// bytes, so the probe shares them and sorts after it exactly
+		// when it is longer.
+		return len(rest) > r.klen-r.plen
+	}
+	return bytes.Compare(r.key(h)[r.plen:], rest) < 0
+}
+
+// holds reports whether entry i, whose index word ties key's, is key.
+func (r *Run) holds(i int, key []byte) bool {
+	if r.klen >= 0 {
+		return len(key) == r.klen
+	}
+	return bytes.Equal(r.key(i), key)
+}
+
+// Get binary-searches the run. found reports an entry for key, and
+// tomb that the entry is a tombstone; val aliases the run, capped.
+func (r *Run) Get(key []byte) (val []byte, found, tomb bool) {
+	if i, tie := r.search(key); tie && r.holds(i, key) {
+		return r.val(i), true, r.tomb(i)
 	}
 	return nil, false, false
 }
 
 // Len reports the number of entries (including tombstones).
-func (r *Run) Len() int { return len(r.keys) }
-
-// mergeRuns merges runs (ordered newest first) into one, applying
-// newest-wins semantics and dropping tombstones (a full merge is the
-// bottom level, so tombstones have nothing left to shadow). A counting
-// pass sizes the result, so the merged run holds no spare capacity.
-func mergeRuns(runs []*Run) *Run {
-	m := merger{src: make([]source, len(runs)), heap: make([]int32, 0, len(runs))}
-	for i, r := range runs {
-		m.src[i].run = r
-	}
-	n := 0
-	m.first()
-	for _, _, ok := m.next(); ok; _, _, ok = m.next() {
-		n++
-	}
-	out := &Run{keys: make([][]byte, 0, n), vals: make([][]byte, 0, n), tombs: make([]bool, n)}
-	m.first()
-	for k, v, ok := m.next(); ok; k, v, ok = m.next() {
-		out.keys = append(out.keys, k)
-		out.vals = append(out.vals, v)
-	}
-	return out
-}
+func (r *Run) Len() int { return len(r.index) }

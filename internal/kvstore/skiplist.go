@@ -115,7 +115,14 @@ func (s *SkipList) findPredecessors(key []byte, preds *[maxHeight]*slNode) *slNo
 // Put inserts or updates key. Single writer only (callers hold the
 // DB mutex); readers may run concurrently.
 func (s *SkipList) Put(key, value []byte) {
-	s.put(key, append([]byte(nil), value...), 0)
+	s.put(key, clone(value), 0)
+}
+
+// clone copies b at exact capacity, so an append to a slice handed out
+// later reallocates instead of writing past the copy.
+func clone(b []byte) []byte {
+	c := append([]byte(nil), b...)
+	return c[:len(c):len(c)]
 }
 
 // Delete records a tombstone for key.
@@ -140,7 +147,7 @@ func (s *SkipList) put(key, data []byte, tomb uint64) {
 		return
 	}
 	h := s.randomHeight()
-	n := &slNode{key: append([]byte(nil), key...), height: h}
+	n := &slNode{key: clone(key), height: h}
 	n.val.Store(box)
 	if int32(h-1) > s.height.Load() {
 		s.height.Store(int32(h - 1))
@@ -165,10 +172,10 @@ func (s *SkipList) put(key, data []byte, tomb uint64) {
 	s.bytes.Add(int64(len(key) + len(box.data) + 32))
 }
 
-// Get returns the value for key; the second result distinguishes
-// "present" from "absent", and the third reports a tombstone.
+// Get returns the value for key; found distinguishes "present" from
+// "absent", and tomb reports a tombstone (Run.Get's order too).
 // Lock-free: safe concurrently with one writer.
-func (s *SkipList) Get(key []byte) ([]byte, bool, bool) {
+func (s *SkipList) Get(key []byte) (val []byte, found, tomb bool) {
 	x := s.head
 	for lvl := int(s.height.Load()); lvl >= 0; lvl-- {
 		if lvl >= maxHeight {

@@ -10,8 +10,9 @@ package kvstore
 type Store interface {
 	// Get looks up a key. The returned value aliases immutable store
 	// memory: it stays valid for the store's lifetime and must not be
-	// modified, nor appended to in place. Writes copy their keys and
-	// values on the way in, which is what makes the aliasing safe.
+	// modified. Writes copy their keys and values on the way in, which
+	// is what makes the aliasing safe, and a returned slice has
+	// cap == len, so an append to it copies and leaves the store alone.
 	Get(key []byte) ([]byte, bool)
 	// Put inserts or updates a key.
 	Put(key, value []byte)
