@@ -82,10 +82,6 @@ func (s *source) settle(n *slNode) {
 type merger struct {
 	src  []source
 	heap []int32 // indices of the valid sources, in heap order
-	// from and at locate the entry the last next call returned: its
-	// source and, in a run source, its position there.
-	from int32
-	at   int
 }
 
 // first positions every source at its first entry and builds the heap.
@@ -125,7 +121,6 @@ func (m *merger) next() (key, val []byte, ok bool) {
 	for len(m.heap) > 0 {
 		top := &m.src[m.heap[0]]
 		key, val, tomb := top.key, top.val, top.tomb
-		m.from, m.at = m.heap[0], top.i
 		// Older versions of key sit at the heap top in turn.
 		for {
 			m.advanceTop()

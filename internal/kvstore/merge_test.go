@@ -303,15 +303,9 @@ func BenchmarkIteratorScan(b *testing.B) {
 	}
 }
 
-// coldKey writes id i's key to dst: the 16-byte Key(i), plus a
-// trailing byte on odd ids when varlen is set, so that keys differ in
-// length and run search must settle index-word ties in the key arena.
-func coldKey(dst []byte, i uint64, varlen bool) []byte {
-	dst = binary.BigEndian.AppendUint64(append(dst[:0], make([]byte, 8)...), i)
-	if varlen && i%2 == 1 {
-		dst = append(dst, 1)
-	}
-	return dst
+// coldKey writes id i's 16-byte key, Key(i), to dst.
+func coldKey(dst []byte, i uint64) []byte {
+	return binary.BigEndian.AppendUint64(append(dst[:0], make([]byte, 8)...), i)
 }
 
 // coldRuns builds one shard of the cold-mixed store shape: a run of
@@ -319,7 +313,7 @@ func coldKey(dst []byte, i uint64, varlen bool) []byte {
 // runs of about 3.5 Ki random keys each, as frozen 512 KiB memtables
 // leave them, newest first, all with 100-byte values. It returns the
 // runs and the big run's key count.
-func coldRuns(small int, varlen bool) ([]*Run, int) {
+func coldRuns(small int) ([]*Run, int) {
 	const big, perRun = 1 << 18, 3500
 	val := make([]byte, 100)
 	r := xrand.NewXorShift64(1)
@@ -328,7 +322,7 @@ func coldRuns(small int, varlen bool) ([]*Run, int) {
 	for i := 0; i < small; i++ {
 		sl := NewSkipList()
 		for j := 0; j < perRun; j++ {
-			k = coldKey(k, uint64(r.Intn(big)), varlen)
+			k = coldKey(k, uint64(r.Intn(big)))
 			sl.Put(k, val)
 		}
 		runs = append(runs, buildRun(sl))
@@ -337,11 +331,11 @@ func coldRuns(small int, varlen bool) ([]*Run, int) {
 	// cost far more memory than the run itself.
 	var b runBuilder
 	for i := 0; i < big; i++ {
-		b.count(coldKey(nil, uint64(i), varlen), val)
+		b.count(coldKey(nil, uint64(i)), val)
 	}
 	out := b.alloc(false)
 	for i := 0; i < big; i++ {
-		k = coldKey(k, uint64(i), varlen)
+		k = coldKey(k, uint64(i))
 		out.add(k, val)
 	}
 	return append(runs, out), big
@@ -349,34 +343,24 @@ func coldRuns(small int, varlen bool) ([]*Run, int) {
 
 // BenchmarkRunGet prices run search alone in the cold-mixed shape: a
 // Get for a random present key searches three small runs, newest
-// first, and then the big one. ids uses the store's 16-byte keys,
-// whose one length lets search skip the key arena; varlen mixes two
-// lengths, so every hit reads the arena to settle a word tie.
+// first, and then the big one.
 func BenchmarkRunGet(b *testing.B) {
-	for _, tc := range []struct {
-		name   string
-		varlen bool
-	}{{"ids", false}, {"varlen", true}} {
-		varlen := tc.varlen
-		b.Run(tc.name, func(b *testing.B) {
-			runs, keys := coldRuns(3, varlen)
-			r := xrand.NewXorShift64(2)
-			var k []byte
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k = coldKey(k, uint64(r.Intn(keys)), varlen)
-				found := false
-				for _, run := range runs {
-					if _, found, _ = run.Get(k); found {
-						break
-					}
-				}
-				if !found {
-					b.Fatalf("present key %x not found", k)
-				}
+	runs, keys := coldRuns(3)
+	r := xrand.NewXorShift64(2)
+	var k []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k = coldKey(k, uint64(r.Intn(keys)))
+		found := false
+		for _, run := range runs {
+			if _, found, _ = run.Get(k); found {
+				break
 			}
-		})
+		}
+		if !found {
+			b.Fatalf("present key %x not found", k)
+		}
 	}
 }
 
@@ -384,7 +368,7 @@ func BenchmarkRunGet(b *testing.B) {
 // small runs and the big one, the stack that exceeds the default
 // MaxRuns, merged into one run under the shard's write lock.
 func BenchmarkMergeRuns(b *testing.B) {
-	runs, _ := coldRuns(4, false)
+	runs, _ := coldRuns(4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

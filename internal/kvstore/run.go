@@ -22,8 +22,7 @@ import (
 // padded. Zero padding keeps word order consistent with key order (a
 // smaller word means a smaller key), so a probe touches the key arena
 // only to check the common prefix and for entries whose word ties its
-// own — and not for those either when every key has one length that
-// the prefix and a word cover, the store's 16-byte ids among them.
+// own.
 type Run struct {
 	keys  []byte   // key arena; key i is keys[koff[i]:koff[i+1]]
 	koff  []uint32 // len(index)+1 offsets into keys
@@ -32,29 +31,22 @@ type Run struct {
 	tombs []bool   // tombs[i] marks entry i a deletion tombstone
 	index []uint64 // search words, one per entry
 	plen  int      // common prefix length; the prefix is keys[:plen]
-	// klen is the length of every key when all have one length and
-	// their index words hold all of each key past the prefix, and -1
-	// otherwise. Then a word tie is decided by the probe's length and
-	// search never reads the key arena.
-	klen int
 }
 
 // runBuilder makes a run from a counting pass over its entries: their
-// number, arena sizes, key lengths and first and last keys, so every
-// slice is made once at its exact final size.
+// number, arena sizes and first and last keys, so every slice is made
+// once at its exact final size.
 type runBuilder struct {
 	n, keyBytes, valBytes int
 	first, last           []byte
-	minLen, maxLen        int
 }
 
 // count records one entry of the counting pass.
 func (b *runBuilder) count(k, v []byte) {
 	if b.n == 0 {
-		b.first, b.minLen = k, len(k)
+		b.first = k
 	}
 	b.last = k
-	b.minLen, b.maxLen = min(b.minLen, len(k)), max(b.maxLen, len(k))
 	b.n++
 	b.keyBytes += len(k)
 	b.valBytes += len(v)
@@ -73,10 +65,6 @@ func (b *runBuilder) alloc(tombs bool) *Run {
 		voff:  make([]uint32, 1, b.n+1),
 		index: make([]uint64, 0, b.n),
 		plen:  commonPrefix(b.first, b.last),
-		klen:  -1,
-	}
-	if b.minLen == b.maxLen && b.maxLen <= r.plen+8 {
-		r.klen = b.maxLen
 	}
 	if tombs {
 		r.tombs = make([]bool, 0, b.n)
@@ -111,28 +99,23 @@ func buildRun(sl *SkipList) *Run {
 
 // mergeRuns merges runs (ordered newest first) into one, applying
 // newest-wins semantics and dropping tombstones (a full merge is the
-// bottom level, so tombstones have nothing left to shadow). The heap
-// merge is also the counting pass: it sizes the result, so the merged
-// run holds no spare capacity, and records where each surviving entry
-// sits, so filling the arenas is a plain copy.
+// bottom level, so tombstones have nothing left to shadow). A first
+// heap merge counts the survivors and their bytes, so the merged run
+// holds no spare capacity; a second one fills it.
 func mergeRuns(runs []*Run) *Run {
 	m := merger{src: make([]source, len(runs)), heap: make([]int32, 0, len(runs))}
-	total := 0
 	for i, r := range runs {
 		m.src[i].run = r
-		total += r.Len()
 	}
 	var b runBuilder
-	picks := make([]uint64, 0, total) // source<<32 | position
 	m.first()
 	for k, v, ok := m.next(); ok; k, v, ok = m.next() {
 		b.count(k, v)
-		picks = append(picks, uint64(m.from)<<32|uint64(m.at))
 	}
 	out := b.alloc(false)
-	for _, p := range picks {
-		r, i := runs[p>>32], int(uint32(p))
-		out.add(r.key(i), r.val(i))
+	m.first()
+	for k, v, ok := m.next(); ok; k, v, ok = m.next() {
+		out.add(k, v)
 	}
 	return out
 }
@@ -198,7 +181,7 @@ func (r *Run) search(k []byte) (int, bool) {
 	lo, hi := 0, n
 	for lo < hi {
 		h := int(uint(lo+hi) >> 1)
-		if x := r.index[h]; x < w || x == w && r.tieLess(h, rest) {
+		if x := r.index[h]; x < w || x == w && bytes.Compare(r.key(h)[r.plen:], rest) < 0 {
 			lo = h + 1
 		} else {
 			hi = h
@@ -207,30 +190,10 @@ func (r *Run) search(k []byte) (int, bool) {
 	return lo, lo < n && r.index[lo] == w
 }
 
-// tieLess reports whether entry h, whose index word ties the probe's,
-// sorts before the probe, given rest, the probe past the prefix.
-func (r *Run) tieLess(h int, rest []byte) bool {
-	if r.klen >= 0 {
-		// Entry h's key past the prefix is the word's first klen-plen
-		// bytes, so the probe shares them and sorts after it exactly
-		// when it is longer.
-		return len(rest) > r.klen-r.plen
-	}
-	return bytes.Compare(r.key(h)[r.plen:], rest) < 0
-}
-
-// holds reports whether entry i, whose index word ties key's, is key.
-func (r *Run) holds(i int, key []byte) bool {
-	if r.klen >= 0 {
-		return len(key) == r.klen
-	}
-	return bytes.Equal(r.key(i), key)
-}
-
 // Get binary-searches the run. found reports an entry for key, and
 // tomb that the entry is a tombstone; val aliases the run, capped.
 func (r *Run) Get(key []byte) (val []byte, found, tomb bool) {
-	if i, tie := r.search(key); tie && r.holds(i, key) {
+	if i, tie := r.search(key); tie && bytes.Equal(r.key(i), key) {
 		return r.val(i), true, r.tomb(i)
 	}
 	return nil, false, false
