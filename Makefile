@@ -23,9 +23,12 @@
 #                      cmd/benchdiff (schema + comparator smoke; part of
 #                      make check)
 #   make chaos       — robustness tier: cancellation/bounded-acquisition
-#                      tests under -race, then a seeded fault-injected
-#                      torture run over every lock variant with the stall
-#                      watchdog armed
+#                      tests under -race (among them internal/core's
+#                      clock.Virtual TestBounded* repros: LockFor over a
+#                      TryLock holder, a handoff holder and a buried
+#                      waiter), then a seeded fault-injected torture run
+#                      over every lock variant with the stall watchdog
+#                      armed
 #   make conformance — cross-track tier: the full property suite and the
 #                      100-schedule sim/real differential checker over
 #                      every catalog lock (cmd/conformance)

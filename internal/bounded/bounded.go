@@ -7,15 +7,16 @@
 //   - Native: the canonical Reciprocating variants (internal/core Lock
 //     and SimplifiedLock) and the queue baselines (internal/locks MCS,
 //     CLH) implement bounded acquisition inside the algorithm, with
-//     safe abandonment of an already-published waiter; TAS/TTAS/ticket
-//     implement it as deadline-aware spinning on the try path.
+//     safe abandonment of an already-published waiter. Each has one
+//     arrival-and-wait body that Lock runs with no budget.
 //   - Polling: any lock exposing TryLock gains LockFor/LockCtx by
 //     retrying TryLock under a deadline-aware waiter pause (PollFor,
-//     PollCtx; registry.WithBounded applies them). Polling acquisition
-//     barges (it never enters the lock's queue), so it trades the
-//     lock's admission order for the ability to abandon instantly;
-//     that is the standard fallback trade-off (cf.
-//     pthread_mutex_timedlock over try-loops).
+//     PollCtx; registry.WithBounded applies them). TAS, TTAS and the
+//     ticket family are served this way. Polling acquisition barges
+//     (it never enters the lock's queue), so it trades the lock's
+//     admission order for the ability to abandon instantly; that is
+//     the standard fallback trade-off (cf. pthread_mutex_timedlock
+//     over try-loops).
 package bounded
 
 import (
@@ -40,7 +41,9 @@ type TryLocker interface {
 // LockFor acquires the lock, giving up after d; it reports whether the
 // lock was acquired. LockFor(0) is equivalent to TryLock. After a
 // false return the caller does not hold the lock and the lock remains
-// fully usable by other goroutines.
+// fully usable by other goroutines. The Reciprocating locks admit a
+// segment LIFO, so their waiter, once later arrivals bury it, gives up
+// only when those have left or been served, not strictly after d.
 //
 // LockCtx acquires the lock unless ctx is cancelled or its deadline
 // passes first, returning nil exactly when the lock was acquired and

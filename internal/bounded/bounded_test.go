@@ -16,8 +16,8 @@ import (
 )
 
 // boundables enumerates every lock the bounded contract covers: the
-// native implementations (Reciprocating variants, spin and queue
-// baselines) and representatives of the Polling fallback tier.
+// native implementations (Reciprocating variants and queue baselines)
+// and representatives of the Polling fallback tier.
 func boundables() []struct {
 	name string
 	mk   func() bounded.Locker
@@ -31,12 +31,14 @@ func boundables() []struct {
 		{"Recipro", func() bounded.Locker { return new(core.Lock) }},
 		{"Simplified", func() bounded.Locker { return new(core.SimplifiedLock) }},
 		{"SimplifiedPark", func() bounded.Locker { return &core.SimplifiedLock{Park: true} }},
-		{"TAS", func() bounded.Locker { return new(locks.TASLock) }},
-		{"TTAS", func() bounded.Locker { return new(locks.TTASLock) }},
-		{"Ticket", func() bounded.Locker { return new(locks.TicketLock) }},
 		{"MCS", func() bounded.Locker { return new(locks.MCSLock) }},
 		{"CLH", func() bounded.Locker { return new(locks.CLHLock) }},
 		// Polling tier (TryLock-capable locks adapted by PollFor/PollCtx).
+		// The spin and ticket rows keep their names from when they
+		// carried their own PollFor/PollCtx methods.
+		{"TAS", func() bounded.Locker { return get(new(locks.TASLock)) }},
+		{"TTAS", func() bounded.Locker { return get(new(locks.TTASLock)) }},
+		{"Ticket", func() bounded.Locker { return get(new(locks.TicketLock)) }},
 		{"Fair/poll", func() bounded.Locker { return get(new(core.FairLock)) }},
 		{"TWA/poll", func() bounded.Locker { return get(new(locks.TWALock)) }},
 		{"Chen/poll", func() bounded.Locker { return get(new(locks.ChenLock)) }},

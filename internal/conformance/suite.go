@@ -13,6 +13,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/lockstat"
 	"repro/internal/registry"
+	"repro/internal/waiter"
 	"repro/internal/xrand"
 )
 
@@ -239,9 +240,122 @@ func CheckBounded(e registry.Entry, o Options) error {
 	}
 	bl.Unlock()
 
+	if err := checkBoundedHolders(e, bl); err != nil {
+		return err
+	}
+
 	// Usable after all abandoned waits.
 	bl.Lock()
 	bl.Unlock()
+	return nil
+}
+
+// giveUpSlack is how long past its deadline a LockFor may take to
+// report failure before the holder cases call it stuck.
+const giveUpSlack = time.Second
+
+// lockForAsync starts LockFor(d) on its own goroutine and returns a
+// wait that reports an error unless it gave up, no earlier than d and
+// by the wall instant passed to the wait. A stuck waiter is left to
+// drain when the caller ends the hold.
+func lockForAsync(bl bounded.Locker, d time.Duration) func(by time.Duration) error {
+	r := make(chan error, 1)
+	start := clock.Wall.Now()
+	go func() {
+		ok, took := bl.LockFor(d), clock.Wall.Now()-start
+		switch {
+		case ok:
+			r <- fmt.Errorf("LockFor(%v) acquired a held lock", d)
+		case took < d:
+			r <- fmt.Errorf("LockFor(%v) gave up early, after %v", d, took)
+		default:
+			r <- nil
+		}
+	}()
+	return func(by time.Duration) error {
+		t := clock.Wall.NewTimer(by - clock.Wall.Now())
+		defer t.Stop()
+		select {
+		case err := <-r:
+			return err
+		case <-t.C():
+			return fmt.Errorf("LockFor(%v) still waiting %v past the deadline it had to meet", d, giveUpSlack)
+		}
+	}
+}
+
+// checkBoundedHolders pins LockFor's deadline against the holder states
+// a waiter can meet: a TryLock holder, a holder granted by handoff, and
+// a Lock holder with a bounded waiter buried under a later one. In the
+// Reciprocating locks the first two hold with the LOCKEDEMPTY/NEMO
+// sentinel in the arrival word, and the buried waiter can leave only
+// once the one above it has (LIFO drain), so it must give up by that
+// one's deadline.
+func checkBoundedHolders(e registry.Entry, bl bounded.Locker) error {
+	const d, below = 25 * time.Millisecond, 10 * time.Millisecond
+	// queued runs start, which starts a contender, and waits until the
+	// contender has published its arrival: every native lock fires a
+	// waiter.ArrivalProbe before its first pause. A polling acquisition
+	// never queues, so there is nothing to confirm.
+	queued := func(start func()) error {
+		probe := waiter.NewArrivalProbe(nil)
+		waiter.SetSink(probe)
+		defer waiter.SetSink(nil)
+		start()
+		if e.BoundedTier() == "native" && clock.Wall.ParkFor(eventTimeout, probe.Published()) {
+			return fmt.Errorf("contender never published its arrival")
+		}
+		return nil
+	}
+
+	if !bl.TryLock() {
+		return fmt.Errorf("TryLock failed on a free lock")
+	}
+	err := lockForAsync(bl, d)(clock.Wall.Now() + d + giveUpSlack)
+	bl.Unlock()
+	if err != nil {
+		return fmt.Errorf("over a TryLock holder: %w", err)
+	}
+
+	bl.Lock()
+	holding, release, released := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	if err := queued(func() {
+		go func() {
+			bl.Lock() // granted by handoff at the Unlock below
+			close(holding)
+			<-release
+			bl.Unlock()
+			close(released)
+		}()
+	}); err != nil {
+		return err
+	}
+	bl.Unlock()
+	<-holding
+	err = lockForAsync(bl, d)(clock.Wall.Now() + d + giveUpSlack)
+	close(release)
+	<-released
+	if err != nil {
+		return fmt.Errorf("over a handoff holder: %w", err)
+	}
+
+	bl.Lock()
+	var buried, top func(time.Duration) error
+	if err := queued(func() { buried = lockForAsync(bl, below) }); err != nil {
+		return err
+	}
+	if err := queued(func() { top = lockForAsync(bl, d) }); err != nil {
+		return err
+	}
+	by := clock.Wall.Now() + d + giveUpSlack
+	err = top(by)
+	if err == nil {
+		err = buried(by)
+	}
+	bl.Unlock()
+	if err != nil {
+		return fmt.Errorf("buried under a later waiter: %w", err)
+	}
 	return nil
 }
 

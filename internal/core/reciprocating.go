@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync/atomic"
+	"time"
 
 	"repro/internal/waiter"
 )
@@ -55,13 +56,24 @@ type Token struct {
 // element may be reused for another Acquire (on any lock) only after
 // the corresponding Release has returned.
 func (l *Lock) Acquire(e *WaitElement) Token {
+	t, _ := l.acquire(e, 0, nil)
+	return t
+}
+
+// acquire is Listing 1's doorway and waiting phase, the one body behind
+// Acquire, Lock, LockFor and LockCtx. The budget is an absolute
+// deadline on l's clock (zero = none) plus an optional done channel; a
+// zero deadline with a nil done never times out. A timed-out waiter
+// leaves through one of the two exits described in bounded.go and
+// reports false, after which e is free for reuse.
+func (l *Lock) acquire(e *WaitElement, deadline time.Duration, done <-chan struct{}) (Token, bool) {
 	// Listing 1 line 17: re-arm the gate before publication.
 	e.gate.Store(nil)
 	var succ *WaitElement
 	eos := e // anticipate uncontended fast path (line 19)
 
 	tail := l.arrivals.Swap(e) // the doorway: one wait-free exchange
-	siteArriveLock.Hit()
+	siteArrive.Hit()
 	if tail != nil {
 		// Contention. Coerce LOCKEDEMPTY to nil (line 25): the
 		// sentinel means "no successor precedes us on this segment".
@@ -73,10 +85,23 @@ func (l *Lock) Acquire(e *WaitElement) Token {
 		// eventual non-nil Gate value both grants ownership and
 		// conveys the end-of-segment address.
 		w := waiter.NewClocked(l.Policy, l.Clk)
+		timedOut := false
 		for {
 			eos = e.gate.Load()
 			if eos != nil {
 				break
+			}
+			if !timedOut {
+				timedOut = !w.PauseBounded(deadline, done)
+				continue
+			}
+			// Exit 1: self-removal, retried as the threads above us
+			// in the LIFO segment drain.
+			if l.arrivals.Load() == e {
+				siteAbandon.Hit()
+				if l.arrivals.CompareAndSwap(e, tail) {
+					return Token{}, false
+				}
 			}
 			w.Pause()
 		}
@@ -89,8 +114,15 @@ func (l *Lock) Acquire(e *WaitElement) Token {
 			succ = nil
 			eos = &lockedEmptySentinel
 		}
+		if timedOut {
+			// Exit 2: accept-then-release — we are momentarily an
+			// ordinary owner, so the standard Release preserves
+			// succession.
+			l.Release(Token{succ: succ, eos: eos, elem: e})
+			return Token{}, false
+		}
 	}
-	return Token{succ: succ, eos: eos, elem: e}
+	return Token{succ: succ, eos: eos, elem: e}, true
 }
 
 // Release exits the lock using the context produced by Acquire.
@@ -129,24 +161,40 @@ func (l *Lock) Release(t Token) {
 			return
 		}
 		// Bounded waiters self-removed the stack back down to our own
-		// marker between the failed CAS and the detach (see bounded.go:
-		// a waiter may restore the tail it displaced). The marker — and
-		// the zombie-terminus role it carried — is now off the stack,
-		// whose root became LOCKEDEMPTY with the Swap above; granting
-		// it would wedge the lock. Retry the unlock with the sentinel
-		// as both the comparand and the conveyed end-of-segment.
+		// marker, or to the LOCKEDEMPTY root, between the failed CAS
+		// and the detach (see bounded.go: a waiter may restore the tail
+		// it displaced). Neither is a waiter; granting it would wedge
+		// the lock. The marker — and the zombie-terminus role it
+		// carried — is now off the stack, whose root became LOCKEDEMPTY
+		// with the Swap above. Retry the unlock with the sentinel as
+		// both the comparand and the conveyed end-of-segment.
 		eos = &lockedEmptySentinel
 	}
 }
 
 // Lock acquires l, drawing a wait element from the internal pool. It
-// implements sync.Locker together with Unlock.
+// implements sync.Locker together with Unlock. It calls acquire
+// directly rather than through lockBounded: the extra call frame
+// measurably slowed the contended kvperf scan-batch workload.
 func (l *Lock) Lock() {
 	e := getElement()
-	t := l.Acquire(e)
+	t, _ := l.acquire(e, 0, nil)
 	// Owner-owned context: safe to store in plain fields; successive
 	// owners are ordered by the Gate/arrival-word atomics.
 	l.succ, l.eos, l.cur = t.succ, t.eos, t.elem
+}
+
+// lockBounded is Lock with a budget (see acquire), reporting whether
+// it acquired l.
+func (l *Lock) lockBounded(deadline time.Duration, done <-chan struct{}) bool {
+	e := getElement()
+	t, ok := l.acquire(e, deadline, done)
+	if !ok {
+		putElement(e)
+		return false
+	}
+	l.succ, l.eos, l.cur = t.succ, t.eos, t.elem
+	return true
 }
 
 // Unlock releases l. It must be called by the holder.

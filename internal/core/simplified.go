@@ -2,7 +2,9 @@ package core
 
 import (
 	"sync/atomic"
+	"time"
 
+	"repro/internal/clock"
 	"repro/internal/futex"
 	"repro/internal/pad"
 	"repro/internal/waiter"
@@ -49,31 +51,70 @@ func nemo() *flagElement { return &flagLockedEmptySentinel }
 // Acquire enters the lock with the supplied element and returns the
 // successor context for Release.
 func (l *SimplifiedLock) Acquire(e *flagElement) *flagElement {
+	succ, _ := l.acquire(e, 0, nil)
+	return succ
+}
+
+// acquire is Listing 2's doorway and waiting phase, the one body behind
+// Acquire, Lock, LockFor and LockCtx, with the budget and the two
+// abandonment exits of (*Lock).acquire; NEMO plays the LOCKEDEMPTY
+// role and the sequestered eos word is maintained as on a grant. In
+// Park mode a budgeted waiter, and a timed-out one still waiting to
+// self-remove, blocks in futex.WaitTimeout slices so it rechecks its
+// budget and its exit without a dedicated wakeup from the releaser;
+// only a waiter with no budget parks in a plain futex.Wait.
+func (l *SimplifiedLock) acquire(e *flagElement, deadline time.Duration, done <-chan struct{}) (*flagElement, bool) {
 	e.gate.Store(0)
-	succ := l.arrivals.Swap(e)
-	siteSArriveAcquire.Hit()
-	if succ == nil {
+	succRaw := l.arrivals.Swap(e)
+	siteSArrive.Hit()
+	if succRaw == nil {
 		// Fast-path uncontended acquire: publish our element as the
 		// segment terminus (Listing 2 line 23).
 		l.eos.Store(e)
-		return nil
+		return nil, true
 	}
 	// Coerce NEMO to nil: no predecessor on this segment.
+	succ := succRaw
 	if succ == nemo() {
 		succ = nil
 	}
 	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+	unbounded := deadline == 0 && done == nil
+	timedOut := false
 	for e.gate.Load() == 0 {
+		if timedOut && l.arrivals.Load() == e {
+			// Exit 1: self-removal (see bounded.go).
+			siteSAbandon.Hit()
+			if l.arrivals.CompareAndSwap(e, succRaw) {
+				return nil, false
+			}
+		}
 		if l.Park && w.Spins() >= parkThreshold {
+			slice := parkSlice
+			if !timedOut && deadline != 0 {
+				slice = min(slice, deadline-clock.Or(l.Clk).Now())
+			}
+			if !timedOut && (slice <= 0 || isDone(done)) {
+				timedOut = true
+				continue
+			}
 			// A futex park bypasses Pause, so report it to the
 			// telemetry sink directly; each (re-)park counts once.
 			if s := w.Sink(); s != nil {
 				s.CountPark()
 			}
-			futex.Wait(&e.gate, 0)
+			if unbounded {
+				futex.Wait(&e.gate, 0)
+			} else {
+				futex.WaitTimeoutClock(&e.gate, 0, slice, l.Clk)
+			}
 			continue
 		}
-		w.Pause()
+		if timedOut {
+			w.Pause()
+		} else {
+			timedOut = !w.PauseBounded(deadline, done)
+		}
 	}
 	// Check for the eos-terminated entry segment chain. Crucially the
 	// eos word does not change under sustained contention, so this
@@ -83,7 +124,25 @@ func (l *SimplifiedLock) Acquire(e *flagElement) *flagElement {
 		succ = nil
 		l.eos.Store(nemo())
 	}
-	return succ
+	if timedOut {
+		// Exit 2: accept-then-release.
+		l.Release(succ, e)
+		return nil, false
+	}
+	return succ, true
+}
+
+// parkSlice bounds one futex sleep of a budgeted parked waiter.
+const parkSlice = 100 * time.Microsecond
+
+// isDone reports whether done is closed; a nil done never is.
+func isDone(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // Release exits the lock; succ must be the value returned by the
@@ -110,8 +169,9 @@ func (l *SimplifiedLock) Release(succ, e *flagElement) {
 			return
 		}
 		// Bounded waiters self-removed the arrival stack back down to
-		// our own fast-path marker between the load and the detach (see
-		// bounded.go); granting it would wedge the lock. The marker is
+		// our own fast-path marker, or to the NEMO root, between the
+		// load and the detach (see bounded.go); granting either would
+		// wedge the lock. The marker is
 		// now off the stack, so its prospective-terminus registration
 		// in the eos word is stale — clear it, then retry the unlock
 		// against the NEMO root the Swap installed.
@@ -134,9 +194,19 @@ func (l *SimplifiedLock) grant(succ *flagElement) {
 }
 
 // Lock acquires l (sync.Locker).
-func (l *SimplifiedLock) Lock() {
+func (l *SimplifiedLock) Lock() { l.lockBounded(0, nil) }
+
+// lockBounded is Lock with a budget (see acquire), reporting whether
+// it acquired l.
+func (l *SimplifiedLock) lockBounded(deadline time.Duration, done <-chan struct{}) bool {
 	e := getFlagElement()
-	l.succ, l.cur = l.Acquire(e), e
+	succ, ok := l.acquire(e, deadline, done)
+	if !ok {
+		putFlagElement(e)
+		return false
+	}
+	l.succ, l.cur = succ, e
+	return true
 }
 
 // Unlock releases l (sync.Locker).

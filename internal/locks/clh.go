@@ -3,6 +3,7 @@ package locks
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/pad"
 	"repro/internal/waiter"
@@ -81,7 +82,12 @@ func hop(pred, a *clhNode) *clhNode {
 }
 
 // Lock acquires l.
-func (l *CLHLock) Lock() {
+func (l *CLHLock) Lock() { l.lockBounded(0, nil) }
+
+// lockBounded is Lock with a budget: an absolute deadline on l's clock
+// (zero = none) plus an optional done channel. With neither, the
+// abandon branch is never reached.
+func (l *CLHLock) lockBounded(deadline time.Duration, done <-chan struct{}) bool {
 	l.ensureInit()
 	n, pred := l.enqueue()
 	// Dependent load chain: spin on the predecessor's node.
@@ -91,12 +97,21 @@ func (l *CLHLock) Lock() {
 			pred = hop(pred, a)
 			continue
 		}
-		w.Pause()
+		if !w.PauseBounded(deadline, done) {
+			if pred.succMustWait.Load() == 0 {
+				// The grant landed as the budget expired: take it.
+				break
+			}
+			siteClhAbandonBnd.Hit()
+			n.aband.Store(pred)
+			return false
+		}
 	}
 	// We own the lock. The predecessor's node is now ours to recycle
 	// (nodes circulate); our own node stays enqueued until release.
 	clhPool.Put(pred)
 	l.head = n
+	return true
 }
 
 // Unlock releases l: a single store, constant time, no atomics (§6).

@@ -3,6 +3,7 @@ package locks
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/pad"
 	"repro/internal/waiter"
@@ -47,21 +48,40 @@ type MCSLock struct {
 }
 
 // Lock acquires l.
-func (l *MCSLock) Lock() {
+func (l *MCSLock) Lock() { l.lockBounded(0, nil) }
+
+// lockBounded is Lock with a budget: an absolute deadline on l's clock
+// (zero = none) plus an optional done channel. With neither, the
+// abandon branch is never reached.
+func (l *MCSLock) lockBounded(deadline time.Duration, done <-chan struct{}) bool {
 	n := mcsPool.Get().(*mcsNode)
 	n.next.Store(nil)
 	n.locked.Store(mcsWaiting)
 	pred := l.tail.Swap(n)
-	siteMcsArriveLock.Hit()
-	if pred != nil {
-		// Enqueue behind pred and spin locally on our own node.
-		pred.next.Store(n)
-		w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
-		for n.locked.Load() != mcsGranted {
-			w.Pause()
+	siteMcsArrive.Hit()
+	if pred == nil {
+		l.head = n
+		return true
+	}
+	// Enqueue behind pred and spin locally on our own node.
+	pred.next.Store(n)
+	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+	for n.locked.Load() != mcsGranted {
+		if !w.PauseBounded(deadline, done) {
+			siteMcsAbandon.Hit()
+			if n.locked.CompareAndSwap(mcsWaiting, mcsAbandoned) {
+				// Node ownership transferred to the eventual releaser;
+				// we must not touch n again.
+				return false
+			}
+			// Lost the race to the grant: we hold the lock. Accept,
+			// then immediately release and report failure.
+			l.unlockNode(n)
+			return false
 		}
 	}
 	l.head = n
+	return true
 }
 
 // Unlock releases l.

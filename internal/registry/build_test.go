@@ -68,7 +68,7 @@ func TestBuildWithBounded(t *testing.T) {
 
 func TestBuildWithStats(t *testing.T) {
 	st := lockstat.New()
-	l, err := Build("TKT", WithStats(st))
+	l, err := Build("MCS", WithStats(st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestBuildWithStats(t *testing.T) {
 		t.Fatalf("telemetry not recorded: %+v", snap)
 	}
 	if _, ok := l.(bounded.Locker); !ok {
-		t.Fatal("instrumented TKT lost its native bounded acquisition")
+		t.Fatal("instrumented MCS lost its native bounded acquisition")
 	}
 
 	// Telemetry must be outermost: with bounded too, the polled

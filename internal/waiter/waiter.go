@@ -130,24 +130,13 @@ func NewWithSink(p Policy, s Sink) Waiter { return Waiter{policy: p, sink: s} }
 
 // Pause performs one unit of polite waiting, escalating according to
 // the policy as the episode lengthens. Each call reports exactly one
-// transition (spin, yield, or park) to the attached sink.
-func (w *Waiter) Pause() {
-	w.n++
-	d, yield := w.plan()
-	switch {
-	case d > 0:
-		w.park(d)
-	case yield:
-		w.yield()
-	default:
-		w.relax()
-	}
-}
+// transition (spin, yield, or park) to the attached sink. It is
+// PauseBounded with no budget.
+func (w *Waiter) Pause() { w.PauseBounded(0, nil) }
 
 // plan computes the next pause step for the current policy without
 // performing it: d > 0 means sleep d, else yield selects a scheduler
-// yield, else a hot spin. Factored out so Pause and PauseBounded share
-// one escalation schedule.
+// yield, else a hot spin.
 func (w *Waiter) plan() (d time.Duration, yield bool) {
 	switch w.policy {
 	case PolicyYield:
@@ -193,13 +182,13 @@ func (w *Waiter) plan() (d time.Duration, yield bool) {
 // wait's cost while bounding detection latency to a few dozen spins.
 const deadlineStride = 16
 
-// PauseBounded is Pause for deadline- or cancellation-bounded waiting
-// episodes. It follows the same escalation schedule but clamps sleeps
-// to the time remaining, and it polls the budget — deadline and done
-// channel — before pausing: on every step once the episode has
-// escalated past hot spinning, and only at stride boundaries while
-// still spinning hot, so bounded waiting stays off the fast path's
-// critical cycle count.
+// PauseBounded performs one unit of polite waiting within a budget. It
+// follows the policy's escalation schedule, clamps sleeps to the time
+// remaining, and polls the budget — deadline and done channel — before
+// pausing: on every step once the episode has escalated past hot
+// spinning, and only at stride boundaries while still spinning hot, so
+// bounded waiting stays off the fast path's critical cycle count. Each
+// call reports one transition to the attached sink, like Pause.
 //
 // The deadline is an absolute instant on the waiter's clock (see
 // clock.Deadline for mapping a context's wall deadline); zero means no
@@ -238,32 +227,17 @@ func (w *Waiter) PauseBounded(deadline time.Duration, done <-chan struct{}) bool
 			return false
 		}
 	case yield:
-		w.yield()
+		if w.sink != nil {
+			w.sink.CountYield()
+		}
+		runtime.Gosched()
 	default:
-		w.relax()
+		if w.sink != nil {
+			w.sink.CountSpin()
+		}
+		cpuRelax()
 	}
 	return true
-}
-
-func (w *Waiter) relax() {
-	if w.sink != nil {
-		w.sink.CountSpin()
-	}
-	cpuRelax()
-}
-
-func (w *Waiter) yield() {
-	if w.sink != nil {
-		w.sink.CountYield()
-	}
-	runtime.Gosched()
-}
-
-func (w *Waiter) park(d time.Duration) {
-	if w.sink != nil {
-		w.sink.CountPark()
-	}
-	clock.Or(w.clk).Sleep(d)
 }
 
 // Reset rewinds the waiter so a new waiting episode starts hot. The
