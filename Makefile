@@ -5,8 +5,13 @@
 #                      any unformatted file), go vet, the full
 #                      build+test suite, the conformance, vtime and
 #                      explore tiers, the kvperf benchmark smoke, the
-#                      fuzz smoke, and the benchdiff smoke.
-#   make test        — tier 1: build + full test suite (the CI gate)
+#                      fuzz smoke, the benchdiff smoke, and the Figure 1
+#                      golden check.
+#   make test        — tier 1: build + full test suite (the CI gate);
+#                      includes the Track B golden test, which
+#                      regenerates every deterministic results file
+#                      except the Figure 1 pair and compares it byte
+#                      for byte with results/
 #   make race        — race tier: go vet + the full suite under -race
 #                      (includes the registry capability-claims tests)
 #   make bench       — the root benchmark suite (paper figures + ablations)
@@ -58,6 +63,11 @@
 #                      ./... never reaches it), then a 1-second run of
 #                      each workload, failing unless it reports
 #                      "correct":true
+#   make figures-check — regenerate the Figure 1 simulator files
+#                      (fig1_sim_intel, fig1_sim_arm; about 3 minutes
+#                      on 2 CPUs) into a temp dir and cmp each against
+#                      results/: the Track B files the tier-1 golden
+#                      test leaves out for time
 #   make fuzz-smoke  — a short fuzz pass (FUZZTIME each) over every fuzz
 #                      target: the registry -locks parser, the admission
 #                      cycle detector, the kvstore differential,
@@ -74,14 +84,14 @@ CONF_SEED ?= 1
 FUZZTIME ?= 5s
 BENCH_BASELINE ?= results/bench_baseline.json
 
-.PHONY: all build check fmt-check test vet race bench bench-json benchdiff-check chaos conformance vtime explore kvperf fuzz-smoke
+.PHONY: all build check fmt-check test vet race bench bench-json benchdiff-check chaos conformance vtime explore kvperf fuzz-smoke figures-check
 
 all: test
 
 build:
 	$(GO) build ./...
 
-check: fmt-check vet test conformance vtime explore kvperf fuzz-smoke benchdiff-check
+check: fmt-check vet test conformance vtime explore kvperf fuzz-smoke benchdiff-check figures-check
 
 fmt-check:
 	@out="$$($(GOFMT) -l .)"; if [ -n "$$out" ]; then \
@@ -137,6 +147,11 @@ kvperf: build
 		echo "$$out" | tail -n 1; \
 		if ! echo "$$out" | grep -q '"correct":true'; then echo "kvperf: $$w did not report correct"; exit 1; fi; \
 	done
+
+figures-check: build
+	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/figures -only=fig1_sim_intel,fig1_sim_arm -out="$$tmp"; \
+	for f in fig1_sim_intel fig1_sim_arm; do cmp "$$tmp/$$f.txt" results/$$f.txt; done
 
 fuzz-smoke: build
 	$(GO) test -run '^$$' -fuzz='^FuzzParseLocks$$' -fuzztime=$(FUZZTIME) ./internal/registry

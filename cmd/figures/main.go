@@ -1,107 +1,93 @@
-// Command figures regenerates every table and figure from the paper's
-// evaluation in one shot, writing one text file per experiment into
-// -out (default ./results). This is the single entry point behind
-// EXPERIMENTS.md.
+// Command figures regenerates the tables and figures from the paper's
+// evaluation, writing one text file per experiment into -out (default
+// ./results). It walks experiments.Files, the one list of results
+// files, and is the single entry point behind EXPERIMENTS.md.
+//
+// Usage:
+//
+//	figures [-out=results] [-quick] [-only=table1,fig1_sim_arm,...]
+//
+// -only selects files by stem (the name without .txt); the default is
+// every file. -quick shrinks the Track A measurements; Track B files
+// are the same either way.
+//
+// Exit status: 0 all files written, 1 a file could not be written,
+// 2 usage error (including an unknown -only stem).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"time"
+	"slices"
+	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/table"
 )
 
 func main() {
-	outDir := flag.String("out", "results", "output directory")
-	quick := flag.Bool("quick", false, "shrink Track A durations for a fast smoke pass")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	outDir := fs.String("out", "results", "output directory")
+	quick := fs.Bool("quick", false, "shrink Track A durations for a fast smoke pass")
+	only := fs.String("only", "", "comma-separated file stems to regenerate (default: all)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	files, err := selectFiles(*only)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	budget := experiments.FullBudget
+	if *quick {
+		budget = experiments.QuickBudget
+	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-
-	dur := 300 * time.Millisecond
-	runs := 3
-	keys := 50_000
-	if *quick {
-		dur = 20 * time.Millisecond
-		runs = 1
-		keys = 5_000
-	}
-
-	write := func(name, note string, tables ...*table.Table) {
-		path := filepath.Join(*outDir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	for _, f := range files {
+		path := filepath.Join(*outDir, f.Name())
+		if err := os.WriteFile(path, f.Render(budget), 0o644); err != nil {
+			fmt.Fprintf(stderr, "figures: writing %s: %v\n", path, err)
+			return 1
 		}
-		if note != "" {
-			fmt.Fprintln(f, note)
-			fmt.Fprintln(f)
-		}
-		for i, t := range tables {
-			if i > 0 {
-				fmt.Fprintln(f)
-			}
-			t.Render(f)
-		}
-		f.Close()
-		fmt.Println("wrote", path)
+		fmt.Fprintln(stdout, "wrote", path)
 	}
+	return 0
+}
 
-	// Table 1: static properties + simulated dynamic columns.
-	write("table1.txt", experiments.Table1Notes,
-		experiments.Table1Properties(),
-		experiments.Table1Invalidations(0, 0),
-		experiments.Table1RemoteMisses(0, 0))
-
-	// Figure 1: simulator shape curves (both architectures, both
-	// contention levels) plus the real-execution Track A sweep.
-	write("fig1_sim_intel.txt", "",
-		experiments.Fig1Sim(experiments.ArchIntel, false, 0),
-		experiments.Fig1Sim(experiments.ArchIntel, true, 0))
-	write("fig1_sim_arm.txt", "",
-		experiments.Fig1Sim(experiments.ArchARM, false, 0),
-		experiments.Fig1Sim(experiments.ArchARM, true, 0))
-	write("fig1_real.txt", experiments.TrackANote,
-		experiments.Fig1Real(false, dur, runs),
-		experiments.Fig1Real(true, dur, runs))
-
-	// Figure 2: lock-striped atomic struct.
-	write("fig2.txt", experiments.TrackANote,
-		experiments.Fig2(false, dur, runs),
-		experiments.Fig2(true, dur, runs))
-
-	// Figure 3: KV readrandom.
-	write("fig3.txt", experiments.TrackANote,
-		experiments.Fig3(dur, keys, runs))
-
-	// Table 2 + §9 fairness + Appendix C + Appendix G.
-	_, t2 := experiments.Table2(0, 0)
-	write("table2.txt", "", t2)
-	write("fairness.txt", experiments.TrackANote,
-		experiments.LongTermFairnessSim(0, 0),
-		experiments.MitigationFairness(dur))
-	write("llc_model.txt", "", experiments.LLCResidency(0))
-	write("latency.txt", "", experiments.AcquireLatencyDistribution(0, 0))
-	write("bypass.txt", experiments.TrackANote, experiments.BypassBound(0, 0))
-	write("padding.txt", "", experiments.PaddingAblationSim(0, 0))
-	write("section8_tally.txt", "", experiments.Section8Tally(0, 0))
-	write("tradeoff.txt", "", experiments.FairnessThroughputTradeoff(0, 0))
-	write("segments.txt", "", experiments.SegmentScaling(0))
-	write("retrograde.txt", "", experiments.RetrogradeEquivalence(0))
-
-	// Uncontended latency (Figure 1 at T=1).
-	iters := 2_000_000
-	if *quick {
-		iters = 50_000
+// selectFiles resolves -only against experiments.Files, keeping the
+// list's order. An empty selection means every file.
+func selectFiles(only string) ([]experiments.File, error) {
+	if only == "" {
+		return experiments.Files, nil
 	}
-	write("uncontended.txt", experiments.TrackANote,
-		experiments.UncontendedLatency(iters))
+	var stems []string
+	for _, f := range experiments.Files {
+		stems = append(stems, f.Stem)
+	}
+	want := map[string]bool{}
+	for _, s := range strings.Split(only, ",") {
+		s = strings.TrimSpace(s)
+		if !slices.Contains(stems, s) {
+			return nil, fmt.Errorf("figures: unknown -only stem %q; valid stems: %s", s, strings.Join(stems, ", "))
+		}
+		want[s] = true
+	}
+	var files []experiments.File
+	for _, f := range experiments.Files {
+		if want[f.Stem] {
+			files = append(files, f)
+		}
+	}
+	return files, nil
 }

@@ -41,7 +41,6 @@ func TestAllHarnessResultsRoundTrip(t *testing.T) {
 		"fairness-tradeoff":   func() *harness.Result { return TradeoffResult(3, 60) },
 		"fairness-latency":    func() *harness.Result { return AcquireLatencyResult(3, 60) },
 		"fairness-retrograde": func() *harness.Result { return RetrogradeResult(3) },
-		"cohsim-table2":       func() *harness.Result { return Table2Report(5, 60) },
 	}
 	for name, mk := range families {
 		name, mk := name, mk

@@ -103,17 +103,6 @@ var ArchARM = Arch{
 	Costs:    coherence.CostModel{Hit: 1, Miss: 36, RemoteMiss: 36, Upgrade: 30, BusOccupancy: 12},
 }
 
-// ArchByName resolves "intel" or "arm".
-func ArchByName(name string) (Arch, bool) {
-	switch name {
-	case "intel", "":
-		return ArchIntel, true
-	case "arm":
-		return ArchARM, true
-	}
-	return Arch{}, false
-}
-
 // Fig1Threads is the default sweep used for the Figure 1 curves.
 func Fig1Threads(a Arch) []int {
 	base := []int{1, 2, 4, 8, 12, 16, 24, 32, 48, 64}
@@ -359,35 +348,4 @@ func Table2(threads, episodes int) (Table2Result, *table.Table) {
 	t.Add("per-cycle admission disparity", table.F(res.Disparity, 2), "2.00 (§9.2 bound)")
 	t.Add("max bypass observed", table.I(int64(res.MaxBypass)), "<=2 (bounded bypass)")
 	return res, t
-}
-
-// Table2Report converts the §9.1 reproduction into the versioned
-// result schema: one informational cell whose extras carry the cycle
-// period, per-cycle disparity, bypass bound, and palindromicity
-// (1=true), with the detected cycle itself in the notes.
-func Table2Report(threads, episodes int) *harness.Result {
-	if threads <= 0 {
-		threads = 5
-	}
-	t2, _ := Table2(threads, episodes)
-	res := harness.NewResult("cohsim", "B", 1)
-	c := harness.Cell{
-		Lock: "Recipro", Workload: "table2", Threads: threads,
-		Extras: map[string]float64{
-			"cycle_period": float64(len(t2.Cycle)),
-			"disparity":    harness.Finite(t2.Disparity),
-			"max_bypass":   float64(t2.MaxBypass),
-			"palindromic":  b2f(t2.Palindromic),
-		},
-		Notes: map[string]string{"cycle": fmt.Sprintf("%v", t2.Cycle)},
-	}
-	res.Add(c)
-	return res
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
