@@ -26,8 +26,9 @@
 //	                                cross-harness comparisons
 //
 // Exit status: 0 no regressions, 1 at least one regression flagged,
-// 2 usage or I/O error (including schema-version mismatches and
-// cross-harness/cross-track comparisons).
+// 2 usage or I/O error (including schema-version mismatches,
+// cross-harness/cross-track comparisons, and results taken at
+// different CPU counts or GOMAXPROCS).
 package main
 
 import (

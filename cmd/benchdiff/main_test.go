@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -140,5 +141,31 @@ func TestCrossHarnessRefused(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "harness mismatch") {
 		t.Fatalf("stderr: %s", errb.String())
+	}
+	// Results from another CPU count or GOMAXPROCS measure a different
+	// machine: refused the same way, naming both values.
+	for _, field := range []string{"num_cpu", "gomaxprocs"} {
+		res, err := harness.ReadFile(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := &res.Env.NumCPU
+		if field == "gomaxprocs" {
+			v = &res.Env.GOMAXPROCS
+		}
+		want := fmt.Sprintf("%s mismatch: %d vs %d", field, *v, *v+1)
+		*v++
+		c := filepath.Join(dir, field+".json")
+		if err := res.WriteFile(c); err != nil {
+			t.Fatal(err)
+		}
+		out.Reset()
+		errb.Reset()
+		if code := run([]string{a, c}, &out, &errb); code != 2 {
+			t.Fatalf("%s mismatch exit = %d, want 2", field, code)
+		}
+		if !strings.Contains(errb.String(), want) {
+			t.Fatalf("%s mismatch stderr: %s", field, errb.String())
+		}
 	}
 }

@@ -166,7 +166,6 @@ func main() {
 					m = harness.Measure(w, harness.Config{
 						Threads:  tc,
 						Duration: d,
-						Warmup:   bf.Warmup,
 						Runs:     bf.Runs,
 						Seed:     bf.Seed,
 					})

@@ -83,7 +83,6 @@ func main() {
 
 	cfg := mutexbench.Config{
 		Duration:    bf.Duration,
-		Warmup:      bf.Warmup,
 		CSSteps:     1,
 		NCSMaxSteps: ncs,
 		ReadFrac:    *readFrac,

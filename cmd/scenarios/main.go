@@ -4,94 +4,62 @@
 // memory-operation traces of the Reciprocating Lock running on the
 // deterministic coherence simulator. Every line is an actual operation
 // the algorithm performed; the narration explains it in the paper's
-// vocabulary.
+// vocabulary. The output is deterministic (testdata/all.golden pins
+// it).
 //
-// With -json the narration is suppressed and each scenario instead
-// emits one informational cell of the versioned harness Result schema
-// (simulator steps, clock, coherence events, and the admission order),
-// so scenario behavior is diffable like every other harness.
+// Usage:
+//
+//	scenarios [-scenario=uncontended|onset|sustained|all]
+//
+// Exit status: 0 narrated, 2 usage error (including an unknown
+// -scenario).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/coherence"
-	"repro/internal/harness"
 	"repro/internal/simlocks"
 )
 
 func main() {
-	scenario := flag.String("scenario", "all", "uncontended, onset, sustained, all")
-	bf := harness.Register(flag.CommandLine, harness.Spec{
-		NoDuration: true, NoRuns: true, NoThreads: true, NoSeed: true,
-	})
-	flag.Parse()
-
-	run := func(s string) bool { return *scenario == s || *scenario == "all" }
-	quiet := bf.JSON
-	res := harness.NewResult("scenarios", "B", 0)
-	any := false
-	if run("uncontended") {
-		res.Add(uncontended(quiet))
-		any = true
-	}
-	if run("onset") {
-		res.Add(onset(quiet))
-		any = true
-	}
-	if run("sustained") {
-		res.Add(sustained(quiet))
-		any = true
-	}
-	if !any {
-		fmt.Fprintln(os.Stderr, "unknown -scenario")
-		os.Exit(2)
-	}
-	if bf.JSON {
-		out, closeOut, err := bf.OutputFile()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer closeOut()
-		if err := res.WriteJSON(out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// cell renders one finished scenario run as an informational schema
-// cell: deterministic step/clock/event counts plus the admission order.
-func cell(workload string, threads int, res coherence.Result) harness.Cell {
-	var events uint64
-	for _, st := range res.Stats {
-		events += st.CoherenceEvents()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("scenarios", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scenario := fs.String("scenario", "all", "uncontended, onset, sustained, all")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	order := ""
-	for _, a := range res.Admissions {
-		order += string(rune('A' + a))
+	ran := false
+	for _, sc := range []struct {
+		name string
+		fn   func(io.Writer)
+	}{
+		{"uncontended", uncontended},
+		{"onset", onset},
+		{"sustained", sustained},
+	} {
+		if *scenario == sc.name || *scenario == "all" {
+			sc.fn(stdout)
+			ran = true
+		}
 	}
-	c := harness.Cell{
-		Lock: "Recipro", Workload: workload, Threads: threads,
-		Extras: map[string]float64{
-			"steps":            float64(res.Steps),
-			"clock":            float64(res.Clock),
-			"coherence_events": float64(events),
-			"admissions":       float64(len(res.Admissions)),
-		},
+	if !ran {
+		fmt.Fprintln(stderr, "unknown -scenario")
+		return 2
 	}
-	if order != "" {
-		c.Notes = map[string]string{"admission_order": order}
-	}
-	return c
+	return 0
 }
 
 // narrate wires a trace printer that renders lock-word values in the
 // paper's encoding (nil / LOCKEDEMPTY / element names).
-func narrate(sys *coherence.System, sched *coherence.Scheduler, gates map[uint64]string) {
+func narrate(w io.Writer, sys *coherence.System, sched *coherence.Scheduler, gates map[uint64]string) {
 	render := func(v uint64) string {
 		switch v {
 		case 0:
@@ -109,61 +77,48 @@ func narrate(sys *coherence.System, sched *coherence.Scheduler, gates map[uint64
 		if n, ok := gates[uint64(a)]; ok {
 			name = n
 		}
-		fmt.Printf("  T%d  %-8s %-12s %s\n", cpu+1, op, name, render(v))
+		fmt.Fprintf(w, "  T%d  %-8s %-12s %s\n", cpu+1, op, name, render(v))
 	}
 }
 
-func header(title, blurb string) {
-	fmt.Printf("\n▶ %s\n%s\n", title, blurb)
+func header(w io.Writer, title, blurb string) {
+	fmt.Fprintf(w, "\n▶ %s\n%s\n", title, blurb)
 }
 
-func uncontended(quiet bool) harness.Cell {
-	if !quiet {
-		header("Simple uncontended Acquire and Release (§4)",
-			"  T1 swaps its element into the empty arrival word (returns nil:\n"+
-				"  uncontended acquisition) and the release CAS reverts the word\n"+
-				"  from E1 back to unlocked.")
-	}
+func uncontended(w io.Writer) {
+	header(w, "Simple uncontended Acquire and Release (§4)",
+		"  T1 swaps its element into the empty arrival word (returns nil:\n"+
+			"  uncontended acquisition) and the release CAS reverts the word\n"+
+			"  from E1 back to unlocked.")
 	sys := coherence.NewSystem(coherence.Config{CPUs: 1})
 	lock := &simlocks.Recipro{}
 	lock.Setup(sys, 1)
 	sched := coherence.NewScheduler(sys, coherence.RoundRobin, coherence.DefaultCosts, 1, 0)
-	if !quiet {
-		narrate(sys, sched, map[uint64]string{2: "E1"})
-	}
-	res := sched.Run(func(c *coherence.Ctx) {
+	narrate(w, sys, sched, map[uint64]string{2: "E1"})
+	sched.Run(func(c *coherence.Ctx) {
 		lock.Acquire(c, 0)
-		if !quiet {
-			fmt.Println("  T1  --- in critical section ---")
-		}
+		fmt.Fprintln(w, "  T1  --- in critical section ---")
 		lock.Release(c, 0)
 	})
-	return cell("uncontended", 1, res)
 }
 
-func onset(quiet bool) harness.Cell {
-	if !quiet {
-		header("Onset of contention (§4) — the zombie end-of-segment element",
-			"  T1 fast-path acquires; T2 and T3 push while T1 runs. T1's release\n"+
-				"  CAS fails (the word points at E3, not E1), so T1 detaches the\n"+
-				"  segment [E3 E2 E1] and grants T3, conveying E1 — its own buried\n"+
-				"  (zombie) element — as the end-of-segment marker. T2, finding its\n"+
-				"  successor equal to the marker, quashes it and later unlocks.")
-	}
+func onset(w io.Writer) {
+	header(w, "Onset of contention (§4) — the zombie end-of-segment element",
+		"  T1 fast-path acquires; T2 and T3 push while T1 runs. T1's release\n"+
+			"  CAS fails (the word points at E3, not E1), so T1 detaches the\n"+
+			"  segment [E3 E2 E1] and grants T3, conveying E1 — its own buried\n"+
+			"  (zombie) element — as the end-of-segment marker. T2, finding its\n"+
+			"  successor equal to the marker, quashes it and later unlocks.")
 	sys := coherence.NewSystem(coherence.Config{CPUs: 3})
 	lock := &simlocks.Recipro{}
 	lock.Setup(sys, 3)
 	sched := coherence.NewScheduler(sys, coherence.RoundRobin, coherence.DefaultCosts, 1, 0)
-	if !quiet {
-		narrate(sys, sched, map[uint64]string{2: "E1", 3: "E2", 4: "E3"})
-	}
-	res := sched.Run(func(c *coherence.Ctx) {
+	narrate(w, sys, sched, map[uint64]string{2: "E1", 3: "E2", 4: "E3"})
+	sched.Run(func(c *coherence.Ctx) {
 		switch c.CPU {
 		case 0:
 			lock.Acquire(c, 0)
-			if !quiet {
-				fmt.Println("  T1  --- in critical section (T2, T3 arriving) ---")
-			}
+			fmt.Fprintln(w, "  T1  --- in critical section (T2, T3 arriving) ---")
 			// Long critical section: let both waiters push.
 			c.Work(1)
 			for i := 0; i < 24; i++ {
@@ -173,58 +128,44 @@ func onset(quiet bool) harness.Cell {
 		case 1:
 			c.Work(2) // arrive second
 			lock.Acquire(c, 1)
-			if !quiet {
-				fmt.Println("  T2  --- in critical section (terminus: quashed zombie E1) ---")
-			}
+			fmt.Fprintln(w, "  T2  --- in critical section (terminus: quashed zombie E1) ---")
 			lock.Release(c, 1)
 		case 2:
 			c.Work(4) // arrive third
 			lock.Acquire(c, 2)
-			if !quiet {
-				fmt.Println("  T3  --- in critical section ---")
-			}
+			fmt.Fprintln(w, "  T3  --- in critical section ---")
 			lock.Release(c, 2)
 		}
 	})
-	return cell("onset", 3, res)
 }
 
-func sustained(quiet bool) harness.Cell {
-	if !quiet {
-		header("Sustained contention (§4) — segments in steady state",
-			"  Five threads recirculate with empty critical sections. Watch\n"+
-				"  ownership relay through each detached entry segment (gate\n"+
-				"  stores), the occasional CAS-fail + detach pair when a segment\n"+
-				"  exhausts, and the LIFO-within / FIFO-between admission order\n"+
-				"  that settles into the §9.1 palindromic cycle.")
-	}
+func sustained(w io.Writer) {
+	header(w, "Sustained contention (§4) — segments in steady state",
+		"  Five threads recirculate with empty critical sections. Watch\n"+
+			"  ownership relay through each detached entry segment (gate\n"+
+			"  stores), the occasional CAS-fail + detach pair when a segment\n"+
+			"  exhausts, and the LIFO-within / FIFO-between admission order\n"+
+			"  that settles into the §9.1 palindromic cycle.")
 	sys := coherence.NewSystem(coherence.Config{CPUs: 5})
 	lock := &simlocks.Recipro{}
 	lock.Setup(sys, 5)
 	sched := coherence.NewScheduler(sys, coherence.RoundRobin, coherence.DefaultCosts, 1, 0)
-	if !quiet {
-		gates := map[uint64]string{}
-		for i := 0; i < 5; i++ {
-			gates[uint64(2+i)] = fmt.Sprintf("E%d", i+1)
-		}
-		narrate(sys, sched, gates)
+	gates := map[uint64]string{}
+	for i := 0; i < 5; i++ {
+		gates[uint64(2+i)] = fmt.Sprintf("E%d", i+1)
 	}
+	narrate(w, sys, sched, gates)
 	res := sched.Run(func(c *coherence.Ctx) {
 		for i := 0; i < 3; i++ {
 			lock.Acquire(c, c.CPU)
 			c.Admit()
-			if !quiet {
-				fmt.Printf("  T%d  === ADMITTED (episode %d) ===\n", c.CPU+1, i+1)
-			}
+			fmt.Fprintf(w, "  T%d  === ADMITTED (episode %d) ===\n", c.CPU+1, i+1)
 			lock.Release(c, c.CPU)
 		}
 	})
-	if !quiet {
-		fmt.Printf("\nadmission order: ")
-		for _, a := range res.Admissions {
-			fmt.Printf("%c", 'A'+a)
-		}
-		fmt.Println()
+	fmt.Fprintf(w, "\nadmission order: ")
+	for _, a := range res.Admissions {
+		fmt.Fprintf(w, "%c", 'A'+a)
 	}
-	return cell("sustained", 5, res)
+	fmt.Fprintln(w)
 }

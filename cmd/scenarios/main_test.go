@@ -2,42 +2,44 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"strings"
 	"testing"
-
-	"repro/internal/harness"
 )
 
-// The -json mode must emit the shared versioned schema: three
-// informational cells (one per §4 scenario), round-trippable through
-// the version-checked decoder, with the sustained scenario carrying
-// its admission order.
-func TestScenarioCellsRoundTrip(t *testing.T) {
-	res := harness.NewResult("scenarios", "B", 0)
-	res.Add(uncontended(true))
-	res.Add(onset(true))
-	res.Add(sustained(true))
-
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatalf("encode: %v", err)
+// The §4 narration is a deterministic simulator trace, so the full
+// -scenario=all output is pinned byte for byte. A mismatch names the
+// first differing line.
+func TestScenariosGolden(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-scenario=all"}, &out, &errb); code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, errb.String())
 	}
-	back, err := harness.Decode(&buf)
+	want, err := os.ReadFile("testdata/all.golden")
 	if err != nil {
-		t.Fatalf("decode: %v", err)
+		t.Fatal(err)
 	}
-	if len(back.Cells) != 3 {
-		t.Fatalf("cells = %d, want 3", len(back.Cells))
+	if bytes.Equal(out.Bytes(), want) {
+		return
 	}
-	for _, c := range back.Cells {
-		if c.Extras["steps"] <= 0 {
-			t.Fatalf("cell %s has no steps", c.Key())
+	got, exp := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(got) || i < len(exp); i++ {
+		var g, e string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(exp) {
+			e = exp[i]
+		}
+		if g != e {
+			t.Fatalf("narration differs from testdata/all.golden at line %d:\n got: %q\nwant: %q", i+1, g, e)
 		}
 	}
-	last := back.Cells[2]
-	if last.Workload != "sustained" || last.Notes["admission_order"] == "" {
-		t.Fatalf("sustained cell missing admission order: %+v", last)
-	}
-	if last.Extras["admissions"] != 15 { // 5 threads × 3 episodes
-		t.Fatalf("admissions = %v, want 15", last.Extras["admissions"])
+}
+
+func TestUnknownScenarioExitsTwo(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-scenario=bogus"}, &out, &errb); code != 2 {
+		t.Fatalf("exit = %d, want 2", code)
 	}
 }

@@ -98,16 +98,20 @@ type LineStats struct {
 func (l LineStats) Events() uint64 { return l.LoadMisses + l.StoreMisses + l.Upgrades }
 
 // System is a simulated cache-coherent machine. Cache state is
-// tracked per line; memory contents per word.
+// tracked per line; memory contents per word. Alloc hands out word
+// addresses densely from 1 (0 is the reserved null), so memory,
+// labels and line states live in slices indexed by address and line.
 type System struct {
-	cfg    Config
-	wpl    Addr
-	caches []map[Addr]State // keyed by line id
-	mem    map[Addr]uint64  // keyed by word address
+	cfg  Config
+	wpl  Addr
+	cpus int
+	// states holds every CPU's MESI state of every line, line-major:
+	// line ln's states are states[ln*cpus : (ln+1)*cpus].
+	states []State
+	mem    []uint64 // indexed by word address
+	names  []string // Alloc labels, indexed by word address
 	stats  []CPUStats
 	lines  map[string]*LineStats // keyed by line label
-	next   Addr
-	names  map[Addr]string
 }
 
 // NewSystem creates a system with the given configuration.
@@ -119,36 +123,46 @@ func NewSystem(cfg Config) *System {
 	if wpl == 0 {
 		wpl = 1
 	}
-	s := &System{
-		cfg:    cfg,
-		wpl:    wpl,
-		caches: make([]map[Addr]State, cfg.CPUs),
-		mem:    make(map[Addr]uint64),
-		stats:  make([]CPUStats, cfg.CPUs),
-		lines:  make(map[string]*LineStats),
-		next:   1, // address 0 reserved as "null"
-		names:  make(map[Addr]string),
+	return &System{
+		cfg:   cfg,
+		wpl:   wpl,
+		cpus:  cfg.CPUs,
+		mem:   make([]uint64, 1), // address 0 reserved as "null"
+		names: make([]string, 1),
+		stats: make([]CPUStats, cfg.CPUs),
+		lines: make(map[string]*LineStats),
 	}
-	for i := range s.caches {
-		s.caches[i] = make(map[Addr]State)
-	}
-	return s
 }
 
 // lineOf maps a word address to its coherence line.
 func (s *System) lineOf(a Addr) Addr { return (a - 1) / s.wpl }
 
-// Alloc reserves a fresh line (zero-initialized) and labels it for
-// diagnostics.
+// line returns every CPU's state of the line holding word a.
+func (s *System) line(a Addr) []State {
+	i := int(s.lineOf(a)) * s.cpus
+	return s.states[i : i+s.cpus]
+}
+
+// Alloc reserves a fresh word (zero-initialized) and labels it for
+// diagnostics, growing the line states when it opens a new line.
 func (s *System) Alloc(name string) Addr {
-	a := s.next
-	s.next++
-	s.names[a] = name
+	a := Addr(len(s.mem))
+	s.mem = append(s.mem, 0)
+	s.names = append(s.names, name)
+	if need := (int(s.lineOf(a)) + 1) * s.cpus; need > len(s.states) {
+		s.states = append(s.states, make([]State, need-len(s.states))...)
+	}
 	return a
 }
 
-// Name returns the label given to a at Alloc time.
-func (s *System) Name(a Addr) string { return s.names[a] }
+// Name returns the label given to a at Alloc time, or "" for an
+// address Alloc has not handed out.
+func (s *System) Name(a Addr) string {
+	if int(a) >= len(s.names) {
+		return ""
+	}
+	return s.names[a]
+}
 
 // CPUs reports the configured CPU count.
 func (s *System) CPUs() int { return s.cfg.CPUs }
@@ -201,7 +215,7 @@ func (s *System) LineBreakdown() map[string]LineStats {
 
 // StateOf reports cpu's cached state for the line holding word a
 // (tests/diagnostics).
-func (s *System) StateOf(cpu int, a Addr) State { return s.caches[cpu][s.lineOf(a)] }
+func (s *System) StateOf(cpu int, a Addr) State { return s.line(a)[cpu] }
 
 // Peek reads memory without coherence effects (tests/diagnostics).
 func (s *System) Peek(a Addr) uint64 { return s.mem[a] }
@@ -215,8 +229,8 @@ func (s *System) InitValue(a Addr, v uint64) { s.mem[a] = v }
 func (s *System) Load(cpu int, a Addr) uint64 {
 	st := &s.stats[cpu]
 	st.Loads++
-	ln := s.lineOf(a)
-	switch s.caches[cpu][ln] {
+	ln := s.line(a)
+	switch ln[cpu] {
 	case Modified, Exclusive, Shared:
 		return s.mem[a] // hit
 	}
@@ -228,22 +242,22 @@ func (s *System) Load(cpu int, a Addr) uint64 {
 		st.RemoteMiss++
 	}
 	others := false
-	for c := range s.caches {
+	for c := range ln {
 		if c == cpu {
 			continue
 		}
-		switch s.caches[c][ln] {
+		switch ln[c] {
 		case Modified, Exclusive:
-			s.caches[c][ln] = Shared
+			ln[c] = Shared
 			others = true
 		case Shared:
 			others = true
 		}
 	}
 	if others {
-		s.caches[cpu][ln] = Shared
+		ln[cpu] = Shared
 	} else {
-		s.caches[cpu][ln] = Exclusive
+		ln[cpu] = Exclusive
 	}
 	return s.mem[a]
 }
@@ -259,12 +273,12 @@ func (s *System) Store(cpu int, a Addr, v uint64) {
 func (s *System) writeAccess(cpu int, a Addr) {
 	st := &s.stats[cpu]
 	st.Stores++
-	ln := s.lineOf(a)
-	switch s.caches[cpu][ln] {
+	ln := s.line(a)
+	switch ln[cpu] {
 	case Modified:
 		return // hit
 	case Exclusive:
-		s.caches[cpu][ln] = Modified // silent upgrade, free
+		ln[cpu] = Modified // silent upgrade, free
 		return
 	case Shared:
 		st.Upgrades++ // S→M: must invalidate peers
@@ -276,16 +290,16 @@ func (s *System) writeAccess(cpu int, a Addr) {
 			st.RemoteMiss++
 		}
 	}
-	for c := range s.caches {
+	for c := range ln {
 		if c == cpu {
 			continue
 		}
-		if s.caches[c][ln] != Invalid {
-			s.caches[c][ln] = Invalid
+		if ln[c] != Invalid {
+			ln[c] = Invalid
 			s.stats[c].Invalidated++
 		}
 	}
-	s.caches[cpu][ln] = Modified
+	ln[cpu] = Modified
 }
 
 // Swap performs an atomic exchange by cpu (an RMW counts as a write
@@ -322,16 +336,11 @@ func (s *System) FetchAdd(cpu int, a Addr, d uint64) uint64 {
 // line, and an M/E holder excludes Shared copies. Tests call this
 // after every operation batch.
 func (s *System) CheckInvariants() error {
-	lines := map[Addr]struct{}{}
-	for _, c := range s.caches {
-		for ln := range c {
-			lines[ln] = struct{}{}
-		}
-	}
-	for ln := range lines {
+	for i := 0; i < len(s.states); i += s.cpus {
+		ln := i / s.cpus
 		owners, sharers := 0, 0
-		for _, c := range s.caches {
-			switch c[ln] {
+		for _, st := range s.states[i : i+s.cpus] {
+			switch st {
 			case Modified, Exclusive:
 				owners++
 			case Shared:

@@ -5,8 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/admission"
-	"repro/internal/harness"
-	"repro/internal/registry"
 	"repro/internal/table"
 )
 
@@ -53,19 +51,6 @@ func recordAdmissions(l sync.Locker, workers, iters int) []int {
 // differential checker measures bypass against doorway-stamped
 // arrivals, and the simulator's Table 2 check counts it exactly.
 func BypassBound(workers, iters int) *table.Table {
-	res := BypassBoundResult(workers, iters)
-	t := table.New("§2/§5 — empirical bypass bound (Track A)",
-		"Lock", "MaxBypass", "Guarantee")
-	for _, c := range res.Cells {
-		t.Add(c.Lock, table.I(int64(c.Extras["max_bypass"])), c.Notes["guarantee"])
-	}
-	return t
-}
-
-// BypassBoundResult is BypassBound in the versioned result schema:
-// informational cells whose "max_bypass" extra carries the observed
-// bound and whose notes restate the algorithmic guarantee.
-func BypassBoundResult(workers, iters int) *harness.Result {
 	if workers <= 0 {
 		workers = 6
 	}
@@ -87,20 +72,11 @@ func BypassBoundResult(workers, iters int) *harness.Result {
 		{"FutexMutex", "unbounded (barging)"},
 		{"TAS", "unbounded (barging)"},
 	}
-	res := harness.NewResult("fairness", "A", 0)
+	t := table.New("§2/§5 — empirical bypass bound (Track A)",
+		"Lock", "MaxBypass", "Guarantee")
 	for _, entry := range set {
-		lf, ok := registry.Lookup(entry.name)
-		if !ok {
-			continue
-		}
-		sched := recordAdmissions(lf.New(nil), workers, iters)
-		res.Add(harness.Cell{
-			Lock: entry.name, Workload: "bypass", Threads: workers,
-			Extras: map[string]float64{
-				"max_bypass": float64(admission.MaxBypass(sched, workers)),
-			},
-			Notes: map[string]string{"guarantee": entry.guarantee},
-		})
+		sched := recordAdmissions(fromCatalog(entry.name).New(nil), workers, iters)
+		t.Add(entry.name, table.I(int64(admission.MaxBypass(sched, workers))), entry.guarantee)
 	}
-	return res
+	return t
 }

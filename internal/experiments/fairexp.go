@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
-	"strconv"
 
 	"repro/internal/admission"
 	"repro/internal/coherence"
@@ -16,47 +14,31 @@ import (
 
 // simSet is the lock set shared by the simulator fairness
 // experiments: named baselines plus every fairness-mitigation variant.
-func simSet(names ...string) []struct {
-	name string
-	mk   simlocks.Factory
-} {
-	var set []struct {
-		name string
-		mk   simlocks.Factory
-	}
+func simSet(names ...string) []simlocks.Factory {
+	var set []simlocks.Factory
 	for _, n := range names {
-		set = append(set, struct {
-			name string
-			mk   simlocks.Factory
-		}{n, simlocks.ByName(n)})
+		set = append(set, simlocks.ByName(n))
 	}
-	for _, f := range simlocks.FairnessVariants() {
-		f := f
-		set = append(set, struct {
-			name string
-			mk   simlocks.Factory
-		}{f().Name(), f})
-	}
-	return set
+	return append(set, simlocks.FairnessVariants()...)
 }
 
-// LongTermFairnessResult measures §9.2's long-term admission
-// unfairness on the simulator — per-thread admission counts over a
-// long deterministic run of the Reciprocating lock, whose palindromic
-// cycles favor interior threads by up to 2×, versus FIFO locks —
-// emitting the versioned schema (score = Jain index; higher is
-// fairer).
-func LongTermFairnessResult(threads, episodes int) *harness.Result {
+// LongTermFairnessSim measures §9.2's long-term admission unfairness
+// on the simulator — per-thread admission counts over a long
+// deterministic run of the Reciprocating lock, whose palindromic
+// cycles favor interior threads by up to 2×, versus FIFO locks. Jain
+// is higher for fairer locks.
+func LongTermFairnessSim(threads, episodes int) *table.Table {
 	if threads <= 0 {
 		threads = 5
 	}
 	if episodes <= 0 {
 		episodes = 400
 	}
-	res := harness.NewResult("fairness", "B", 1)
-	res.SetConfig("episodes", strconv.Itoa(episodes))
-	for _, entry := range simSet("Recipro", "Chen", "TKT", "MCS", "CLH") {
-		out := simlocks.Run(entry.mk, simlocks.Config{
+	t := table.New(
+		fmt.Sprintf("§9.2/§9.4 — long-term admission fairness over %d episodes/thread (simulator)", episodes),
+		"Lock", "Jain", "Max/Min", "Palindromic cycle", "MaxBypass")
+	for _, mk := range simSet("Recipro", "Chen", "TKT", "MCS", "CLH") {
+		out := simlocks.Run(mk, simlocks.Config{
 			Threads:  threads,
 			Episodes: episodes,
 			Mode:     coherence.RoundRobin,
@@ -64,59 +46,26 @@ func LongTermFairnessResult(threads, episodes int) *harness.Result {
 		})
 		steady := middleWindow(out.AdmissionSchedule)
 		f := admission.Fairness(steady, threads)
-		c := harness.Cell{
-			Lock: entry.name, Workload: "longterm", Threads: threads,
-			Unit: "jain", Score: harness.Finite(f.Jain),
-			Extras: map[string]float64{
-				"disparity":  harness.Finite(f.Disparity),
-				"max_bypass": float64(admission.MaxBypass(steady, threads)),
-			},
-		}
-		if cyc, ok := admission.FindCycle(steady, 4); ok {
-			c.Extras["cycle_period"] = float64(len(cyc))
-			c.Notes = map[string]string{
-				"cycle": fmt.Sprintf("period %d, palindromic=%v", len(cyc), admission.IsPalindromic(cyc)),
-			}
-		}
-		res.Add(c)
-	}
-	return res
-}
-
-// LongTermFairnessSim renders LongTermFairnessResult.
-func LongTermFairnessSim(threads, episodes int) *table.Table {
-	if episodes <= 0 {
-		episodes = 400
-	}
-	res := LongTermFairnessResult(threads, episodes)
-	t := table.New(
-		fmt.Sprintf("§9.2/§9.4 — long-term admission fairness over %d episodes/thread (simulator)", episodes),
-		"Lock", "Jain", "Max/Min", "Palindromic cycle", "MaxBypass")
-	for _, c := range res.Cells {
 		pal := "none"
-		if c.Notes["cycle"] != "" {
-			pal = c.Notes["cycle"]
+		if cyc, ok := admission.FindCycle(steady, 4); ok {
+			pal = fmt.Sprintf("period %d, palindromic=%v", len(cyc), admission.IsPalindromic(cyc))
 		}
-		t.Add(c.Lock, table.F(c.Score, 4), table.F(c.Extras["disparity"], 2), pal,
-			table.I(int64(c.Extras["max_bypass"])))
+		t.Add(out.Lock, table.F(harness.Finite(f.Jain), 4), table.F(harness.Finite(f.Disparity), 2), pal,
+			table.I(int64(admission.MaxBypass(steady, threads))))
 	}
 	return t
 }
 
-// LLCResidencyResult reproduces Appendix C: the exponential-decay
-// residual cache residency model evaluated over FIFO, true-palindrome,
+// LLCResidency reproduces Appendix C: the exponential-decay residual
+// cache residency model evaluated over FIFO, true-palindrome,
 // reciprocating-cycle and random admission schedules, across decay
 // half-lives. Palindromic order must dominate FIFO in aggregate
-// (Jensen's inequality) while introducing per-thread residency
-// disparity. Score is the aggregate residual (higher is better); one
-// cell per schedule × half-life, the half-life carried in the
-// workload name.
-func LLCResidencyResult(n int) *harness.Result {
+// residual (Jensen's inequality) while introducing per-thread
+// residency disparity.
+func LLCResidency(n int) *table.Table {
 	if n <= 0 {
 		n = 5
 	}
-	res := harness.NewResult("fairness", "B", 1)
-	res.SetConfig("threads", strconv.Itoa(n))
 	schedules := []struct {
 		name string
 		s    []int
@@ -126,65 +75,42 @@ func LLCResidencyResult(n int) *harness.Result {
 		{"ReciproCycle", admission.ReciprocatingCycleSchedule(n, 1)},
 		{"Random", admission.RandomSchedule(n, 20000, 7)},
 	}
+	t := table.New(
+		fmt.Sprintf("Appendix C — residual LLC residency model (%d threads)", n),
+		"Schedule", "HalfLife", "AggResidual", "MissRate", "ResidencyMax/Min")
 	for _, hl := range []float64{1, 2, 4, 8} {
 		lambda := llcmodel.LambdaFromHalfLife(hl)
 		for _, sc := range schedules {
 			rep := llcmodel.Evaluate(sc.s, n, lambda)
-			res.Add(harness.Cell{
-				Lock:     sc.name,
-				Workload: fmt.Sprintf("llc-halflife=%g", hl),
-				Threads:  n,
-				Unit:     "residual",
-				Score:    harness.Finite(rep.Aggregate),
-				Extras: map[string]float64{
-					"miss_rate":           harness.Finite(rep.MissRate),
-					"residency_disparity": harness.Finite(rep.ResidencyDisparity()),
-				},
-			})
+			t.Add(sc.name, table.F(hl, 0), table.F(harness.Finite(rep.Aggregate), 4),
+				table.F(harness.Finite(rep.MissRate), 4), table.F(harness.Finite(rep.ResidencyDisparity()), 3))
 		}
-	}
-	return res
-}
-
-// LLCResidency renders LLCResidencyResult.
-func LLCResidency(n int) *table.Table {
-	if n <= 0 {
-		n = 5
-	}
-	res := LLCResidencyResult(n)
-	t := table.New(
-		fmt.Sprintf("Appendix C — residual LLC residency model (%d threads)", n),
-		"Schedule", "HalfLife", "AggResidual", "MissRate", "ResidencyMax/Min")
-	for _, c := range res.Cells {
-		var hl float64
-		fmt.Sscanf(c.Workload, "llc-halflife=%g", &hl)
-		t.Add(c.Lock, table.F(hl, 0), table.F(c.Score, 4),
-			table.F(c.Extras["miss_rate"], 4), table.F(c.Extras["residency_disparity"], 3))
 	}
 	return t
 }
 
-// AcquireLatencyResult measures per-acquisition wait-latency
+// AcquireLatencyDistribution measures per-acquisition wait-latency
 // percentiles on the timed simulator. Two paper claims are visible
 // here: FIFO locks (TKT/MCS/CLH) produce tight, uniform waits, while
 // Reciprocating's LIFO-within-segment admission yields the "bimodal
 // distribution of progress" of §9.2 — a cheap fast mode (recently
 // arrived threads admitted quickly off the stack top) paired with a
 // long tail bounded by the bypass guarantee, and the mitigations pull
-// the modes back together. The cells are informational (score 0):
-// the percentiles live in the extras, keyed p10/p50/p90/p99/max plus
-// the p90/p10 spread.
-func AcquireLatencyResult(threads, episodes int) *harness.Result {
+// the modes back together. The p90/p10 spread prints as Inf when p10
+// is zero.
+func AcquireLatencyDistribution(threads, episodes int) *table.Table {
 	if threads <= 0 {
 		threads = 16
 	}
 	if episodes <= 0 {
 		episodes = 300
 	}
-	res := harness.NewResult("fairness", "B", 1)
-	res.SetConfig("episodes", strconv.Itoa(episodes))
-	for _, entry := range simSet("TKT", "MCS", "CLH", "Recipro") {
-		out := simlocks.Run(entry.mk, simlocks.Config{
+	t := table.New(
+		fmt.Sprintf("§9.2 — acquisition-latency distribution, %d threads (timed simulator, cycles)", threads),
+		"Lock", "p10", "p50", "p90", "p99", "max", "p90/p10")
+	cycles := func(x float64) string { return table.F(harness.Finite(x), 0) }
+	for _, mk := range simSet("TKT", "MCS", "CLH", "Recipro") {
+		out := simlocks.Run(mk, simlocks.Config{
 			Threads:        threads,
 			Episodes:       episodes,
 			Warmup:         episodes / 5,
@@ -196,70 +122,36 @@ func AcquireLatencyResult(threads, episodes int) *harness.Result {
 		ls := out.AcquireLatencies
 		p10 := stats.Percentile(ls, 10)
 		p90 := stats.Percentile(ls, 90)
-		spread := math.Inf(1)
-		if p10 > 0 {
-			spread = p90 / p10
-		}
-		res.Add(harness.Cell{
-			Lock: entry.name, Workload: "latency", Threads: threads, Unit: "cycles",
-			Extras: map[string]float64{
-				"p10": harness.Finite(p10),
-				"p50": harness.Finite(stats.Percentile(ls, 50)),
-				"p90": harness.Finite(p90),
-				"p99": harness.Finite(stats.Percentile(ls, 99)),
-				"max": harness.Finite(stats.Max(ls)),
-				// Preserved as 0-means-unbounded when p10 is zero.
-				"p90_over_p10": harness.Finite(spread),
-			},
-		})
-	}
-	return res
-}
-
-// AcquireLatencyDistribution renders AcquireLatencyResult.
-func AcquireLatencyDistribution(threads, episodes int) *table.Table {
-	if threads <= 0 {
-		threads = 16
-	}
-	res := AcquireLatencyResult(threads, episodes)
-	t := table.New(
-		fmt.Sprintf("§9.2 — acquisition-latency distribution, %d threads (timed simulator, cycles)", threads),
-		"Lock", "p10", "p50", "p90", "p99", "max", "p90/p10")
-	for _, c := range res.Cells {
-		x := c.Extras
 		spread := "Inf"
-		if x["p90_over_p10"] > 0 {
-			spread = table.F(x["p90_over_p10"], 2)
+		if p10 > 0 {
+			spread = table.F(p90/p10, 2)
 		}
-		t.Add(c.Lock,
-			table.F(x["p10"], 0), table.F(x["p50"], 0),
-			table.F(x["p90"], 0), table.F(x["p99"], 0),
-			table.F(x["max"], 0), spread)
+		t.Add(out.Lock, cycles(p10), cycles(stats.Percentile(ls, 50)), cycles(p90),
+			cycles(stats.Percentile(ls, 99)), cycles(stats.Max(ls)), spread)
 	}
 	return t
 }
 
-// TradeoffResult sweeps the §9.4 deferral probability, measuring
-// modeled throughput (timed simulator, the cell score) against
-// steady-state admission disparity — Appendix G's "we use the tunable
-// Bernoulli probability to strike a balance between fairness over a
-// period and aggregate throughput" rendered as a curve.
+// FairnessThroughputTradeoff sweeps the §9.4 deferral probability,
+// measuring modeled throughput (timed simulator) against steady-state
+// admission disparity — Appendix G's "we use the tunable Bernoulli
+// probability to strike a balance between fairness over a period and
+// aggregate throughput" rendered as a curve.
 //
 // A finding worth calling out: the endpoint p=256 (defer always) is
 // deterministic again, so the schedule can re-enter a periodic unfair
 // cycle — randomness, not deferral per se, is what restores fairness.
 // That is precisely why the paper prescribes a *Bernoulli trial*.
-func TradeoffResult(threads, episodes int) *harness.Result {
+func FairnessThroughputTradeoff(threads, episodes int) *table.Table {
 	if threads <= 0 {
 		threads = 8
 	}
 	if episodes <= 0 {
 		episodes = 300
 	}
-	res := harness.NewResult("fairness", "B", 1)
-	res.SetConfig("episodes", strconv.Itoa(episodes))
-	probs := []int{-1, 16, 64, 128, 256} // -1 = plain Listing 1
-	for _, p := range probs {
+	t := table.New("§9.4/Appendix G — fairness vs throughput across deferral probability (simulator)",
+		"DeferProb", "Throughput(eps/kcycle)", "Disparity", "Jain")
+	for _, p := range []int{-1, 16, 64, 128, 256} { // -1 = plain Listing 1
 		var mk simlocks.Factory
 		label := fmt.Sprintf("%d/256", p)
 		if p < 0 {
@@ -285,37 +177,19 @@ func TradeoffResult(threads, episodes int) *harness.Result {
 			Seed:     1,
 		})
 		f := admission.Fairness(middleWindow(out.AdmissionSchedule), threads)
-		res.Add(harness.Cell{
-			Lock: label, Workload: "tradeoff", Threads: threads,
-			Unit: "eps/kcycle", Score: harness.Finite(tp),
-			Jain: harness.Finite(f.Jain),
-			Extras: map[string]float64{
-				"disparity": harness.Finite(f.Disparity),
-			},
-		})
-	}
-	return res
-}
-
-// FairnessThroughputTradeoff renders TradeoffResult.
-func FairnessThroughputTradeoff(threads, episodes int) *table.Table {
-	res := TradeoffResult(threads, episodes)
-	t := table.New("§9.4/Appendix G — fairness vs throughput across deferral probability (simulator)",
-		"DeferProb", "Throughput(eps/kcycle)", "Disparity", "Jain")
-	for _, c := range res.Cells {
-		t.Add(c.Lock, table.F(c.Score, 3), table.F(c.Extras["disparity"], 3), table.F(c.Jain, 4))
+		t.Add(label, table.F(harness.Finite(tp), 3), table.F(harness.Finite(f.Disparity), 3),
+			table.F(harness.Finite(f.Jain), 4))
 	}
 	return t
 }
 
-// RetrogradeResult verifies Appendix G's claim that the retrograde
-// ticket lock mimics Reciprocating admission: both produce
+// RetrogradeEquivalence verifies Appendix G's claim that the
+// retrograde ticket lock mimics Reciprocating admission: both produce
 // LIFO-within-segment schedules with identical per-cycle disparity
 // and bypass bounds. (The retrograde lock is a Track A lock; here we
 // compare the reciprocating simulator schedule against the analytic
-// reciprocating cycle.) Informational cells: the equivalence metrics
-// live in extras and notes.
-func RetrogradeResult(threads int) *harness.Result {
+// reciprocating cycle.)
+func RetrogradeEquivalence(threads int) *table.Table {
 	if threads <= 0 {
 		threads = 5
 	}
@@ -325,44 +199,19 @@ func RetrogradeResult(threads int) *harness.Result {
 		Mode:     coherence.RoundRobin,
 		Seed:     1,
 	})
-	analytic := admission.ReciprocatingCycleSchedule(threads, 50)
-
-	res := harness.NewResult("fairness", "B", 1)
-	add := func(name string, sched []int) {
-		f := admission.Fairness(sched, threads)
-		c := harness.Cell{
-			Lock: name, Workload: "retrograde", Threads: threads,
-			Extras: map[string]float64{
-				"disparity":  harness.Finite(f.Disparity),
-				"max_bypass": float64(admission.MaxBypass(sched, threads)),
-			},
-		}
-		if cyc, ok := admission.FindCycle(sched, 4); ok {
-			c.Extras["cycle_period"] = float64(len(cyc))
-			c.Notes = map[string]string{
-				"palindromic": fmt.Sprintf("%v", admission.IsPalindromic(cyc)),
-			}
-		}
-		res.Add(c)
-	}
-	add("Reciprocating (simulated)", middleWindow(out.AdmissionSchedule))
-	add("Retrograde cycle (analytic)", analytic)
-	return res
-}
-
-// RetrogradeEquivalence renders RetrogradeResult.
-func RetrogradeEquivalence(threads int) *table.Table {
-	res := RetrogradeResult(threads)
 	t := table.New("Appendix G — retrograde/reciprocating admission equivalence",
 		"Schedule", "CyclePeriod", "Disparity", "MaxBypass", "Palindromic")
-	for _, c := range res.Cells {
+	add := func(name string, sched []int) {
 		period, pal := "-", "-"
-		if _, ok := c.Extras["cycle_period"]; ok {
-			period = table.I(int64(c.Extras["cycle_period"]))
-			pal = c.Notes["palindromic"]
+		if cyc, ok := admission.FindCycle(sched, 4); ok {
+			period = table.I(int64(len(cyc)))
+			pal = fmt.Sprintf("%v", admission.IsPalindromic(cyc))
 		}
-		t.Add(c.Lock, period, table.F(c.Extras["disparity"], 2),
-			table.I(int64(c.Extras["max_bypass"])), pal)
+		f := admission.Fairness(sched, threads)
+		t.Add(name, period, table.F(harness.Finite(f.Disparity), 2),
+			table.I(int64(admission.MaxBypass(sched, threads))), pal)
 	}
+	add("Reciprocating (simulated)", middleWindow(out.AdmissionSchedule))
+	add("Retrograde cycle (analytic)", admission.ReciprocatingCycleSchedule(threads, 50))
 	return t
 }

@@ -27,39 +27,29 @@ Contended numbers are scheduler-influenced; the coherence simulator
 // defaultThreads is the Track A sweep (goroutines, not processors).
 func defaultThreads() []int { return []int{1, 2, 4, 8, 16, 32} }
 
-// Fig1RealResult runs MutexBench (§7.1) for real — the Figure 1 lock
-// set across a goroutine sweep — and emits the versioned result
-// schema. moderate selects the Figure 1b non-critical section
-// (private MT19937 advanced uniform [0,250) steps).
-func Fig1RealResult(moderate bool, dur time.Duration, runs int) *harness.Result {
+// Fig1Real runs MutexBench (§7.1) for real — the Figure 1 lock set
+// across a goroutine sweep — as the familiar matrix table. moderate
+// selects the Figure 1b non-critical section (private MT19937
+// advanced uniform [0,250) steps).
+func Fig1Real(moderate bool, dur time.Duration, runs int) *table.Table {
 	if dur <= 0 {
 		dur = 300 * time.Millisecond
 	}
 	if runs <= 0 {
 		runs = 3
 	}
+	label := "max contention"
 	ncs := 0
 	if moderate {
+		label = "moderate contention"
 		ncs = 250
 	}
-	return mutexbench.SweepResult(registry.Paper(), defaultThreads(), mutexbench.Config{
+	res := mutexbench.SweepResult(registry.Paper(), defaultThreads(), mutexbench.Config{
 		Duration:    dur,
 		CSSteps:     1,
 		NCSMaxSteps: ncs,
 		Runs:        runs,
 	})
-}
-
-// Fig1Real renders Fig1RealResult as the familiar matrix table.
-func Fig1Real(moderate bool, dur time.Duration, runs int) *table.Table {
-	if runs <= 0 {
-		runs = 3
-	}
-	label := "max contention"
-	if moderate {
-		label = "moderate contention"
-	}
-	res := Fig1RealResult(moderate, dur, runs)
 	return harness.MatrixTable(res,
 		fmt.Sprintf("Figure 1 (%s) — MutexBench aggregate Mops/s (median of %d)", label, runs))
 }
@@ -155,37 +145,6 @@ func Fig3(dur time.Duration, keys int, runs int) *table.Table {
 	return Fig3Locks(registry.Paper(), dur, keys, runs)
 }
 
-// Fig3Results reproduces §7.3 — readrandom over the LSM-lite store
-// guarded by each selected lock — emitting the versioned result
-// schema. Each run opens and fills a fresh store, so runs are
-// independent as the paper's protocol requires.
-func Fig3Results(lfs []registry.Entry, dur time.Duration, keys int, runs int) *harness.Result {
-	if dur <= 0 {
-		dur = 300 * time.Millisecond
-	}
-	if keys <= 0 {
-		keys = 50_000
-	}
-	if runs <= 0 {
-		runs = 3
-	}
-	res := harness.NewResult("kvbench", "A", 0)
-	res.SetConfig("duration", dur.String())
-	res.SetConfig("keys", strconv.Itoa(keys))
-	res.SetConfig("runs", strconv.Itoa(runs))
-	for _, lf := range lfs {
-		for _, tc := range defaultThreads() {
-			m := KVReadRandomMeasure(lf, nil, kvstore.ReadRandomConfig{
-				Threads:  tc,
-				Keyspace: keys,
-				Duration: dur,
-			}, keys, runs)
-			res.Add(harness.CellFromMeasurement(lf.Name, "readrandom", mutexbench.Unit, m))
-		}
-	}
-	return res
-}
-
 // KVReadRandomMeasure drives the §7.3 readrandom workload for one
 // lock on the shared engine: every run opens a fresh store guarded by
 // a new lock instance (built by newLock when non-nil, else the
@@ -252,30 +211,47 @@ func ShardWorkload(base string, shards int) string {
 	return fmt.Sprintf("%s/s%d", base, shards)
 }
 
-// Fig3Locks renders Fig3Results as the familiar matrix table.
+// Fig3Locks reproduces §7.3 — readrandom over the LSM-lite store
+// guarded by each selected lock — as a lock × thread matrix of median
+// Mops/s. Each run opens and fills a fresh store, so runs are
+// independent as the paper's protocol requires.
 func Fig3Locks(lfs []registry.Entry, dur time.Duration, keys int, runs int) *table.Table {
+	if dur <= 0 {
+		dur = 300 * time.Millisecond
+	}
 	if keys <= 0 {
 		keys = 50_000
 	}
 	if runs <= 0 {
 		runs = 3
 	}
-	res := Fig3Results(lfs, dur, keys, runs)
-	return harness.MatrixTable(res,
-		fmt.Sprintf("Figure 3 — KV readrandom Mops/s over %d keys (median of %d)", keys, runs))
+	threads := defaultThreads()
+	t := table.New(fmt.Sprintf("Figure 3 — KV readrandom Mops/s over %d keys (median of %d)", keys, runs),
+		threadHeaders(threads)...)
+	for _, lf := range lfs {
+		row := []string{lf.Name}
+		for _, tc := range threads {
+			m := KVReadRandomMeasure(lf, nil, kvstore.ReadRandomConfig{
+				Threads:  tc,
+				Keyspace: keys,
+				Duration: dur,
+			}, keys, runs)
+			row = append(row, table.F(m.Median, 3))
+		}
+		t.Add(row...)
+	}
+	return t
 }
 
-// UncontendedLatencyResult measures single-thread acquire+release
-// latency for every lock in the repository (the T=1 point of Figure 1,
-// where the paper reports Ticket fastest, then HemLock, Reciprocating,
-// CLH, MCS). Score is Mops/s (higher is better, like every cell);
-// the ns/op view the table shows is carried as an extra.
-func UncontendedLatencyResult(iters int) *harness.Result {
+// UncontendedLatency measures single-thread acquire+release latency
+// in ns/op for every lock in the repository (the T=1 point of Figure
+// 1, where the paper reports Ticket fastest, then HemLock,
+// Reciprocating, CLH, MCS).
+func UncontendedLatency(iters int) *table.Table {
 	if iters <= 0 {
 		iters = 2_000_000
 	}
-	res := harness.NewResult("mutexbench", "A", 0)
-	res.SetConfig("iters", strconv.Itoa(iters))
+	t := table.New("Uncontended latency — single-thread Lock+Unlock", "Lock", "ns/op")
 	for _, lf := range registry.All() {
 		var l sync.Locker
 		w := &harness.WorkloadFunc{
@@ -296,38 +272,20 @@ func UncontendedLatencyResult(iters int) *harness.Result {
 			},
 		}
 		m := harness.Measure(w, harness.Config{Threads: 1, Iterations: iters, Runs: 1})
-		c := harness.CellFromMeasurement(lf.Name, "uncontended", mutexbench.Unit, m)
-		out := m.MedianOutcome()
-		c.Extras = map[string]float64{
-			"ns_per_op": float64(out.Elapsed.Nanoseconds()) / float64(iters),
-		}
-		res.Add(c)
-	}
-	return res
-}
-
-// UncontendedLatency renders UncontendedLatencyResult as ns/op.
-func UncontendedLatency(iters int) *table.Table {
-	res := UncontendedLatencyResult(iters)
-	t := table.New("Uncontended latency — single-thread Lock+Unlock", "Lock", "ns/op")
-	for _, c := range res.Cells {
-		t.Add(c.Lock, table.F(c.Extras["ns_per_op"], 1))
+		ns := float64(m.MedianOutcome().Elapsed.Nanoseconds()) / float64(iters)
+		t.Add(lf.Name, table.F(ns, 1))
 	}
 	return t
 }
 
-// MitigationFairnessResult contrasts long-term per-thread admission
+// MitigationFairness contrasts long-term per-thread admission
 // fairness (§9.2, §9.4) across the plain Reciprocating lock, the
 // Bernoulli-deferral FairLock, the TwoLane formulation, the randomized
-// retrograde ticket lock, and FIFO baselines, using real execution.
-// Jain and disparity come from the median-defining run of each
-// measurement (the engine's invariant).
-func MitigationFairnessResult(dur time.Duration, runs int) *harness.Result {
+// retrograde ticket lock, and FIFO baselines, using real execution
+// (one run per lock). Jain and disparity come from the measured run.
+func MitigationFairness(dur time.Duration) *table.Table {
 	if dur <= 0 {
 		dur = 400 * time.Millisecond
-	}
-	if runs <= 0 {
-		runs = 1
 	}
 	// Catalog entries plus two parameterized FairLock variants that
 	// exist only for this ablation (and so are not catalog members);
@@ -341,30 +299,28 @@ func MitigationFairnessResult(dur time.Duration, runs int) *harness.Result {
 		fromCatalog("Retrograde"),
 		relabel(fromCatalog("TKT"), "TKT(FIFO)"),
 	}
-	res := harness.NewResult("fairness", "A", 0)
-	res.SetConfig("duration", dur.String())
-	res.SetConfig("runs", strconv.Itoa(runs))
+	t := table.New("§9.4 mitigation — long-term admission fairness (8 goroutines, Track A)",
+		"Lock", "Jain", "Max/Min", "Mops")
 	for _, lf := range set {
 		m := mutexbench.Measure(lf, mutexbench.Config{
 			Threads:  8,
 			Duration: dur,
 			CSSteps:  1,
-			Runs:     runs,
+			Runs:     1,
 		})
-		res.Add(harness.CellFromMeasurement(lf.Name, "mitigate", mutexbench.Unit, m))
-	}
-	return res
-}
-
-// MitigationFairness renders MitigationFairnessResult.
-func MitigationFairness(dur time.Duration) *table.Table {
-	res := MitigationFairnessResult(dur, 1)
-	t := table.New("§9.4 mitigation — long-term admission fairness (8 goroutines, Track A)",
-		"Lock", "Jain", "Max/Min", "Mops")
-	for _, c := range res.Cells {
-		t.Add(c.Lock, table.F(c.Jain, 4), table.F(c.Disparity, 2), table.F(c.Score, 3))
+		t.Add(lf.Name, table.F(harness.Finite(m.Jain()), 4), table.F(harness.Finite(m.Disparity()), 2),
+			table.F(m.Median, 3))
 	}
 	return t
+}
+
+// threadHeaders is the header row of a lock × thread-count matrix.
+func threadHeaders(threads []int) []string {
+	h := []string{"Lock"}
+	for _, tc := range threads {
+		h = append(h, fmt.Sprintf("T=%d", tc))
+	}
+	return h
 }
 
 // fromCatalog resolves a registry entry, panicking on a bad name —

@@ -11,11 +11,11 @@ import (
 	"repro/internal/registry"
 )
 
-// Every harness family emits the same versioned Result schema; this
-// round-trips one small result per family through the JSON
-// encoder/decoder (which enforces the schema version), so a schema
-// change that breaks any harness's emission fails here, not in CI's
-// benchdiff step.
+// Every -json harness family (mutexbench, atomicbench, kvbench) emits
+// the same versioned Result schema; this round-trips one small result
+// per family through the JSON encoder/decoder (which enforces the
+// schema version), so a schema change that breaks any harness's
+// emission fails here, not in CI's benchdiff step.
 func TestAllHarnessResultsRoundTrip(t *testing.T) {
 	lfs := registry.Paper()[:2]
 	d := 5 * time.Millisecond
@@ -34,13 +34,6 @@ func TestAllHarnessResultsRoundTrip(t *testing.T) {
 			res.Add(harness.CellFromMeasurement(lfs[0].Name, "readrandom", mutexbench.Unit, m))
 			return res
 		},
-		"fairness-mitigate":   func() *harness.Result { return MitigationFairnessResult(d, 1) },
-		"fairness-longterm":   func() *harness.Result { return LongTermFairnessResult(3, 60) },
-		"fairness-llc":        func() *harness.Result { return LLCResidencyResult(3) },
-		"fairness-bypass":     func() *harness.Result { return BypassBoundResult(3, 200) },
-		"fairness-tradeoff":   func() *harness.Result { return TradeoffResult(3, 60) },
-		"fairness-latency":    func() *harness.Result { return AcquireLatencyResult(3, 60) },
-		"fairness-retrograde": func() *harness.Result { return RetrogradeResult(3) },
 	}
 	for name, mk := range families {
 		name, mk := name, mk

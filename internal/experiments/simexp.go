@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"strconv"
 
 	"repro/internal/admission"
 	"repro/internal/coherence"
@@ -118,28 +117,28 @@ func Fig1Threads(a Arch) []int {
 	return out
 }
 
-// Fig1SimResult reproduces Figures 1a–1d on the simulator: aggregate
+// Fig1Sim reproduces Figures 1a–1d on the simulator: aggregate
 // modeled throughput (episodes per kilocycle) per lock across a thread
-// sweep, emitted in the versioned result schema (Track B, so real and
-// modeled curves stay diffable but are never silently compared).
+// sweep, one row per lock and one column per thread count.
 // moderate=false is maximal contention (empty non-critical section,
 // Figures 1a/1c); moderate=true draws non-critical work uniformly, the
 // Figures 1b/1d configuration.
-func Fig1SimResult(a Arch, moderate bool, episodes int) *harness.Result {
+func Fig1Sim(a Arch, moderate bool, episodes int) *table.Table {
 	if episodes <= 0 {
 		episodes = 200
 	}
-	workload := "max"
+	label := "max contention"
 	var ncs uint64
 	if moderate {
-		workload = "moderate"
+		label = "moderate contention"
 		ncs = 1000
 	}
-	res := harness.NewResult("cohsim", "B", 1)
-	res.SetConfig("arch", a.Name)
-	res.SetConfig("episodes", strconv.Itoa(episodes))
+	threads := Fig1Threads(a)
+	t := table.New(fmt.Sprintf("Figure 1 (%s, %s) — modeled throughput, episodes/kcycle", a.Name, label),
+		threadHeaders(threads)...)
 	for _, mk := range simlocks.All() {
-		for _, tc := range Fig1Threads(a) {
+		row := []string{mk().Name()}
+		for _, tc := range threads {
 			out := simlocks.Run(mk, simlocks.Config{
 				Threads:    tc,
 				Episodes:   episodes,
@@ -151,30 +150,11 @@ func Fig1SimResult(a Arch, moderate bool, episodes int) *harness.Result {
 				NodeCPUs:   a.NodeCPUs,
 				Seed:       1,
 			})
-			res.Add(harness.Cell{
-				Lock:     out.Lock,
-				Workload: workload,
-				Threads:  tc,
-				Unit:     "eps/kcycle",
-				Score:    harness.Finite(out.Throughput),
-				Extras: map[string]float64{
-					"events_per_episode": harness.Finite(out.EventsPerEpisode),
-				},
-			})
+			row = append(row, table.F(harness.Finite(out.Throughput), 3))
 		}
+		t.Add(row...)
 	}
-	return res
-}
-
-// Fig1Sim renders Fig1SimResult as the familiar matrix table.
-func Fig1Sim(a Arch, moderate bool, episodes int) *table.Table {
-	label := "max contention"
-	if moderate {
-		label = "moderate contention"
-	}
-	res := Fig1SimResult(a, moderate, episodes)
-	return harness.MatrixTable(res,
-		fmt.Sprintf("Figure 1 (%s, %s) — modeled throughput, episodes/kcycle", a.Name, label))
+	return t
 }
 
 // middleWindow drops the first and last quarter of a schedule,

@@ -46,9 +46,8 @@ type Report struct {
 	// side; coverage loss is reported, not silently dropped.
 	MissingInNew []string
 	AddedInNew   []string
-	// EnvWarnings flag environment differences (GOMAXPROCS, CPU
-	// count, Go version, chaos arming) that make the comparison
-	// suspect.
+	// EnvWarnings flag environment differences (Go version, chaos
+	// arming) that make the comparison suspect.
 	EnvWarnings []string
 }
 
@@ -84,13 +83,21 @@ func cv(c Cell) float64 {
 
 // Diff compares two results cell-by-cell (keyed on
 // workload|lock|threads). It refuses cross-harness and cross-track
-// comparisons — those are different experiments, not a trajectory.
+// comparisons — those are different experiments, not a trajectory —
+// and comparisons across CPU counts or GOMAXPROCS, where contended
+// scores measure a different machine.
 func Diff(oldR, newR *Result, opt DiffOptions) (*Report, error) {
 	if oldR.Harness != newR.Harness {
 		return nil, fmt.Errorf("harness mismatch: %q vs %q", oldR.Harness, newR.Harness)
 	}
 	if oldR.Track != newR.Track {
 		return nil, fmt.Errorf("track mismatch: %q vs %q", oldR.Track, newR.Track)
+	}
+	if oldR.Env.NumCPU != newR.Env.NumCPU {
+		return nil, fmt.Errorf("num_cpu mismatch: %d vs %d", oldR.Env.NumCPU, newR.Env.NumCPU)
+	}
+	if oldR.Env.GOMAXPROCS != newR.Env.GOMAXPROCS {
+		return nil, fmt.Errorf("gomaxprocs mismatch: %d vs %d", oldR.Env.GOMAXPROCS, newR.Env.GOMAXPROCS)
 	}
 	if opt.Threshold <= 0 {
 		opt.Threshold = DefaultDiffOptions().Threshold
@@ -141,12 +148,6 @@ func Diff(oldR, newR *Result, opt DiffOptions) (*Report, error) {
 
 func envWarnings(a, b Env) []string {
 	var w []string
-	if a.GOMAXPROCS != b.GOMAXPROCS {
-		w = append(w, fmt.Sprintf("GOMAXPROCS %d vs %d", a.GOMAXPROCS, b.GOMAXPROCS))
-	}
-	if a.NumCPU != b.NumCPU {
-		w = append(w, fmt.Sprintf("NumCPU %d vs %d", a.NumCPU, b.NumCPU))
-	}
 	if a.GoVersion != b.GoVersion {
 		w = append(w, fmt.Sprintf("Go version %s vs %s", a.GoVersion, b.GoVersion))
 	}

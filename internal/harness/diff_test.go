@@ -123,18 +123,28 @@ func TestCrossHarnessRefused(t *testing.T) {
 	if _, err := Diff(a, c, DefaultDiffOptions()); err == nil {
 		t.Fatal("cross-track diff accepted")
 	}
+	d := clone(a)
+	d.Env.NumCPU = a.Env.NumCPU + 1
+	if _, err := Diff(a, d, DefaultDiffOptions()); err == nil || !strings.Contains(err.Error(), "num_cpu") {
+		t.Fatalf("cross-CPU-count diff: err = %v", err)
+	}
+	e := clone(a)
+	e.Env.GOMAXPROCS = a.Env.GOMAXPROCS + 1
+	if _, err := Diff(a, e, DefaultDiffOptions()); err == nil || !strings.Contains(err.Error(), "gomaxprocs") {
+		t.Fatalf("cross-GOMAXPROCS diff: err = %v", err)
+	}
 }
 
 func TestEnvWarnings(t *testing.T) {
 	a := baseline()
 	b := clone(a)
-	b.Env.GOMAXPROCS = a.Env.GOMAXPROCS + 1
+	b.Env.GoVersion = a.Env.GoVersion + "-other"
 	b.Env.Chaos = true
 	rep, err := Diff(a, b, DefaultDiffOptions())
 	if err != nil {
 		t.Fatalf("diff: %v", err)
 	}
-	if len(rep.EnvWarnings) < 2 {
+	if len(rep.EnvWarnings) != 2 {
 		t.Fatalf("env warnings = %v", rep.EnvWarnings)
 	}
 }

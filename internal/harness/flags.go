@@ -17,7 +17,6 @@ import (
 // registry.LocksFlag for -locks.
 type Flags struct {
 	Duration time.Duration
-	Warmup   time.Duration
 	Runs     int
 	Seed     uint64
 	Threads  string
@@ -27,15 +26,15 @@ type Flags struct {
 }
 
 // Spec parameterizes Register: defaults for each shared flag, plus
-// suppressors for commands where a flag is meaningless (scenarios has
-// no -threads; fairness experiments fix their own thread counts).
+// suppressors for commands where a flag is meaningless (atomicbench
+// fixes its thread sweep and takes no seed).
 type Spec struct {
 	Duration time.Duration
 	Runs     int
 	Threads  string
 	Seed     uint64
 
-	NoDuration, NoRuns, NoThreads, NoSeed bool
+	NoThreads, NoSeed bool
 }
 
 // Register declares the shared flags on fs and returns the bound
@@ -43,13 +42,8 @@ type Spec struct {
 // command emits the versioned Result schema.
 func Register(fs *flag.FlagSet, s Spec) *Flags {
 	f := &Flags{}
-	if !s.NoDuration {
-		fs.DurationVar(&f.Duration, "duration", s.Duration, "measurement interval per configuration")
-		fs.DurationVar(&f.Warmup, "warmup", 0, "unmeasured warmup before each measurement interval")
-	}
-	if !s.NoRuns {
-		fs.IntVar(&f.Runs, "runs", s.Runs, "independent runs per configuration (median reported)")
-	}
+	fs.DurationVar(&f.Duration, "duration", s.Duration, "measurement interval per configuration")
+	fs.IntVar(&f.Runs, "runs", s.Runs, "independent runs per configuration (median reported)")
 	if !s.NoThreads {
 		fs.StringVar(&f.Threads, "threads", s.Threads, "comma-separated worker (goroutine) counts")
 	}

@@ -55,15 +55,15 @@ func TestRegisterFlagTable(t *testing.T) {
 		{
 			name: "all overridden",
 			spec: Spec{Duration: 300 * time.Millisecond, Runs: 3, Threads: "1,2", Seed: 1},
-			args: []string{"-duration=50ms", "-warmup=10ms", "-runs=7", "-threads=4,8", "-seed=42", "-json", "-csv", "-out=x.json"},
-			want: Flags{Duration: 50 * time.Millisecond, Warmup: 10 * time.Millisecond, Runs: 7,
+			args: []string{"-duration=50ms", "-runs=7", "-threads=4,8", "-seed=42", "-json", "-csv", "-out=x.json"},
+			want: Flags{Duration: 50 * time.Millisecond, Runs: 7,
 				Threads: "4,8", Seed: 42, JSON: true, CSV: true, Out: "x.json"},
 		},
 		{
 			name: "json only surface",
-			spec: Spec{NoDuration: true, NoRuns: true, NoThreads: true, NoSeed: true},
+			spec: Spec{Runs: 3, NoThreads: true, NoSeed: true},
 			args: []string{"-json"},
-			want: Flags{JSON: true},
+			want: Flags{Runs: 3, JSON: true},
 		},
 	}
 	for _, c := range cases {
@@ -84,13 +84,13 @@ func TestRegisterFlagTable(t *testing.T) {
 func TestRegisterSuppressesFlags(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	Register(fs, Spec{NoDuration: true, NoRuns: true, NoThreads: true, NoSeed: true})
-	for _, name := range []string{"duration", "warmup", "runs", "threads", "seed"} {
+	Register(fs, Spec{NoThreads: true, NoSeed: true})
+	for _, name := range []string{"threads", "seed"} {
 		if fs.Lookup(name) != nil {
 			t.Errorf("suppressed flag -%s still registered", name)
 		}
 	}
-	for _, name := range []string{"json", "out", "csv"} {
+	for _, name := range []string{"duration", "runs", "json", "out", "csv"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("always-on flag -%s missing", name)
 		}

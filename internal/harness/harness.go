@@ -1,17 +1,17 @@
 // Package harness is the shared benchmark engine behind every
 // command-line harness in the repository (mutexbench, kvbench,
-// atomicbench, fairness, scenarios) and behind the Track A figure
-// reproductions in internal/experiments.
+// atomicbench) and behind the Track A figure reproductions in
+// internal/experiments.
 //
 // Before this package existed each harness reimplemented its own
-// warmup/measure loop, flag surface, and text-only reporting. The
-// engine factors that into one place:
+// measure loop, flag surface, and text-only reporting. The engine
+// factors that into one place:
 //
 //   - Workload: what one benchmark does (per-run setup, a per-worker
 //     operation closure, teardown).
-//   - Measure: the phased driver — warmup, calibrated measurement,
-//     cooldown — repeated Runs times with the median reported, exactly
-//     the paper's §7 median-of-7 protocol. Per-worker operation
+//   - Measure: the run driver — one timed (or iteration-bounded)
+//     measurement repeated Runs times with the median reported,
+//     exactly the paper's §7 median-of-7 protocol. Per-worker operation
 //     counters are sector-padded (internal/pad) so the measurement
 //     infrastructure does not itself induce false sharing.
 //   - Result: a versioned, machine-readable JSON schema (result.go)
@@ -77,14 +77,6 @@ type Config struct {
 	// Iterations is the exact per-worker operation count when
 	// Duration is zero.
 	Iterations int
-	// Warmup runs the workload unmeasured before the measurement
-	// interval begins (duration mode only; iteration mode is exact by
-	// construction). Counters are snapshotted at the warmup/measure
-	// boundary, so warmup work never pollutes the score.
-	Warmup time.Duration
-	// Cooldown sleeps between runs, letting background work (GC,
-	// lingering unparks) drain before the next run starts.
-	Cooldown time.Duration
 	// Runs is the number of independent runs medianed (paper: 7).
 	// Values below 1 are treated as 1.
 	Runs int
@@ -177,9 +169,6 @@ func Measure(w Workload, cfg Config) Measurement {
 		}
 		m.Outs = append(m.Outs, out)
 		m.Scores = append(m.Scores, out.Score)
-		if cfg.Cooldown > 0 && r != runs-1 {
-			time.Sleep(cfg.Cooldown)
-		}
 	}
 	m.Median = stats.Median(m.Scores)
 	m.MedianRun = MedianIndex(m.Scores, m.Median)
@@ -194,7 +183,7 @@ type counter struct {
 	_ [pad.SectorSize - 8]byte
 }
 
-// runOnce executes one warmup→measure→stop cycle (or an exact
+// runOnce executes one timed measure→stop cycle (or an exact
 // iteration-bounded run) and returns the raw outcome.
 func runOnce(w Workload, cfg Config) RunOutcome {
 	threads := cfg.Threads
@@ -226,9 +215,6 @@ func runOnce(w Workload, cfg Config) RunOutcome {
 			}
 			for !stop.Load() {
 				op()
-				// Monotonic per-worker count; the driver snapshots
-				// the counters at the measurement boundaries, so
-				// warmup operations are excluded by subtraction.
 				c.n.Add(1)
 			}
 		}()
@@ -242,15 +228,9 @@ func runOnce(w Workload, cfg Config) RunOutcome {
 		return s
 	}
 
-	var base []uint64
 	start := time.Now()
 	begin.Done()
 	if cfg.Duration > 0 {
-		if cfg.Warmup > 0 {
-			time.Sleep(cfg.Warmup)
-		}
-		base = snapshot()
-		start = time.Now()
 		time.Sleep(cfg.Duration)
 	}
 	// In iteration mode workers terminate on their own; in duration
@@ -263,9 +243,6 @@ func runOnce(w Workload, cfg Config) RunOutcome {
 		el = time.Since(start)
 		stop.Store(true)
 		done.Wait()
-		for i := range per {
-			per[i] -= base[i]
-		}
 	} else {
 		done.Wait()
 		el = time.Since(start)

@@ -21,7 +21,7 @@ import (
 // are preserved under "<harness>."-prefixed keys. The first input's
 // environment is kept — merging is for files produced back-to-back on
 // one host, and the per-source envs would disagree only in ways the
-// diff's env warnings should have caught upstream.
+// diff's environment checks should have caught upstream.
 func Merge(name string, rs ...*Result) (*Result, error) {
 	if name == "" {
 		return nil, fmt.Errorf("harness: merge needs a non-empty merged harness name")

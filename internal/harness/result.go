@@ -111,10 +111,10 @@ type Cell struct {
 	ElapsedNS int64 `json:"elapsed_ns,omitempty"`
 
 	// Extras carries workload-specific auxiliary metrics (kv hits,
-	// writer ops, bypass bounds, cycle periods, ...).
+	// writer ops, shard-model predictions, ...).
 	Extras map[string]float64 `json:"extras,omitempty"`
-	// Notes carries workload-specific non-numeric annotations (e.g.
-	// a detected admission cycle).
+	// Notes carries non-numeric annotations (e.g. the unbounded
+	// disparity of a starved worker, which JSON cannot encode).
 	Notes map[string]string `json:"notes,omitempty"`
 }
 

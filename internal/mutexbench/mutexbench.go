@@ -44,9 +44,6 @@ type Config struct {
 	// per thread bounds the run instead (deterministic, test-friendly).
 	Duration   time.Duration
 	Iterations int
-	// Warmup runs the workload unmeasured before each measurement
-	// interval (duration mode only).
-	Warmup time.Duration
 	// CSSteps is how many steps the critical section advances the
 	// shared PRNG (the paper uses 1).
 	CSSteps int
@@ -88,7 +85,6 @@ func engineConfig(cfg Config) harness.Config {
 		Threads:    cfg.Threads,
 		Duration:   cfg.Duration,
 		Iterations: cfg.Iterations,
-		Warmup:     cfg.Warmup,
 		Runs:       cfg.Runs,
 		Seed:       uint64(cfg.Seed),
 	}
