@@ -21,7 +21,10 @@
 // Structure (per shard): an active memtable (concurrent-read
 // skiplist), a stack of frozen sorted runs (SSTable stand-ins), and a
 // full merge when the run count exceeds a threshold. Reads consult
-// memtable then runs newest-first; deletion uses tombstones. A run is
+// memtable then runs newest-first, skipping every source whose Bloom
+// filter rules the key out (bloom.go): each memtable and run keeps one,
+// tombstones included, so a Get hashes its key once and searches only
+// the sources that may hold it. Deletion uses tombstones. A run is
 // pointer-free — key and value byte arenas addressed by offset arrays
 // — and Get binary-searches it over one machine word of key per entry
 // (run.go), so the search outside the lock costs cache misses in a
@@ -34,6 +37,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/pad"
 	"repro/internal/rwlock"
 )
 
@@ -58,16 +62,21 @@ type Options struct {
 	// Lock guards the database; nil selects the Reciprocating Lock.
 	// Build one from the repository catalog with registry.Build.
 	Lock sync.Locker
-	// MemTableBytes is the freeze threshold (default 1 MiB).
+	// MemTableBytes is the freeze threshold (default 1 MiB). It also
+	// sizes each memtable's Bloom filter, at one bit per 8 bytes.
 	MemTableBytes int
 	// MaxRuns triggers a full merge when exceeded (default 4).
 	MaxRuns int
 }
 
+// defaultMemTableBytes is Options.MemTableBytes's default.
+const defaultMemTableBytes = 1 << 20
+
 // Stats counts DB activity. Write-path counters (Puts, Deletes,
 // Freezes, Compactions) are guarded by the store lock; read-path
-// counters (Gets, Hits, Misses) are updated atomically because shared
-// readers record them concurrently when the lock admits read sharing.
+// counters (Hits, Misses) are updated atomically because shared readers
+// record them concurrently when the lock admits read sharing, and Gets
+// is their sum.
 type Stats struct {
 	Gets, Puts, Deletes  uint64
 	Hits, Misses         uint64
@@ -88,7 +97,14 @@ type DB struct {
 	// under the lock and searches outside it (LevelDB's Get pattern).
 	mem   *SkipList
 	runs  []*Run
-	stats Stats
+	stats Stats // write-path counters; Stats derives the read-path ones
+
+	// Every Get bumps one of these, so they sit on a line of their own:
+	// shared on a line with mem and runs, they would invalidate every
+	// other reader's snapshot loads.
+	_            pad.Line
+	hits, misses atomic.Uint64
+	_            pad.Line
 }
 
 // Open creates an empty database.
@@ -97,12 +113,12 @@ func Open(opts Options) *DB {
 		opts.Lock = new(core.Lock)
 	}
 	if opts.MemTableBytes <= 0 {
-		opts.MemTableBytes = 1 << 20
+		opts.MemTableBytes = defaultMemTableBytes
 	}
 	if opts.MaxRuns <= 0 {
 		opts.MaxRuns = 4
 	}
-	return &DB{mu: opts.Lock, readMu: rwlock.ReadLocker(opts.Lock), opts: opts, mem: NewSkipList()}
+	return &DB{mu: opts.Lock, readMu: rwlock.ReadLocker(opts.Lock), opts: opts, mem: newSkipList(opts.MemTableBytes)}
 }
 
 // Put inserts or updates a key.
@@ -135,7 +151,7 @@ func (db *DB) maybeFreezeLocked() {
 	// Newest first; replace the slice wholesale so concurrent readers
 	// holding the previous snapshot stay consistent.
 	db.runs = append([]*Run{frozen}, db.runs...)
-	db.mem = NewSkipList()
+	db.mem = newSkipList(db.opts.MemTableBytes)
 	db.stats.Freezes++
 	if len(db.runs) > db.opts.MaxRuns {
 		db.runs = []*Run{mergeRuns(db.runs)}
@@ -166,24 +182,31 @@ func (db *DB) Get(key []byte) ([]byte, bool) {
 	return val, found
 }
 
-// recordGet bumps the read-path counters. Atomic because shared
+// recordGet bumps one read-path counter. Atomic because shared
 // readers record concurrently; harmless (and still cheap) under an
 // exclusive lock.
 func (db *DB) recordGet(found bool) {
-	atomic.AddUint64(&db.stats.Gets, 1)
 	if found {
-		atomic.AddUint64(&db.stats.Hits, 1)
+		db.hits.Add(1)
 	} else {
-		atomic.AddUint64(&db.stats.Misses, 1)
+		db.misses.Add(1)
 	}
 }
 
-// get searches a snapshot (memtable, then runs newest-first); the
-// first source holding key decides, and a tombstone there hides it.
+// get searches a snapshot (memtable, then runs newest-first), skipping
+// each source whose filter rules key out; the first source holding key
+// decides, and a tombstone there hides it.
 func get(mem *SkipList, runs []*Run, key []byte) ([]byte, bool) {
-	v, found, tomb := mem.Get(key)
+	p := newProbe(key)
+	var v []byte
+	var found, tomb bool
+	if mem.filter.mayContain(p) {
+		v, found, tomb = mem.Get(key)
+	}
 	for i := 0; !found && i < len(runs); i++ {
-		v, found, tomb = runs[i].Get(key)
+		if runs[i].filter.mayContain(p) {
+			v, found, tomb = runs[i].Get(key)
+		}
 	}
 	if !found || tomb {
 		return nil, false
@@ -196,16 +219,10 @@ func get(mem *SkipList, runs []*Run, key []byte) ([]byte, bool) {
 // read-path counters are loaded atomically to pair with recordGet.
 func (db *DB) Stats() Stats {
 	db.mu.Lock()
-	s := Stats{
-		Gets:        atomic.LoadUint64(&db.stats.Gets),
-		Puts:        db.stats.Puts,
-		Deletes:     db.stats.Deletes,
-		Hits:        atomic.LoadUint64(&db.stats.Hits),
-		Misses:      atomic.LoadUint64(&db.stats.Misses),
-		Freezes:     db.stats.Freezes,
-		Compactions: db.stats.Compactions,
-	}
+	s := db.stats
+	s.Hits, s.Misses = db.hits.Load(), db.misses.Load()
 	db.mu.Unlock()
+	s.Gets = s.Hits + s.Misses
 	return s
 }
 

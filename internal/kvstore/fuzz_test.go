@@ -206,7 +206,8 @@ func runKeys(del bool, keys ...string) []byte {
 // earlier one. Each key, each with a byte added and with its last
 // byte dropped, nil and probe are searched and looked up in the frozen
 // run and in the run a full merge of it yields, which drops the
-// tombstones.
+// tombstones. Every key a run holds, tombstones included, must pass
+// that run's filter, or a Get would skip it.
 func FuzzRunSearch(f *testing.F) {
 	f.Add(runKeys(false, "", "a", "b"), []byte(nil))
 	f.Add(runKeys(false, "prefix-aaa", "prefix-mmm", "prefix-zzz"), []byte("pre"))
@@ -253,6 +254,11 @@ func FuzzRunSearch(f *testing.F) {
 		check := func(name string, r *Run, keys []string) {
 			if r.Len() != len(keys) {
 				t.Fatalf("%s run holds %d entries, want %d", name, r.Len(), len(keys))
+			}
+			for _, k := range keys {
+				if !r.filter.mayContain(newProbe([]byte(k))) {
+					t.Fatalf("%s run filter rules out its key %q (tombstone %v)", name, k, tombs[k])
+				}
 			}
 			for _, p := range probes {
 				want := sort.Search(len(keys), func(i int) bool { return bytes.Compare([]byte(keys[i]), p) >= 0 })

@@ -8,8 +8,10 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/locks"
+	"repro/internal/pad"
 )
 
 func TestSkipListBasics(t *testing.T) {
@@ -105,8 +107,15 @@ func TestSkipListConcurrentReadsDuringWrites(t *testing.T) {
 					return
 				default:
 				}
-				if v, ok, _ := sl.Get(Key(i % n)); ok && len(v) != 1 {
+				k := Key(i % n)
+				v, ok, _ := sl.Get(k)
+				if ok && len(v) != 1 {
 					panic("torn value")
+				}
+				// A key a reader can reach must pass the filter, or
+				// a Get that probes it first would skip the key.
+				if ok && !sl.filter.mayContain(newProbe(k)) {
+					panic(fmt.Sprintf("filter rules out reachable key %x", k))
 				}
 				i += 7
 			}
@@ -220,6 +229,19 @@ func TestDBPutGetDelete(t *testing.T) {
 	s := db.Stats()
 	if s.Puts != 1 || s.Deletes != 1 || s.Gets != 2 || s.Hits != 1 || s.Misses != 1 {
 		t.Fatalf("stats %+v", s)
+	}
+}
+
+// Every Get bumps a read counter, and every Get loads mem and runs, so
+// the counters must never share a 64-byte line with them, nor with the
+// next heap object, wherever the DB starts: a full line of padding on
+// each side of them guarantees that.
+func TestReadCountersOwnCacheLine(t *testing.T) {
+	var db DB
+	snapEnd := unsafe.Offsetof(db.runs) + unsafe.Sizeof(db.runs)
+	first, last := unsafe.Offsetof(db.hits), unsafe.Offsetof(db.misses)+unsafe.Sizeof(db.misses)
+	if first-snapEnd < pad.CacheLineSize || unsafe.Sizeof(db)-last < pad.CacheLineSize {
+		t.Fatalf("read counters at [%d, %d), snapshot fields end at %d, DB is %d bytes", first, last, snapEnd, unsafe.Sizeof(db))
 	}
 }
 

@@ -364,6 +364,32 @@ func BenchmarkRunGet(b *testing.B) {
 	}
 }
 
+// BenchmarkShardGet prices one shard's whole read path in the
+// cold-mixed shape: every lookup goes through get, which probes the
+// filters of a memtable of about 3.5 Ki random keys, three small runs
+// and the big one, and searches only the sources they admit. Against
+// BenchmarkRunGet, which searches every run until it finds the key, it
+// shows what the filters skip.
+func BenchmarkShardGet(b *testing.B) {
+	runs, keys := coldRuns(3)
+	mem := newSkipList(512 << 10)
+	val := make([]byte, 100)
+	r := xrand.NewXorShift64(3)
+	var k []byte
+	for mem.Bytes() < 512<<10 {
+		k = coldKey(k, uint64(r.Intn(keys)))
+		mem.Put(k, val)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k = coldKey(k, uint64(r.Intn(keys)))
+		if _, found := get(mem, runs, k); !found {
+			b.Fatalf("present key %x not found", k)
+		}
+	}
+}
+
 // BenchmarkMergeRuns prices compaction in the cold-mixed shape: four
 // small runs and the big one, the stack that exceeds the default
 // MaxRuns, merged into one run under the shard's write lock.

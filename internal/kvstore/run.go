@@ -23,14 +23,20 @@ import (
 // smaller word means a smaller key), so a probe touches the key arena
 // only to check the common prefix and for entries whose word ties its
 // own.
+//
+// Each run carries a Bloom filter of its keys at runBitsPerKey bits
+// per key, tombstones included, so a Get skips a run that cannot hold
+// its key without searching it; the filter is complete before the run
+// is published.
 type Run struct {
-	keys  []byte   // key arena; key i is keys[koff[i]:koff[i+1]]
-	koff  []uint32 // len(index)+1 offsets into keys
-	vals  []byte   // value arena; value i is vals[voff[i]:voff[i+1]]
-	voff  []uint32 // len(index)+1 offsets into vals
-	tombs []bool   // tombs[i] marks entry i a deletion tombstone
-	index []uint64 // search words, one per entry
-	plen  int      // common prefix length; the prefix is keys[:plen]
+	keys   []byte   // key arena; key i is keys[koff[i]:koff[i+1]]
+	koff   []uint32 // len(index)+1 offsets into keys
+	vals   []byte   // value arena; value i is vals[voff[i]:voff[i+1]]
+	voff   []uint32 // len(index)+1 offsets into vals
+	tombs  []bool   // tombs[i] marks entry i a deletion tombstone
+	index  []uint64 // search words, one per entry
+	plen   int      // common prefix length; the prefix is keys[:plen]
+	filter bloom    // every key, tombstones included
 }
 
 // runBuilder makes a run from a counting pass over its entries: their
@@ -94,6 +100,7 @@ func buildRun(sl *SkipList) *Run {
 		r.tombs = append(r.tombs, tomb)
 		return true
 	})
+	r.fillFilter()
 	return r
 }
 
@@ -117,7 +124,19 @@ func mergeRuns(runs []*Run) *Run {
 	for k, v, ok := m.next(); ok; k, v, ok = m.next() {
 		out.add(k, v)
 	}
+	out.fillFilter()
 	return out
+}
+
+// fillFilter builds the run's filter from its key arena, in a pass of
+// its own after the entries are in place: a tight loop overlaps the
+// filter's cache misses, where an add per entry would stall on each
+// one between two merge steps.
+func (r *Run) fillFilter() {
+	r.filter = newBloom(len(r.index) * runBitsPerKey)
+	for i := range r.index {
+		r.filter.add(newProbe(r.key(i)))
+	}
 }
 
 // commonPrefix returns the length of the longest common prefix of a

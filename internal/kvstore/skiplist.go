@@ -30,11 +30,10 @@ type oldVersion struct {
 }
 
 type slNode struct {
-	key    []byte
-	val    atomic.Pointer[valueBox]
-	old    atomic.Pointer[oldVersion]
-	height int
-	next   [maxHeight]atomic.Pointer[slNode]
+	key  []byte
+	val  atomic.Pointer[valueBox]
+	old  atomic.Pointer[oldVersion]
+	next [maxHeight]atomic.Pointer[slNode]
 }
 
 // visible returns the newest version of n stamped at or before snap,
@@ -65,8 +64,14 @@ func (n *slNode) visible(snap uint64) *valueBox {
 // the list as it stood at its snapshot. An overwritten value is kept
 // only when a snapshot was taken after it was written, and a kept
 // value counts towards Bytes, so the freeze threshold bounds them.
+//
+// A Bloom filter sized from the freeze budget holds every key ever
+// inserted, tombstones included. The writer sets a key's bits before
+// linking its node, so a Get that skips the list on the filter's word
+// skips only keys no reader could have reached.
 type SkipList struct {
 	head   *slNode
+	filter bloom
 	height atomic.Int32
 	nodes  atomic.Int64
 	bytes  atomic.Int64
@@ -75,11 +80,17 @@ type SkipList struct {
 	pinned atomic.Uint64 // highest stamp any snapshot has read
 }
 
-// NewSkipList creates an empty list.
-func NewSkipList() *SkipList {
+// NewSkipList creates an empty list with a filter sized for the
+// default freeze budget.
+func NewSkipList() *SkipList { return newSkipList(defaultMemTableBytes) }
+
+// newSkipList creates an empty list with a filter of one bit per
+// memBytesPerBit bytes of budget, the freeze threshold.
+func newSkipList(budget int) *SkipList {
 	return &SkipList{
-		head: &slNode{height: maxHeight},
-		rng:  xrand.NewXorShift64(0x5ca1ab1e),
+		head:   &slNode{},
+		filter: newBloom(budget / memBytesPerBit),
+		rng:    xrand.NewXorShift64(0x5ca1ab1e),
 	}
 }
 
@@ -147,8 +158,9 @@ func (s *SkipList) put(key, data []byte, tomb uint64) {
 		return
 	}
 	h := s.randomHeight()
-	n := &slNode{key: clone(key), height: h}
+	n := &slNode{key: clone(key)}
 	n.val.Store(box)
+	s.filter.addShared(newProbe(key))
 	if int32(h-1) > s.height.Load() {
 		s.height.Store(int32(h - 1))
 	}
@@ -183,10 +195,14 @@ func (s *SkipList) Get(key []byte) (val []byte, found, tomb bool) {
 		}
 		for {
 			nxt := x.next[lvl].Load()
-			if nxt == nil || bytes.Compare(nxt.key, key) > 0 {
+			if nxt == nil {
 				break
 			}
-			if bytes.Equal(nxt.key, key) {
+			c := bytes.Compare(nxt.key, key)
+			if c > 0 {
+				break
+			}
+			if c == 0 {
 				box := nxt.val.Load()
 				return box.data, true, box.tombstone()
 			}
