@@ -73,9 +73,8 @@
 #                      cycle detector, the kvstore differential,
 #                      sharded-batch and iterator-seek differentials +
 #                      skiplist targets, the sorted-run search against
-#                      sort.Search over arbitrary byte keys,
-#                      the seqlock optimistic-read differential, and
-#                      the schedule shrinker
+#                      sort.Search over arbitrary byte keys, and the
+#                      schedule shrinker
 
 GO ?= go
 GOFMT ?= gofmt
@@ -161,5 +160,4 @@ fuzz-smoke: build
 	$(GO) test -run '^$$' -fuzz='^FuzzIteratorSeek$$' -fuzztime=$(FUZZTIME) ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz='^FuzzSkipListOrdering$$' -fuzztime=$(FUZZTIME) ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz='^FuzzRunSearch$$' -fuzztime=$(FUZZTIME) ./internal/kvstore
-	$(GO) test -run '^$$' -fuzz='^FuzzSeqlockRead$$' -fuzztime=$(FUZZTIME) ./internal/atomicstruct
 	$(GO) test -run '^$$' -fuzz='^FuzzShrink$$' -fuzztime=$(FUZZTIME) ./internal/explore

@@ -2,13 +2,11 @@
 // internal/conformance against registry locks: the registry-wide
 // property checks (mutual exclusion under randomized schedules, TryLock
 // soundness, the bounded-acquisition contract with chaos stalls,
-// abandonment safety, unlock-of-unlocked discipline) plus, for entries
-// declaring a sim twin, the shard-aware store properties (per-shard
-// mutual exclusion and untorn cross-shard batches in the sharded
-// kvstore) and the differential checker that demands the real
-// lock, its coherence-simulated twin, and the paper's abstract
-// admission model agree on admission order, segment structure, and the
-// bypass bound over seeded deterministic schedules.
+// abandonment safety, unlock-of-unlocked discipline, read-path sharing)
+// plus, for entries declaring a sim twin, the differential checker that
+// demands the real lock, its coherence-simulated twin, and the paper's
+// abstract admission model agree on admission order, segment
+// structure, and the bypass bound over seeded deterministic schedules.
 //
 // Usage:
 //

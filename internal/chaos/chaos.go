@@ -60,10 +60,6 @@ type Config struct {
 	// SpuriousWake is the probability that Wake() reports true,
 	// causing an instrumented blocking wait to return spuriously.
 	SpuriousWake float64
-	// Clock is the sleeper for injected delays (nil = wall clock), so
-	// chaos runs under a virtual clock sleep on virtual time instead of
-	// stalling the process.
-	Clock clock.Clock
 }
 
 // DefaultConfig returns the torture-harness defaults: aggressive
@@ -237,7 +233,7 @@ func (p *Point) hit(s *Site) {
 		p.delays.Add(1)
 		record(p, s, "delay")
 		d := time.Duration(splitmix64(y) % uint64(c.MaxDelay))
-		clock.Or(c.Clock).Sleep(d)
+		clock.Wall.Sleep(d)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 //
 // Time never advances on its own. Two driving modes:
 //
-//   - Manual: the test calls Advance / AdvanceTo; due timers fire (and
+//   - Manual: the test calls Advance; due timers fire (and
 //     sleepers wake) in heap order as the clock steps through them.
 //   - Runner: worker goroutines are registered with Go, and Run steps
 //     the clock whenever every live worker is blocked in a virtual
@@ -190,26 +190,13 @@ func (v *Virtual) Advance(d time.Duration) int {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.advanceToLocked(v.now + d)
-}
-
-// AdvanceTo moves the clock to instant t (no-op if t is in the past),
-// firing due timers in order, and returns how many fired.
-func (v *Virtual) AdvanceTo(t time.Duration) int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.advanceToLocked(t)
-}
-
-func (v *Virtual) advanceToLocked(target time.Duration) int {
+	target := v.now + d
 	fired := 0
 	for len(v.h) > 0 && v.h[0].when <= target {
 		v.fireLocked()
 		fired++
 	}
-	if target > v.now {
-		v.now = target
-	}
+	v.now = target
 	return fired
 }
 

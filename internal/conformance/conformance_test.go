@@ -1,8 +1,10 @@
 package conformance
 
 import (
+	"sync"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/registry"
 )
 
@@ -48,5 +50,31 @@ func TestSuiteAllEntries(t *testing.T) {
 					r.Diff.Schedules, r.Diff.Events, r.Diff.MaxBypass, r.Diff.Detaches)
 			}
 		})
+	}
+}
+
+// nopLocker admits everyone at once.
+type nopLocker struct{}
+
+func (nopLocker) Lock()   {}
+func (nopLocker) Unlock() {}
+
+// TestMutualExclusionDetectsBrokenLock proves the mutex check has
+// teeth: a no-op "lock" must fail it, not pass or skip.
+func TestMutualExclusionDetectsBrokenLock(t *testing.T) {
+	if raceEnabled {
+		t.Skip("intentionally races the guarded counter; the detector would (correctly) flag it")
+	}
+	e := registry.Entry{
+		Name:   "nop",
+		Family: registry.FamilySpin,
+		New:    func(clock.Clock) sync.Locker { return nopLocker{} },
+	}
+	err := CheckMutualExclusion(e, testOptions())
+	if err == nil {
+		t.Fatal("CheckMutualExclusion passed a no-op lock")
+	}
+	if Skipped(err) {
+		t.Fatalf("no-op lock was skipped, not failed: %v", err)
 	}
 }

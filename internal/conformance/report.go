@@ -36,15 +36,13 @@ func (r Report) Failed() bool {
 func CheckNames() []string {
 	return []string{
 		"mutex", "trylock", "bounded", "abandon", "unlock",
-		"read-sharing", "shard-mutex", "shard-iter", "lease-reacquire",
-		"differential",
+		"read-sharing", "differential",
 	}
 }
 
 // Run executes the full suite — mutual exclusion, TryLock soundness,
 // bounded contract, abandonment safety, unlock discipline, read-path
-// sharing for entries whose lock offers a read path, the
-// sharded-store composition, lease re-acquisition, and (for
+// sharing for entries whose lock offers a read path, and (for
 // twin-declaring entries) the differential checker — against one
 // entry.
 func Run(e registry.Entry, o Options) Report {
@@ -59,9 +57,6 @@ func Run(e registry.Entry, o Options) Report {
 	add("abandon", CheckAbandonment(e, o))
 	add("unlock", CheckUnlockDiscipline(e))
 	add("read-sharing", CheckReadSharing(e, o))
-	add("shard-mutex", CheckShardedMutualExclusion(e, o))
-	add("shard-iter", CheckShardedIterator(e, o))
-	add("lease-reacquire", CheckLeaseReacquire(e, o))
 	if e.SimTwin == "" {
 		add("differential", skipError("no sim twin"))
 	} else {

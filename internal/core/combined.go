@@ -27,9 +27,6 @@ type CombinedLock struct {
 
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
-
-	// races counts swap-swap window races (diagnostics/ablation).
-	races atomic.Uint64
 }
 
 // Acquire enters the lock and returns the successor context for
@@ -49,7 +46,6 @@ func (l *CombinedLock) Acquire(e *flagElement) *flagElement {
 			// buried at its distal end. Keep ownership, adopt the
 			// chain as our entry segment, and convey our address as
 			// its logical end-of-segment marker.
-			l.races.Add(1)
 			r.eos.Store(e)
 			succ = r
 		}
@@ -115,9 +111,6 @@ func (l *CombinedLock) TryLock() bool {
 	}
 	return false
 }
-
-// Races reports how many swap-swap arrival races have occurred.
-func (l *CombinedLock) Races() uint64 { return l.races.Load() }
 
 // Locked reports whether the lock was held at the instant of the load.
 func (l *CombinedLock) Locked() bool { return l.arrivals.Load() != nil }

@@ -60,7 +60,7 @@ func (l *SimplifiedLock) Acquire(e *flagElement) *flagElement {
 // abandonment exits of (*Lock).acquire; NEMO plays the LOCKEDEMPTY
 // role and the sequestered eos word is maintained as on a grant. In
 // Park mode a budgeted waiter, and a timed-out one still waiting to
-// self-remove, blocks in futex.WaitTimeout slices so it rechecks its
+// self-remove, blocks in futex.WaitTimeoutClock slices so it rechecks its
 // budget and its exit without a dedicated wakeup from the releaser;
 // only a waiter with no budget parks in a plain futex.Wait.
 func (l *SimplifiedLock) acquire(e *flagElement, deadline time.Duration, done <-chan struct{}) (*flagElement, bool) {

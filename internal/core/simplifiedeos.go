@@ -26,8 +26,6 @@ type SimplifiedEOSLock struct {
 
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
-
-	races atomic.Uint64
 }
 
 func (l *SimplifiedEOSLock) fetchAndMark() uint64 { return l.arrivals.Add(1) - 1 }
@@ -50,7 +48,6 @@ func (l *SimplifiedEOSLock) Acquire(e *taggedElement) *taggedElement {
 		// entry segment, terminated by our zombie element, whose
 		// identity we convey through the head's eos field so the
 		// penultimate waiter can recognize the logical end.
-		l.races.Add(1)
 		rElem := taggedReg.lookup(r >> 2)
 		rElem.eos.Store(e)
 		return rElem
@@ -114,9 +111,6 @@ func (l *SimplifiedEOSLock) TryLock() bool {
 	}
 	return false
 }
-
-// Races reports how many onset-of-contention races occurred.
-func (l *SimplifiedEOSLock) Races() uint64 { return l.races.Load() }
 
 // Locked reports whether the lock was held at the instant of the load.
 func (l *SimplifiedEOSLock) Locked() bool {

@@ -136,17 +136,6 @@ func TestUncontendedLatencySmoke(t *testing.T) {
 	}
 }
 
-// The bypass table is informational (see BypassBound): it must render
-// a row per lock it measures, but its figures are not held to the
-// guarantees, which the conformance differential checker and the
-// simulator's Table 2 check gate instead.
-func TestBypassBoundTable(t *testing.T) {
-	tab := BypassBound(5, 2500)
-	if len(tab.Rows) < 8 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-}
-
 func TestMitigationFairnessSmoke(t *testing.T) {
 	tab := MitigationFairness(10 * time.Millisecond)
 	if len(tab.Rows) != 7 {

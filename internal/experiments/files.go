@@ -93,7 +93,6 @@ var Files = []File{
 	}},
 	{"llc_model", "B", "", func(Budget) []*table.Table { return []*table.Table{LLCResidency(0)} }},
 	{"latency", "B", "", func(Budget) []*table.Table { return []*table.Table{AcquireLatencyDistribution(0, 0)} }},
-	{"bypass", "A", TrackANote, func(Budget) []*table.Table { return []*table.Table{BypassBound(0, 0)} }},
 	{"padding", "B", "", func(Budget) []*table.Table { return []*table.Table{PaddingAblationSim(0, 0)} }},
 	{"section8_tally", "B", "", func(Budget) []*table.Table { return []*table.Table{Section8Tally(0, 0)} }},
 	{"tradeoff", "B", "", func(Budget) []*table.Table { return []*table.Table{FairnessThroughputTradeoff(0, 0)} }},

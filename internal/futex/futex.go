@@ -40,7 +40,7 @@ import (
 var (
 	chWait          = chaos.NewPoint("futex.wait")
 	siteWait        = chWait.Site("futex.Wait")
-	siteWaitTimeout = chWait.Site("futex.WaitTimeout")
+	siteWaitTimeout = chWait.Site("futex.WaitTimeoutClock")
 )
 
 const shardCount = 64 // power of two
@@ -148,16 +148,10 @@ func Wait(addr *atomic.Uint32, val uint32) {
 	<-w.ch
 }
 
-// WaitTimeout is Wait with a deadline; it reports false on timeout.
-// Like Wait, it may return true spuriously under chaos fault
-// injection.
-func WaitTimeout(addr *atomic.Uint32, val uint32, d time.Duration) bool {
-	return WaitTimeoutClock(addr, val, d, nil)
-}
-
-// WaitTimeoutClock is WaitTimeout with the timeout measured on c (nil
-// selects clock.Wall) — the variant clocked locks park through so a
-// virtual clock can expire their waits deterministically.
+// WaitTimeoutClock is Wait with a timeout measured on c (nil selects
+// clock.Wall); it reports false on timeout. Clocked locks park through
+// it so a virtual clock can expire their waits deterministically. Like
+// Wait, it may return true spuriously under chaos fault injection.
 func WaitTimeoutClock(addr *atomic.Uint32, val uint32, d time.Duration, c clock.Clock) bool {
 	if siteWaitTimeout.Wake() {
 		return true
@@ -222,11 +216,6 @@ func Wake(addr *atomic.Uint32, n int) int {
 	}
 	s.mu.Unlock()
 	return woke
-}
-
-// WakeAll releases every waiter queued on addr.
-func WakeAll(addr *atomic.Uint32) int {
-	return Wake(addr, int(^uint(0)>>1))
 }
 
 // Waiters reports how many waiters are currently queued on addr.

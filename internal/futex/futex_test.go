@@ -83,8 +83,8 @@ func TestWakeCountAndFIFO(t *testing.T) {
 	if got := Waiters(&a); got != n-3 {
 		t.Fatalf("Waiters = %d, want %d", got, n-3)
 	}
-	if got := WakeAll(&a); got != n-3 {
-		t.Fatalf("WakeAll released %d, want %d", got, n-3)
+	if got := Wake(&a, n); got != n-3 {
+		t.Fatalf("Wake(%d) released %d, want %d", n, got, n-3)
 	}
 	for i := 3; i < n; i++ {
 		<-order
@@ -94,18 +94,18 @@ func TestWakeCountAndFIFO(t *testing.T) {
 func TestWaitTimeout(t *testing.T) {
 	var a atomic.Uint32
 	start := time.Now()
-	if WaitTimeout(&a, 0, 20*time.Millisecond) {
-		t.Fatal("WaitTimeout reported wakeup, want timeout")
+	if WaitTimeoutClock(&a, 0, 20*time.Millisecond, nil) {
+		t.Fatal("WaitTimeoutClock reported wakeup, want timeout")
 	}
 	if time.Since(start) < 20*time.Millisecond {
-		t.Fatal("WaitTimeout returned before deadline")
+		t.Fatal("WaitTimeoutClock returned before deadline")
 	}
 	if Waiters(&a) != 0 {
 		t.Fatal("timed-out waiter left registered")
 	}
 	// And the success path:
 	done := make(chan bool, 1)
-	go func() { done <- WaitTimeout(&a, 0, 10*time.Second) }()
+	go func() { done <- WaitTimeoutClock(&a, 0, 10*time.Second, nil) }()
 	for Waiters(&a) == 0 {
 		time.Sleep(time.Millisecond)
 	}
@@ -113,10 +113,10 @@ func TestWaitTimeout(t *testing.T) {
 	select {
 	case ok := <-done:
 		if !ok {
-			t.Fatal("WaitTimeout reported timeout, want wakeup")
+			t.Fatal("WaitTimeoutClock reported timeout, want wakeup")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("woken WaitTimeout did not return")
+		t.Fatal("woken WaitTimeoutClock did not return")
 	}
 }
 
@@ -136,7 +136,7 @@ func TestNoLostWakeups(t *testing.T) {
 			close(done)
 		}()
 		flag.Store(1)
-		WakeAll(&flag)
+		Wake(&flag, 1)
 		select {
 		case <-done:
 		case <-time.After(10 * time.Second):

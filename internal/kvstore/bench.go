@@ -114,15 +114,6 @@ func ReadWhileWritingWorkload(openDB func(run harness.RunInfo) Store, cfg ReadRa
 	}
 }
 
-// ReadWhileWriting runs one readwhilewriting pass over db, returning
-// the reader result and the writer's operation tally.
-func ReadWhileWriting(db Store, cfg ReadRandomConfig, valueSize int) (ReadRandomResult, uint64) {
-	w := ReadWhileWritingWorkload(func(harness.RunInfo) Store { return db }, cfg, valueSize)
-	m := harness.Measure(w, engineConfig(cfg))
-	res := resultFromMeasurement(m)
-	return res, uint64(m.MedianOutcome().Extras["writer_ops"])
-}
-
 // hitCounter is a sector-padded per-worker hit tally (the harness
 // engine owns the op counters; hits are workload-specific).
 type hitCounter struct {

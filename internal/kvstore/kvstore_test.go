@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"repro/internal/harness"
 	"repro/internal/locks"
 	"repro/internal/pad"
 )
@@ -346,13 +347,14 @@ func TestReadRandomUnderVariousLocks(t *testing.T) {
 func TestReadWhileWriting(t *testing.T) {
 	db := Open(Options{MemTableBytes: 16 << 10})
 	FillSeq(db, 3000, 64)
-	res, wops := ReadWhileWriting(db, ReadRandomConfig{
-		Threads: 3, Keyspace: 3000, OpsPerThread: 3000, Seed: 4,
-	}, 64)
+	cfg := ReadRandomConfig{Threads: 3, Keyspace: 3000, OpsPerThread: 3000, Seed: 4}
+	w := ReadWhileWritingWorkload(func(harness.RunInfo) Store { return db }, cfg, 64)
+	m := harness.Measure(w, harness.Config{Threads: 3, Iterations: 3000, Runs: 1, Seed: 4})
+	res := resultFromMeasurement(m)
 	if res.Ops != 3*3000 {
 		t.Fatalf("reader ops = %d", res.Ops)
 	}
-	if wops == 0 {
+	if m.MedianOutcome().Extras["writer_ops"] == 0 {
 		t.Fatal("writer made no progress while readers ran")
 	}
 	// All keys remain visible (overwrites only).

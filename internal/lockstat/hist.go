@@ -111,9 +111,7 @@ func (h HistSnapshot) Quantile(q float64) time.Duration {
 }
 
 // String renders the non-zero buckets as an ASCII bar view, one line
-// per bucket with its latency range, count and a scaled bar — the same
-// presentation style as stats.Histogram, adapted to log-scale duration
-// bounds.
+// per bucket with its log-scale latency range, count and a scaled bar.
 func (h HistSnapshot) String() string {
 	max := uint64(1)
 	for _, b := range h.Buckets {

@@ -220,19 +220,6 @@ func Run(lf registry.Entry, cfg Config) Result {
 	}
 }
 
-// Sweep runs cfg across the given thread counts for every entry.
-func Sweep(lfs []registry.Entry, threadCounts []int, cfg Config) []Result {
-	var out []Result
-	for _, lf := range lfs {
-		for _, tc := range threadCounts {
-			c := cfg
-			c.Threads = tc
-			out = append(out, Run(lf, c))
-		}
-	}
-	return out
-}
-
 // WorkloadName renders cfg's workload cell label: "max" or "moderate"
 // by NCS for the exclusive kernel, "readmostly/rNN" (NN = read
 // percentage) for the read-mostly one.
@@ -250,8 +237,9 @@ func WorkloadName(cfg Config) string {
 	return "max"
 }
 
-// SweepResult runs the sweep and renders it directly as the versioned
-// harness result schema (workload per WorkloadName).
+// SweepResult runs cfg across the given thread counts for every entry
+// and renders the cells as the versioned harness result schema
+// (workload per WorkloadName).
 func SweepResult(lfs []registry.Entry, threadCounts []int, cfg Config) *harness.Result {
 	workload := WorkloadName(cfg)
 	res := harness.NewResult("mutexbench", "A", uint64(cfg.Seed))

@@ -79,9 +79,14 @@ func TestResultReportsMedianDefiningRun(t *testing.T) {
 
 func TestSweepShape(t *testing.T) {
 	lfs := registry.Paper()[:2]
-	res := Sweep(lfs, []int{1, 2}, Config{Iterations: 100, CSSteps: 1, Runs: 1})
-	if len(res) != 4 {
-		t.Fatalf("sweep rows = %d, want 4", len(res))
+	res := SweepResult(lfs, []int{1, 2}, Config{Iterations: 100, CSSteps: 1, Runs: 1})
+	if len(res.Cells) != 4 {
+		t.Fatalf("sweep cells = %d, want 4", len(res.Cells))
+	}
+	for i, c := range res.Cells {
+		if lock, threads := lfs[i/2].Name, 1+i%2; c.Lock != lock || c.Threads != threads {
+			t.Errorf("cell %d = %s/%d, want %s/%d", i, c.Lock, c.Threads, lock, threads)
+		}
 	}
 }
 

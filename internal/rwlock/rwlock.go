@@ -65,8 +65,7 @@ type RWLocker interface {
 // Read sections must be side-effect-free on shared state and must
 // tolerate inconsistent (torn) values until validation succeeds; to
 // stay race-detector-clean they should read shared words with atomic
-// loads (see internal/atomicstruct.SeqAtomic for the word-atomic
-// pattern over whole structs).
+// loads.
 type OptimisticLocker interface {
 	sync.Locker
 	// ReadBegin returns the current version stamp. An odd stamp means

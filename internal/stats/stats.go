@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -146,59 +145,4 @@ func DisparityRatio(counts []int64) float64 {
 		return math.Inf(1)
 	}
 	return float64(mx) / float64(mn)
-}
-
-// Histogram accumulates values into fixed-width buckets over [lo, hi);
-// out-of-range values land in the first/last bucket.
-type Histogram struct {
-	lo, hi  float64
-	width   float64
-	Buckets []int64
-	Count   int64
-}
-
-// NewHistogram creates a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(n), Buckets: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.lo) / h.width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Buckets) {
-		i = len(h.Buckets) - 1
-	}
-	h.Buckets[i]++
-	h.Count++
-}
-
-// String renders a compact ASCII bar view.
-func (h *Histogram) String() string {
-	max := int64(1)
-	for _, b := range h.Buckets {
-		if b > max {
-			max = b
-		}
-	}
-	out := ""
-	for i, b := range h.Buckets {
-		lo := h.lo + float64(i)*h.width
-		bar := int(b * 40 / max)
-		out += fmt.Sprintf("%10.3g | %-40s %d\n", lo, repeat('#', bar), b)
-	}
-	return out
-}
-
-func repeat(c byte, n int) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = c
-	}
-	return string(b)
 }

@@ -166,37 +166,6 @@ func TestDisparityRatio(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{0, 1, 2.5, 9.9, 100, -5} {
-		h.Add(v)
-	}
-	if h.Count != 6 {
-		t.Errorf("Count = %d", h.Count)
-	}
-	if h.Buckets[0] != 3 { // 0, 1, -5(clamped)
-		t.Errorf("bucket 0 = %d, want 3", h.Buckets[0])
-	}
-	if h.Buckets[1] != 1 { // 2.5
-		t.Errorf("bucket 1 = %d, want 1", h.Buckets[1])
-	}
-	if h.Buckets[4] != 2 { // 9.9, 100(clamped)
-		t.Errorf("bucket 4 = %d, want 2", h.Buckets[4])
-	}
-	if h.String() == "" {
-		t.Error("String() empty")
-	}
-}
-
-func TestHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for invalid shape")
-		}
-	}()
-	NewHistogram(1, 1, 3)
-}
-
 func TestPercentileMatchesSortedSelection(t *testing.T) {
 	err := quick.Check(func(raw []uint16) bool {
 		if len(raw) == 0 {
@@ -296,58 +265,5 @@ func TestAllEqualSamples(t *testing.T) {
 	// All-zero allocation is defined as perfectly fair.
 	if got := JainIndex([]float64{0, 0, 0}); got != 1 {
 		t.Errorf("JainIndex(zeros) = %v, want 1", got)
-	}
-}
-
-// Edge case: histogram bucket boundary values. With n buckets over
-// [lo, hi), a value exactly on an interior boundary belongs to the
-// higher bucket, lo belongs to bucket 0, and out-of-range values are
-// clamped into the first/last bucket.
-func TestHistogramBucketBoundaries(t *testing.T) {
-	h := NewHistogram(0, 10, 10) // buckets [0,1) [1,2) ... [9,10)
-	cases := []struct {
-		x      float64
-		bucket int
-	}{
-		{0, 0},     // lower bound → first bucket
-		{0.999, 0}, // just under first boundary
-		{1, 1},     // interior boundary → higher bucket
-		{5, 5},
-		{8.999, 8},
-		{9, 9},     // last interior boundary
-		{9.999, 9}, // just under upper bound
-		{10, 9},    // upper bound clamps into last bucket
-		{1e9, 9},   // far overflow clamps
-		{-1, 0},    // underflow clamps
-	}
-	for _, c := range cases {
-		before := h.Buckets[c.bucket]
-		h.Add(c.x)
-		if h.Buckets[c.bucket] != before+1 {
-			for i, b := range h.Buckets {
-				if b > 0 {
-					t.Logf("bucket[%d] = %d", i, b)
-				}
-			}
-			t.Fatalf("Add(%v): bucket %d not incremented", c.x, c.bucket)
-		}
-	}
-	if h.Count != int64(len(cases)) {
-		t.Errorf("Count = %d, want %d", h.Count, len(cases))
-	}
-	// Invalid shapes must panic rather than mis-bucket silently.
-	for _, bad := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(10, 10, 4) },
-		func() { NewHistogram(10, 0, 4) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("invalid histogram shape did not panic")
-				}
-			}()
-			bad()
-		}()
 	}
 }
