@@ -5,8 +5,8 @@
 #                      any unformatted file), go vet, the full
 #                      build+test suite, the conformance, vtime and
 #                      explore tiers, the kvperf benchmark smoke, the
-#                      fuzz smoke, the benchdiff smoke, and the Figure 1
-#                      golden check.
+#                      fuzz smoke, the bench smoke, the benchdiff smoke,
+#                      and the Figure 1 golden check.
 #   make test        — tier 1: build + full test suite (the CI gate);
 #                      includes the Track B golden test, which
 #                      regenerates every deterministic results file
@@ -15,6 +15,10 @@
 #   make race        — race tier: go vet + the full suite under -race
 #                      (includes the registry capability-claims tests)
 #   make bench       — the root benchmark suite (paper figures + ablations)
+#   make bench-smoke — every benchmark in the module run once
+#                      (-benchtime 1x): catches a benchmark that panics
+#                      or fails its own checks, which the test tiers
+#                      never run
 #   make bench-json  — regenerate results/bench_baseline.json: a short
 #                      mutexbench sweep, a sharded kvbench sweep
 #                      (shard count × lock matrix), and read-mostly
@@ -73,8 +77,9 @@
 #                      cycle detector, the kvstore differential,
 #                      sharded-batch and iterator-seek differentials +
 #                      skiplist targets, the sorted-run search against
-#                      sort.Search over arbitrary byte keys, and the
-#                      schedule shrinker
+#                      sort.Search over arbitrary byte keys, the
+#                      stretch merge against the iterators' per-entry
+#                      merge over 1–6 runs, and the schedule shrinker
 
 GO ?= go
 GOFMT ?= gofmt
@@ -83,14 +88,14 @@ CONF_SEED ?= 1
 FUZZTIME ?= 5s
 BENCH_BASELINE ?= results/bench_baseline.json
 
-.PHONY: all build check fmt-check test vet race bench bench-json benchdiff-check chaos conformance vtime explore kvperf fuzz-smoke figures-check
+.PHONY: all build check fmt-check test vet race bench bench-smoke bench-json benchdiff-check chaos conformance vtime explore kvperf fuzz-smoke figures-check
 
 all: test
 
 build:
 	$(GO) build ./...
 
-check: fmt-check vet test conformance vtime explore kvperf fuzz-smoke benchdiff-check figures-check
+check: fmt-check vet test conformance vtime explore kvperf fuzz-smoke bench-smoke benchdiff-check figures-check
 
 fmt-check:
 	@out="$$($(GOFMT) -l .)"; if [ -n "$$out" ]; then \
@@ -107,6 +112,9 @@ race: vet
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+bench-smoke: build
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 bench-json: build
 	@mkdir -p results
@@ -160,4 +168,5 @@ fuzz-smoke: build
 	$(GO) test -run '^$$' -fuzz='^FuzzIteratorSeek$$' -fuzztime=$(FUZZTIME) ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz='^FuzzSkipListOrdering$$' -fuzztime=$(FUZZTIME) ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz='^FuzzRunSearch$$' -fuzztime=$(FUZZTIME) ./internal/kvstore
+	$(GO) test -run '^$$' -fuzz='^FuzzMergeRuns$$' -fuzztime=$(FUZZTIME) ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz='^FuzzShrink$$' -fuzztime=$(FUZZTIME) ./internal/explore

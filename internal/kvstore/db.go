@@ -29,6 +29,12 @@
 // — and Get binary-searches it over one machine word of key per entry
 // (run.go), so the search outside the lock costs cache misses in a
 // few flat arrays rather than two pointer chases per probe.
+//
+// Freezes and compactions run under the write lock, so their cost is
+// critical-section length. A freeze sizes its run from totals the
+// memtable's writer keeps, and a full merge copies each stretch of
+// entries that one run contributes whole, keys and values in one block
+// each, so merging costs a heap step per stretch, not per entry.
 package kvstore
 
 import (

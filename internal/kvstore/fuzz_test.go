@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -281,5 +282,137 @@ func FuzzRunSearch(f *testing.F) {
 		r := buildRun(sl)
 		check("frozen", r, all)
 		check("merged", mergeRuns([]*Run{r}), live)
+	})
+}
+
+// runsOf joins runKeys encodings into FuzzMergeRuns input, one per
+// run, setting bit 6 of each later run's first header to start it.
+func runsOf(runs ...[]byte) []byte {
+	var enc []byte
+	for i, r := range runs {
+		if i > 0 && len(r) > 0 {
+			enc = append(enc, r[0]|0x40)
+			r = r[1:]
+		}
+		enc = append(enc, r...)
+	}
+	return enc
+}
+
+// entry is one key, value and tombstone flag of a reference run.
+type entry struct {
+	k, v []byte
+	tomb bool
+}
+
+// runOf builds a run entry by entry from sorted entries, sized by
+// counting them first: the shape buildRun and mergeRuns must produce.
+func runOf(entries []entry, tombs bool) *Run {
+	var b runBuilder
+	for i, e := range entries {
+		if i == 0 {
+			b.first = e.k
+		}
+		b.last = e.k
+		b.n++
+		b.keyBytes += len(e.k)
+		b.valBytes += len(e.v)
+	}
+	r := b.alloc(tombs)
+	for _, e := range entries {
+		r.add(e.k, e.v)
+		if tombs {
+			r.tombs = append(r.tombs, e.tomb)
+		}
+	}
+	r.fillFilter()
+	return r
+}
+
+// frozenRef freezes sl entry by entry from its Ascend order.
+func frozenRef(sl *SkipList) *Run {
+	var es []entry
+	sl.Ascend(func(k, v []byte, tomb bool) bool {
+		es = append(es, entry{k, v, tomb})
+		return true
+	})
+	return runOf(es, true)
+}
+
+// mergeRef merges runs (newest first) through the iterators' per-entry
+// merger.next, the reference mergeRuns must match.
+func mergeRef(runs []*Run) *Run {
+	m := runMerger(runs)
+	var es []entry
+	m.first()
+	for k, v, ok := m.next(); ok; k, v, ok = m.next() {
+		es = append(es, entry{k, v, false})
+	}
+	return runOf(es, false)
+}
+
+// checkExact fails unless every array of r is filled to its capacity,
+// the sign that it was sized before its entries were copied.
+func checkExact(t *testing.T, name string, r *Run) {
+	t.Helper()
+	if cap(r.keys) != len(r.keys) || cap(r.vals) != len(r.vals) || cap(r.koff) != len(r.koff) ||
+		cap(r.voff) != len(r.voff) || cap(r.index) != len(r.index) || cap(r.tombs) != len(r.tombs) {
+		t.Fatalf("%s run arrays not exactly sized: keys %d/%d vals %d/%d koff %d/%d voff %d/%d index %d/%d tombs %d/%d",
+			name, len(r.keys), cap(r.keys), len(r.vals), cap(r.vals), len(r.koff), cap(r.koff),
+			len(r.voff), cap(r.voff), len(r.index), cap(r.index), len(r.tombs), cap(r.tombs))
+	}
+}
+
+// FuzzMergeRuns holds compaction's stretch merge to the iterators'
+// per-entry merge: over 1–6 runs of arbitrary byte keys, ordered newest
+// first, mergeRuns must equal a run built from merger.next's output,
+// every array and the filter included. Keys decode as runKeys writes
+// them, with bit 6 of a header starting the next run; later runs are
+// newer. A run whose bit is set in merged is first merged on its own
+// through the reference, so it carries no tombstones, as compaction
+// leaves it; the others are frozen memtables, tombstones included,
+// and each must equal a run built entry by entry from its memtable.
+// Every run must be sized exactly before its entries are copied.
+func FuzzMergeRuns(f *testing.F) {
+	f.Add(uint8(0), runKeys(false, "a", "b", "c"))
+	f.Add(uint8(2), runsOf(runKeys(false, "a", "c", "e"), runKeys(false, "b", "c", "d"), runKeys(true, "c", "e")))
+	f.Add(uint8(1), runsOf(runKeys(false, "prefix-aaa", "prefix-zzz"), runKeys(false, "prefix-mmm"), runKeys(true, "prefix-aaa")))
+	f.Add(uint8(5), runsOf(runKeys(false, "a", "b01234567xa", "b01234567xb"), runKeys(false, "b01234567xc", "c"),
+		runKeys(true, "b01234567xb"), runKeys(false, "", "zz")))
+	f.Add(uint8(0x2a), runsOf(runKeys(false, "k1", "k2", "k3", "k4", "k5", "k6"), runKeys(true, "k2", "k4"),
+		runKeys(false, "k3"), runKeys(false, "k0", "k7"), runKeys(true, "k1"), runKeys(false, "k6", "k8")))
+	f.Fuzz(func(t *testing.T, merged uint8, enc []byte) {
+		sls := []*SkipList{NewSkipList()}
+		for len(enc) > 0 {
+			n, del := min(int(enc[0]&31), len(enc)-1), enc[0]&0x80 != 0
+			if enc[0]&0x40 != 0 && len(sls) < 6 {
+				sls = append(sls, NewSkipList())
+			}
+			k := enc[1 : 1+n]
+			enc = enc[1+n:]
+			sl := sls[len(sls)-1]
+			if del {
+				sl.Delete(k)
+			} else {
+				sl.Put(k, append([]byte("v"), k...))
+			}
+		}
+		runs := make([]*Run, len(sls))
+		for i, sl := range sls {
+			r := buildRun(sl)
+			checkExact(t, "frozen", r)
+			if want := frozenRef(sl); !reflect.DeepEqual(r, want) {
+				t.Fatalf("run %d froze to\n %+v\nwant\n %+v", i, r, want)
+			}
+			if merged>>i&1 != 0 {
+				r = mergeRef([]*Run{r})
+			}
+			runs[len(sls)-1-i] = r
+		}
+		got, want := mergeRuns(runs), mergeRef(runs)
+		checkExact(t, "merged", got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("mergeRuns over %d runs =\n %+v\nwant\n %+v", len(runs), got, want)
+		}
 	})
 }

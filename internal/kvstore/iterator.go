@@ -77,8 +77,9 @@ func (s *source) settle(n *slNode) {
 // merger is the package's one k-way merge, shared by iterators and
 // compaction: a binary min-heap of source indices ordered by (current
 // key, source index). Sources are ordered newest first, so among equal
-// keys the newest version is on top. Each entry costs O(log S) key
-// comparisons over S sources.
+// keys the newest version is on top. next pays O(log S) key
+// comparisons per entry over S sources; compaction steps the heap once
+// per stretch instead (stretches, run.go).
 type merger struct {
 	src  []source
 	heap []int32 // indices of the valid sources, in heap order
@@ -121,13 +122,7 @@ func (m *merger) next() (key, val []byte, ok bool) {
 	for len(m.heap) > 0 {
 		top := &m.src[m.heap[0]]
 		key, val, tomb := top.key, top.val, top.tomb
-		// Older versions of key sit at the heap top in turn.
-		for {
-			m.advanceTop()
-			if len(m.heap) == 0 || !bytes.Equal(m.src[m.heap[0]].key, key) {
-				break
-			}
-		}
+		m.pass(key)
 		if !tomb {
 			return key, val, true
 		}
@@ -135,10 +130,22 @@ func (m *merger) next() (key, val []byte, ok bool) {
 	return nil, nil, false
 }
 
-// advanceTop moves the top source to its next entry, dropping it from
-// the heap once exhausted, and restores heap order.
-func (m *merger) advanceTop() {
-	if !m.src[m.heap[0]].next() {
+// pass moves every source past key, which the top source holds; older
+// versions of key sit at the heap top in turn.
+func (m *merger) pass(key []byte) {
+	for {
+		m.src[m.heap[0]].next()
+		m.fixTop()
+		if len(m.heap) == 0 || !bytes.Equal(m.src[m.heap[0]].key, key) {
+			return
+		}
+	}
+}
+
+// fixTop restores heap order after the top source moved, dropping it
+// from the heap once exhausted.
+func (m *merger) fixTop() {
+	if !m.src[m.heap[0]].valid {
 		last := len(m.heap) - 1
 		m.heap[0] = m.heap[last]
 		m.heap = m.heap[:last]

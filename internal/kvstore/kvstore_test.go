@@ -186,8 +186,8 @@ func TestMergeRunsNewestWins(t *testing.T) {
 	if want := "[1=new1 3=new3 5=mid5 6=old6]"; fmt.Sprint(got) != want {
 		t.Fatalf("merged run %v, want %s", got, want)
 	}
-	// The counting pass sizes every array exactly, and a full merge
-	// keeps no tombstone flags at all.
+	// The sizing walk makes every array at its exact size, and a full
+	// merge keeps no tombstone flags at all.
 	n := len(got)
 	if cap(merged.keys) != keyBytes || cap(merged.vals) != valBytes ||
 		cap(merged.koff) != n+1 || cap(merged.voff) != n+1 || cap(merged.index) != n || merged.tombs != nil {

@@ -329,15 +329,14 @@ func coldRuns(small int) ([]*Run, int) {
 	}
 	// The big run is filled directly: a 256 Ki-entry memtable would
 	// cost far more memory than the run itself.
-	var b runBuilder
-	for i := 0; i < big; i++ {
-		b.count(coldKey(nil, uint64(i)), val)
-	}
+	b := runBuilder{n: big, keyBytes: 16 * big, valBytes: len(val) * big,
+		first: coldKey(nil, 0), last: coldKey(nil, big-1)}
 	out := b.alloc(false)
 	for i := 0; i < big; i++ {
 		k = coldKey(k, uint64(i))
 		out.add(k, val)
 	}
+	out.fillFilter()
 	return append(runs, out), big
 }
 
@@ -392,12 +391,37 @@ func BenchmarkShardGet(b *testing.B) {
 
 // BenchmarkMergeRuns prices compaction in the cold-mixed shape: four
 // small runs and the big one, the stack that exceeds the default
-// MaxRuns, merged into one run under the shard's write lock.
+// MaxRuns, merged into one run under the shard's write lock. The merge
+// copies whole stretches of entries, so it also reports their mean
+// length, the input property its speed depends on: random overwrites
+// scattered over the big run leave short stretches between them.
 func BenchmarkMergeRuns(b *testing.B) {
 	runs, _ := coldRuns(4)
+	var entries, stretches int
+	runMerger(runs).stretches(func(_ *Run, i, j int) {
+		entries += j - i
+		stretches++
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mergeRuns(runs)
 	}
+	b.ReportMetric(float64(entries)/float64(stretches), "entries/stretch")
+}
+
+// BenchmarkFill prices the fill behind kvperf's cold-mixed setup_s at
+// the store layer: 4 shards with 512 KiB memtables take 1 Mi sequential
+// keys with 100-byte values, freezing and compacting under each shard's
+// write lock as they go. The freeze and compaction counts are reported
+// beside the time, since they fix how much merging a fill does.
+func BenchmarkFill(b *testing.B) {
+	var st Stats
+	for i := 0; i < b.N; i++ {
+		db := OpenSharded(ShardedOptions{Shards: 4, MemTableBytes: 512 << 10})
+		FillSeq(db, 1<<20, 100)
+		st = db.Stats()
+	}
+	b.ReportMetric(float64(st.Freezes), "freezes")
+	b.ReportMetric(float64(st.Compactions), "compactions")
 }

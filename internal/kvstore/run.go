@@ -39,27 +39,16 @@ type Run struct {
 	filter bloom    // every key, tombstones included
 }
 
-// runBuilder makes a run from a counting pass over its entries: their
-// number, arena sizes and first and last keys, so every slice is made
-// once at its exact final size.
+// runBuilder sizes a run before any entry is copied: its entry count,
+// arena sizes and first and last keys, so every slice is made once at
+// its exact final size.
 type runBuilder struct {
 	n, keyBytes, valBytes int
 	first, last           []byte
 }
 
-// count records one entry of the counting pass.
-func (b *runBuilder) count(k, v []byte) {
-	if b.n == 0 {
-		b.first = k
-	}
-	b.last = k
-	b.n++
-	b.keyBytes += len(k)
-	b.valBytes += len(v)
-}
-
-// alloc makes the run sized by the counting pass. Offsets are 32-bit,
-// so an arena past 4 GiB is refused rather than left to wrap.
+// alloc makes the run sized by the builder. Offsets are 32-bit, so an
+// arena past 4 GiB is refused rather than left to wrap.
 func (b *runBuilder) alloc(tombs bool) *Run {
 	if uint64(b.keyBytes) > math.MaxUint32 || uint64(b.valBytes) > math.MaxUint32 {
 		panic("kvstore: sorted run arena exceeds 4 GiB")
@@ -87,13 +76,11 @@ func (r *Run) add(k, v []byte) {
 	r.voff = append(r.voff, uint32(len(r.vals)))
 }
 
-// buildRun freezes a memtable into a sorted run.
+// buildRun freezes a memtable into a sorted run, sized from the totals
+// its writer kept.
 func buildRun(sl *SkipList) *Run {
-	var b runBuilder
-	sl.Ascend(func(k, v []byte, _ bool) bool {
-		b.count(k, v)
-		return true
-	})
+	b := runBuilder{n: sl.Len(), keyBytes: sl.keyBytes, valBytes: sl.valBytes}
+	b.first, b.last = sl.bounds()
 	r := b.alloc(true)
 	sl.Ascend(func(k, v []byte, tomb bool) bool {
 		r.add(k, v)
@@ -106,26 +93,112 @@ func buildRun(sl *SkipList) *Run {
 
 // mergeRuns merges runs (ordered newest first) into one, applying
 // newest-wins semantics and dropping tombstones (a full merge is the
-// bottom level, so tombstones have nothing left to shadow). A first
-// heap merge counts the survivors and their bytes, so the merged run
-// holds no spare capacity; a second one fills it.
+// bottom level, so tombstones have nothing left to shadow). The merge
+// moves whole stretches of entries (merger.stretches): a first walk
+// sums their sizes, so the merged run holds no spare capacity, and a
+// second copies them.
 func mergeRuns(runs []*Run) *Run {
-	m := merger{src: make([]source, len(runs)), heap: make([]int32, 0, len(runs))}
+	m := runMerger(runs)
+	var b runBuilder
+	m.stretches(func(r *Run, i, j int) {
+		if b.n == 0 {
+			b.first = r.key(i)
+		}
+		b.last = r.key(j - 1)
+		b.n += j - i
+		b.keyBytes += int(r.koff[j] - r.koff[i])
+		b.valBytes += int(r.voff[j] - r.voff[i])
+	})
+	out := b.alloc(false)
+	m.stretches(out.copyStretch)
+	out.fillFilter()
+	return out
+}
+
+// runMerger returns a merger over runs, ordered newest first.
+func runMerger(runs []*Run) *merger {
+	m := &merger{src: make([]source, len(runs)), heap: make([]int32, 0, len(runs))}
 	for i, r := range runs {
 		m.src[i].run = r
 	}
-	var b runBuilder
+	return m
+}
+
+// stretches walks the merge of m's sources, which must all be runs,
+// and calls fn with each stretch [i, j) of run r's entries that the
+// merged run takes as it stands, in ascending key order. The heap's
+// top run owns every key below the runner-up's current key, so a
+// gallop from its cursor finds its whole stretch at once; only a key
+// the runner-up shares falls back to merger.next's per-entry
+// newest-wins step. Tombstones split a stretch and are left out.
+func (m *merger) stretches(fn func(r *Run, i, j int)) {
 	m.first()
-	for k, v, ok := m.next(); ok; k, v, ok = m.next() {
-		b.count(k, v)
+	for len(m.heap) > 0 {
+		top := &m.src[m.heap[0]]
+		r, i, j := top.run, top.i, top.run.Len()
+		if len(m.heap) > 1 {
+			next := m.heap[1]
+			if len(m.heap) > 2 && m.less(m.heap[2], next) {
+				next = m.heap[2]
+			}
+			j = r.gallop(i, m.src[next].key)
+		}
+		if j == i {
+			// The runner-up holds top's key too: the newest version,
+			// top's, wins.
+			tomb := top.tomb
+			m.pass(top.key)
+			if !tomb {
+				fn(r, i, i+1)
+			}
+			continue
+		}
+		if r.tombs != nil {
+			for x := i; x < j; x++ {
+				if r.tombs[x] {
+					if x > i {
+						fn(r, i, x)
+					}
+					i = x + 1
+				}
+			}
+		}
+		if i < j {
+			fn(r, i, j)
+		}
+		top.at(j)
+		m.fixTop()
 	}
-	out := b.alloc(false)
-	m.first()
-	for k, v, ok := m.next(); ok; k, v, ok = m.next() {
-		out.add(k, v)
+}
+
+// copyStretch appends entries [i, j) of run src, which sort after
+// every entry r holds. Key and value bytes are copied in one block
+// each and their offsets shifted by a constant; the search words are
+// copied too when the runs share a common-prefix length, and
+// recomputed otherwise.
+func (r *Run) copyStretch(src *Run, i, j int) {
+	r.koff = shifted(r.koff, src.koff[i+1:j+1], uint32(len(r.keys))-src.koff[i])
+	r.voff = shifted(r.voff, src.voff[i+1:j+1], uint32(len(r.vals))-src.voff[i])
+	r.keys = append(r.keys, src.keys[src.koff[i]:src.koff[j]]...)
+	r.vals = append(r.vals, src.vals[src.voff[i]:src.voff[j]]...)
+	if r.plen == src.plen {
+		r.index = append(r.index, src.index[i:j]...)
+		return
 	}
-	out.fillFilter()
-	return out
+	for x := i; x < j; x++ {
+		r.index = append(r.index, word(src.key(x)[r.plen:]))
+	}
+}
+
+// shifted appends each offset of src plus d to dst; uint32 arithmetic
+// wraps, so a negative shift works too.
+func shifted(dst, src []uint32, d uint32) []uint32 {
+	n := len(dst)
+	dst = dst[:n+len(src)]
+	for x, o := range src {
+		dst[n+x] = o + d
+	}
+	return dst
 }
 
 // fillFilter builds the run's filter from its key arena, in a pass of
@@ -197,16 +270,59 @@ func (r *Run) search(k []byte) (int, bool) {
 	}
 	rest := k[r.plen:]
 	w := word(rest)
-	lo, hi := 0, n
+	lo := r.bisect(0, n, rest, w)
+	return lo, lo < n && r.index[lo] == w
+}
+
+// gallop returns the index of the first key >= k at or after i: it
+// probes i, i+1, i+3, i+7, … and then bisects the last gap, so it costs
+// O(log d) comparisons for an answer d entries on.
+func (r *Run) gallop(i int, k []byte) int {
+	n := len(r.index)
+	if p := r.keys[:r.plen]; !bytes.HasPrefix(k, p) {
+		if bytes.Compare(k, p) < 0 {
+			return i
+		}
+		return n
+	}
+	rest := k[r.plen:]
+	w := word(rest)
+	hi, step := i, 1
+	for hi < n && r.below(hi, rest, w) {
+		i = hi + 1
+		hi += step
+		step <<= 1
+	}
+	return r.bisect(i, min(hi, n), rest, w)
+}
+
+// bisect returns the first index in [lo, hi) whose key is not below
+// the probe (rest, w), or hi; every entry before lo must be below it.
+func (r *Run) bisect(lo, hi int, rest []byte, w uint64) int {
 	for lo < hi {
 		h := int(uint(lo+hi) >> 1)
-		if x := r.index[h]; x < w || x == w && bytes.Compare(r.key(h)[r.plen:], rest) < 0 {
+		if r.below(h, rest, w) {
 			lo = h + 1
 		} else {
 			hi = h
 		}
 	}
-	return lo, lo < n && r.index[lo] == w
+	return lo
+}
+
+// below reports whether entry h's key sorts before the probe whose
+// bytes after the common prefix are rest, with search word w. It
+// stays small enough to inline into the search loops: only a word tie
+// reads the key arena.
+func (r *Run) below(h int, rest []byte, w uint64) bool {
+	x := r.index[h]
+	return x < w || x == w && r.restBelow(h, rest)
+}
+
+// restBelow breaks a word tie on entry h's bytes after the common
+// prefix.
+func (r *Run) restBelow(h int, rest []byte) bool {
+	return bytes.Compare(r.key(h)[r.plen:], rest) < 0
 }
 
 // Get binary-searches the run. found reports an entry for key, and

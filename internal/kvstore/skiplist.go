@@ -69,8 +69,12 @@ func (n *slNode) visible(snap uint64) *valueBox {
 // inserted, tombstones included. The writer sets a key's bits before
 // linking its node, so a Get that skips the list on the filter's word
 // skips only keys no reader could have reached.
+//
+// The writer also keeps the exact sizes a frozen run needs, the key
+// bytes of the distinct keys and the value bytes of their newest
+// versions, so a freeze allocates the run without a counting pass.
 type SkipList struct {
-	head   *slNode
+	head   slNode // the sentinel before the first node, allocated with the list
 	filter bloom
 	height atomic.Int32
 	nodes  atomic.Int64
@@ -78,6 +82,9 @@ type SkipList struct {
 	rng    *xrand.XorShift64
 	seq    uint64        // last stamp written; guarded by the DB lock
 	pinned atomic.Uint64 // highest stamp any snapshot has read
+
+	// Guarded by the DB lock, like seq.
+	keyBytes, valBytes int
 }
 
 // NewSkipList creates an empty list with a filter sized for the
@@ -88,7 +95,6 @@ func NewSkipList() *SkipList { return newSkipList(defaultMemTableBytes) }
 // memBytesPerBit bytes of budget, the freeze threshold.
 func newSkipList(budget int) *SkipList {
 	return &SkipList{
-		head:   &slNode{},
 		filter: newBloom(budget / memBytesPerBit),
 		rng:    xrand.NewXorShift64(0x5ca1ab1e),
 	}
@@ -106,7 +112,7 @@ func (s *SkipList) randomHeight() int {
 // findPredecessors fills preds with the rightmost node before key at
 // every level and returns the candidate node (which may equal key).
 func (s *SkipList) findPredecessors(key []byte, preds *[maxHeight]*slNode) *slNode {
-	x := s.head
+	x := &s.head
 	for lvl := int(s.height.Load()); lvl >= 0; lvl-- {
 		if lvl >= maxHeight {
 			continue
@@ -154,6 +160,7 @@ func (s *SkipList) put(key, data []byte, tomb uint64) {
 		} else {
 			s.bytes.Add(int64(len(box.data)) - int64(len(old.data)))
 		}
+		s.valBytes += len(box.data) - len(old.data)
 		cand.val.Store(box)
 		return
 	}
@@ -167,7 +174,7 @@ func (s *SkipList) put(key, data []byte, tomb uint64) {
 	for lvl := 0; lvl < h; lvl++ {
 		pred := preds[lvl]
 		if pred == nil {
-			pred = s.head
+			pred = &s.head
 		}
 		n.next[lvl].Store(pred.next[lvl].Load())
 	}
@@ -176,19 +183,21 @@ func (s *SkipList) put(key, data []byte, tomb uint64) {
 	for lvl := 0; lvl < h; lvl++ {
 		pred := preds[lvl]
 		if pred == nil {
-			pred = s.head
+			pred = &s.head
 		}
 		pred.next[lvl].Store(n)
 	}
 	s.nodes.Add(1)
 	s.bytes.Add(int64(len(key) + len(box.data) + 32))
+	s.keyBytes += len(key)
+	s.valBytes += len(box.data)
 }
 
 // Get returns the value for key; found distinguishes "present" from
 // "absent", and tomb reports a tombstone (Run.Get's order too).
 // Lock-free: safe concurrently with one writer.
 func (s *SkipList) Get(key []byte) (val []byte, found, tomb bool) {
-	x := s.head
+	x := &s.head
 	for lvl := int(s.height.Load()); lvl >= 0; lvl-- {
 		if lvl >= maxHeight {
 			continue
@@ -225,6 +234,21 @@ func (s *SkipList) Len() int { return int(s.nodes.Load()) }
 
 // Bytes reports the approximate memory footprint, the freeze trigger.
 func (s *SkipList) Bytes() int { return int(s.bytes.Load()) }
+
+// bounds returns the first and last keys, nil when the list is empty.
+// Requires quiescence or an immutable (frozen) list.
+func (s *SkipList) bounds() (first, last []byte) {
+	x := &s.head
+	for lvl := int(s.height.Load()); lvl >= 0; lvl-- {
+		for nxt := x.next[lvl].Load(); nxt != nil; nxt = x.next[lvl].Load() {
+			x = nxt
+		}
+	}
+	if x == &s.head {
+		return nil, nil
+	}
+	return s.head.next[0].Load().key, x.key
+}
 
 // Ascend visits all entries in key order (including tombstones).
 // Requires quiescence or an immutable (frozen) list.

@@ -219,22 +219,27 @@ func TestSeqlockOptimisticReadNeverTorn(t *testing.T) {
 
 func TestOCCFallbackTerminatesUnderPersistentConflict(t *testing.T) {
 	// Hold the stamp odd forever: every optimistic attempt must fail,
-	// so OptimisticRead must exhaust its budget and take the wrapped
-	// lock — which this test hands over once the fallback blocks on it.
-	l := NewOCC(&sync.Mutex{}, nil)
+	// so OptimisticRead must exhaust its budget — optHotRetries hot
+	// pauses, then one recorded sleep per further attempt — and take
+	// the wrapped lock, which this test hands over once the fallback
+	// blocks on it.
+	base := &signalLocker{}
+	rc := &recordingClock{Clock: clock.Wall}
+	l := NewOCC(base, rc)
 	l.Lock() // stamp now odd, wrapped lock held
+	base.locking = make(chan struct{}, 1)
 	ran := make(chan struct{})
 	go func() {
 		l.OptimisticRead(func() {})
 		close(ran)
 	}()
-	// Wait for the reader to give up optimism and register a fallback.
-	deadline := time.Now().Add(10 * time.Second)
-	for l.Fallbacks() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("OCC read never fell back under persistent conflict")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-base.locking:
+	case <-time.After(10 * time.Second):
+		t.Fatal("OCC read never fell back to the wrapped lock under persistent conflict")
+	}
+	if got, want := len(rc.recorded()), occMaxAttempts-1-optHotRetries; got != want {
+		t.Fatalf("fallback after %d retry sleeps, want the full budget's %d", got, want)
 	}
 	l.Unlock()
 	select {
@@ -242,9 +247,20 @@ func TestOCCFallbackTerminatesUnderPersistentConflict(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("OCC fallback read never completed after writer released")
 	}
-	if l.Retries() < occMaxAttempts-1 {
-		t.Fatalf("retries = %d, want full budget %d", l.Retries(), occMaxAttempts-1)
+}
+
+// signalLocker is a mutex whose Lock, once locking is set, sends on it
+// before blocking, so a test sees a reader reach the wrapped lock.
+type signalLocker struct {
+	sync.Mutex
+	locking chan struct{}
+}
+
+func (l *signalLocker) Lock() {
+	if l.locking != nil {
+		l.locking <- struct{}{}
 	}
+	l.Mutex.Lock()
 }
 
 // recordingClock wraps the wall clock but records (and elides) every

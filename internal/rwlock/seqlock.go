@@ -36,10 +36,6 @@ type Seqlock struct {
 	// budget is the optimistic attempts a read spends before taking
 	// the wrapped lock; zero retries forever.
 	budget int
-	// retries / fallbacks count conflict-path events only; the
-	// optimistic fast path writes no shared memory.
-	retries   atomic.Uint64
-	fallbacks atomic.Uint64
 	// clk paces conflict-path retry sleeps (nil = wall clock).
 	clk clock.Clock
 }
@@ -120,7 +116,6 @@ func (l *Seqlock) optimisticSlow(f func()) {
 	w := waiter.NewClocked(waiter.PolicyAdaptive, l.clk)
 	var bo *backoff.Backoff
 	for attempt := 1; l.budget == 0 || attempt < l.budget; attempt++ {
-		l.retries.Add(1)
 		if attempt <= optHotRetries {
 			w.Pause()
 		} else {
@@ -138,16 +133,7 @@ func (l *Seqlock) optimisticSlow(f func()) {
 			return
 		}
 	}
-	l.fallbacks.Add(1)
 	l.w.Lock()
 	f()
 	l.w.Unlock()
 }
-
-// Retries reports the cumulative count of optimistic attempts that
-// failed validation (diagnostics and conformance).
-func (l *Seqlock) Retries() uint64 { return l.retries.Load() }
-
-// Fallbacks reports how many reads gave up on optimism and took the
-// wrapped lock (always zero without an OCC budget).
-func (l *Seqlock) Fallbacks() uint64 { return l.fallbacks.Load() }
