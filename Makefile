@@ -75,8 +75,10 @@
 #   make fuzz-smoke  — a short fuzz pass (FUZZTIME each) over every fuzz
 #                      target: the registry -locks parser, the admission
 #                      cycle detector, the kvstore differential,
-#                      sharded-batch and iterator-seek differentials +
-#                      skiplist targets, the sorted-run search against
+#                      sharded-batch and iterator-seek differentials,
+#                      the memtable arena against a per-stamp map model
+#                      over a buffer that regrows many times, the
+#                      sorted-run search against
 #                      sort.Search over arbitrary byte keys, the
 #                      stretch merge against the iterators' per-entry
 #                      merge over 1–6 runs, and the schedule shrinker

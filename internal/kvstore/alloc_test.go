@@ -2,6 +2,8 @@ package kvstore
 
 import (
 	"encoding/binary"
+	"math"
+	"runtime"
 	"testing"
 )
 
@@ -79,6 +81,59 @@ func TestRunAllocsIndependentOfSize(t *testing.T) {
 	if b64 != b4k || m64 != m4k {
 		t.Fatalf("allocations grow with entries: buildRun %.0f at 64, %.0f at 4096; mergeRuns %.0f at 64, %.0f at 4096",
 			b64, b4k, m64, m4k)
+	}
+}
+
+// A memtable is one buffer: a put allocates only when the buffer
+// grows, so filling a list with 4096 entries makes more allocations
+// than filling one with 64 only by its extra growth steps, one each,
+// and a put into a buffer with room allocates nothing. A return to
+// per-entry heap objects fails here.
+func TestMemTableAllocsOnlyOnGrowth(t *testing.T) {
+	val := make([]byte, 100)
+	k := Key(0)
+	fill := func(sl *SkipList, n int) (growths int) {
+		size := len(sl.buf)
+		for i := 0; i < n; i++ {
+			binary.BigEndian.PutUint64(k[8:], uint64(i))
+			sl.Put(k, val)
+			if len(sl.buf) != size {
+				growths, size = growths+1, len(sl.buf)
+			}
+		}
+		return growths
+	}
+	// The fewest allocations of several fills: a fill that grows the
+	// buffer may start a GC cycle, whose background allocations count
+	// too, but never lowers the count.
+	allocs := func(n int) (fewest uint64, growths int) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		fewest = math.MaxUint64
+		var before, after runtime.MemStats
+		for rep := 0; rep < 8; rep++ {
+			runtime.ReadMemStats(&before)
+			growths = fill(newSkipList(defaultMemTableBytes), n)
+			runtime.ReadMemStats(&after)
+			fewest = min(fewest, after.Mallocs-before.Mallocs)
+		}
+		return fewest, growths
+	}
+	a64, g64 := allocs(64)
+	a4k, g4k := allocs(4096)
+	if g4k <= g64 || a4k-a64 != uint64(g4k-g64) {
+		t.Fatalf("filling 64 entries makes %d allocations over %d growths, 4096 make %d over %d: "+
+			"want one more allocation per extra growth and none per entry", a64, g64, a4k, g4k)
+	}
+
+	sl := newSkipList(defaultMemTableBytes)
+	i := uint64(0)
+	got := testing.AllocsPerRun(100, func() {
+		binary.BigEndian.PutUint64(k[8:], i/2) // an insert, then an overwrite
+		sl.Put(k, val)
+		i++
+	})
+	if got != 0 || len(sl.buf) != firstArena {
+		t.Fatalf("a put into a buffer with room allocates %.2f times (buffer %d bytes)", got, len(sl.buf))
 	}
 }
 

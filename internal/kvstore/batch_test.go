@@ -1,9 +1,12 @@
 package kvstore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/xrand"
 )
 
 func TestBatchBasics(t *testing.T) {
@@ -130,14 +133,44 @@ func BenchmarkDBGet(b *testing.B) {
 	}
 }
 
+// BenchmarkSkipListGet prices a memtable lookup in hot-get's shape:
+// 4096 keys with 100-byte values in one list, read at random.
 func BenchmarkSkipListGet(b *testing.B) {
+	const keys = 4096
 	sl := NewSkipList()
-	for i := 0; i < 10000; i++ {
-		sl.Put(Key(uint64(i)), []byte("v"))
+	val := make([]byte, 100)
+	for i := 0; i < keys; i++ {
+		sl.Put(Key(uint64(i)), val)
 	}
+	r := xrand.NewXorShift64(5)
+	k := Key(0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sl.Get(Key(uint64(i % 10000)))
+		binary.BigEndian.PutUint64(k[8:], uint64(r.Intn(keys)))
+		if _, ok, _ := sl.Get(k); !ok {
+			b.Fatalf("present key %x not found", k)
+		}
+	}
+}
+
+// BenchmarkMemTablePut prices the memtable write in one scan-batch
+// shard's shape: random overwrites of 16 Ki keys with 100-byte values
+// into a list with a 1 MiB budget, replaced by a fresh one whenever it
+// reaches the budget, as a freeze would.
+func BenchmarkMemTablePut(b *testing.B) {
+	const keys, budget = 16 << 10, 1 << 20
+	sl := newSkipList(budget)
+	val := make([]byte, 100)
+	r := xrand.NewXorShift64(6)
+	k := Key(0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if sl.Bytes() >= budget {
+			sl = newSkipList(budget)
+		}
+		binary.BigEndian.PutUint64(k[8:], uint64(r.Intn(keys)))
+		sl.Put(k, val)
 	}
 }
 

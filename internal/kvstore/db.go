@@ -18,9 +18,13 @@
 // unmodified application, just as the paper's LD_PRELOAD interposition
 // does.
 //
-// Structure (per shard): an active memtable (concurrent-read
-// skiplist), a stack of frozen sorted runs (SSTable stand-ins), and a
-// full merge when the run count exceeds a threshold. Reads consult
+// Structure (per shard): an active memtable (a concurrent-read
+// skiplist packed into one pointer-free byte arena, like LevelDB's
+// memtable over its Arena: towers only as tall as each node, keys and
+// values in place, every write appended as a record chained to the
+// one it replaces, so overwrites count towards the freeze threshold),
+// a stack of frozen sorted runs (SSTable stand-ins), and a full merge
+// when the run count exceeds a threshold. Reads consult
 // memtable then runs newest-first, skipping every source whose Bloom
 // filter rules the key out (bloom.go): each memtable and run keeps one,
 // tombstones included, so a Get hashes its key once and searches only
@@ -68,8 +72,10 @@ type Options struct {
 	// Lock guards the database; nil selects the Reciprocating Lock.
 	// Build one from the repository catalog with registry.Build.
 	Lock sync.Locker
-	// MemTableBytes is the freeze threshold (default 1 MiB). It also
-	// sizes each memtable's Bloom filter, at one bit per 8 bytes.
+	// MemTableBytes is the freeze threshold (default 1 MiB), in
+	// memtable arena bytes: every write's, overwrites and tombstones
+	// included. It also caps the arena's growth and sizes each
+	// memtable's Bloom filter, at one bit per 8 bytes.
 	MemTableBytes int
 	// MaxRuns triggers a full merge when exceeded (default 4).
 	MaxRuns int

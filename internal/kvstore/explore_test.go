@@ -369,7 +369,7 @@ func TestExploreHuntUnstampedSnapshot(t *testing.T) {
 func shardGroups(s *ShardedDB, b *Batch) (groups [][]batchOp, touched []int) {
 	groups = make([][]batchOp, len(s.shards))
 	for _, op := range b.ops {
-		si := shardIndex(op.key, len(s.shards))
+		si := shardIndex(op.key(b.rep), len(s.shards))
 		if groups[si] == nil {
 			touched = append(touched, si)
 		}
@@ -389,7 +389,7 @@ func TestExploreHuntPerShardWrite(t *testing.T) {
 		groups, touched := shardGroups(s, b)
 		for _, si := range touched {
 			s.shards[si].mu.Lock()
-			s.shards[si].applyLocked(groups[si])
+			s.shards[si].applyLocked(b.rep, groups[si])
 			s.shards[si].mu.Unlock()
 		}
 	}}
@@ -405,7 +405,7 @@ func writeDescending(st Store, b *Batch) {
 		s.table.write[touched[i]].Lock()
 	}
 	for _, si := range touched {
-		s.shards[si].applyLocked(groups[si])
+		s.shards[si].applyLocked(b.rep, groups[si])
 	}
 	s.table.write.unlockSet(touched)
 }

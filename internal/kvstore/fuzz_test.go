@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -65,9 +66,9 @@ func FuzzShardedBatch(f *testing.F) {
 			db.Write(&b)
 			for _, op := range b.ops {
 				if op.delete {
-					delete(model, string(op.key))
+					delete(model, string(op.key(b.rep)))
 				} else {
-					model[string(op.key)] = string(op.value)
+					model[string(op.key(b.rep))] = string(op.value(b.rep))
 				}
 			}
 			b.Reset()
@@ -156,29 +157,107 @@ func FuzzIteratorSeek(f *testing.F) {
 	})
 }
 
-// FuzzSkipListOrdering: arbitrary insertions keep Ascend sorted and
-// Get consistent.
+// FuzzSkipListOrdering holds the memtable to a per-stamp map model
+// over arbitrary byte keys and values, puts, deletes and snapshot
+// stamps.
+// The list's buffer starts at its minimum, so it regrows many times.
+// Each op is a header byte and then its bytes: the top two bits pick
+// a put (0, 1), a delete (2) or a snapshot (3), the low three bits give
+// the key length and bits 3–5 the value length in units of five bytes.
+// At every snapshot stamp and at the end, a memtable source must read
+// the model of that stamp, tombstones included; at the end Ascend and
+// Get must read the newest, and every value Get returned along the
+// way must still hold the bytes it held then.
 func FuzzSkipListOrdering(f *testing.F) {
 	f.Add([]byte{5, 1, 9, 1, 5})
+	f.Add([]byte("\x01a\x0cbhello world....\xc0\x81a\xc0\x02ab\x01b"))
+	f.Add(bytes.Repeat([]byte{0x3a, 'k', 'e', 'y', 0xc0, 0x81, 'k'}, 40))
+	f.Add([]byte{0x00, 0xc0, 0x80, 0x38, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sl := NewSkipList()
-		for _, b := range data {
-			sl.Put([]byte{b}, []byte{b ^ 0xff})
+		type rec struct {
+			val  string
+			tomb bool
 		}
+		sl := newSkipList(0)
+		cur := map[string]rec{}
+		models := map[uint64]map[string]rec{}
+		type held struct{ got, want []byte }
+		var gets []held
+		for len(data) > 0 {
+			h := data[0]
+			klen := min(int(h&7), len(data)-1)
+			k := data[1 : 1+klen]
+			data = data[1+klen:]
+			switch h >> 6 {
+			case 0, 1:
+				vlen := min(int(h>>3&7)*5, len(data))
+				v := data[:vlen]
+				data = data[vlen:]
+				sl.Put(k, v)
+				cur[string(k)] = rec{val: string(v)}
+				got, ok, tomb := sl.Get(k)
+				if !ok || tomb || !bytes.Equal(got, v) {
+					t.Fatalf("Get(%q) after Put = %q, %v, %v; want %q", k, got, ok, tomb, v)
+				}
+				gets = append(gets, held{got, bytes.Clone(v)})
+			case 2:
+				sl.Delete(k)
+				cur[string(k)] = rec{tomb: true}
+			case 3:
+				m := make(map[string]rec, len(cur))
+				for k, r := range cur {
+					m[k] = r
+				}
+				models[sl.snapshot()] = m
+			}
+		}
+		models[sl.snapshot()] = cur
+		render := func(m map[string]rec) string {
+			keys := make([]string, 0, len(m))
+			for k := range m {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			var b strings.Builder
+			for _, k := range keys {
+				fmt.Fprintf(&b, "%q=%q/%v ", k, m[k].val, m[k].tomb)
+			}
+			return b.String()
+		}
+		for snap, m := range models {
+			src := source{mem: sl, snap: snap}
+			read := map[string]rec{}
+			for src.first(); src.valid; src.next() {
+				read[string(src.key)] = rec{string(src.val), src.tomb}
+			}
+			if got, want := render(read), render(m); got != want {
+				t.Fatalf("stamp %d reads\n %s\nwant\n %s", snap, got, want)
+			}
+		}
+		read := map[string]rec{}
 		var prev []byte
 		sl.Ascend(func(k, v []byte, tomb bool) bool {
 			if prev != nil && bytes.Compare(prev, k) >= 0 {
-				t.Fatalf("out of order: %x then %x", prev, k)
+				t.Fatalf("Ascend out of order: %q then %q", prev, k)
 			}
-			if len(v) != 1 || v[0] != k[0]^0xff {
-				t.Fatalf("value mismatch for %x", k)
-			}
-			prev = append(prev[:0], k...)
+			prev = k
+			read[string(k)] = rec{string(v), tomb}
 			return true
 		})
-		for _, b := range data {
-			if v, ok, _ := sl.Get([]byte{b}); !ok || v[0] != b^0xff {
-				t.Fatalf("Get(%x) inconsistent", b)
+		if got, want := render(read), render(cur); got != want {
+			t.Fatalf("Ascend reads\n %s\nwant\n %s", got, want)
+		}
+		for k, r := range cur {
+			if v, ok, tomb := sl.Get([]byte(k)); !ok || tomb != r.tomb || string(v) != r.val {
+				t.Fatalf("Get(%q) = %q, %v, %v; want %q, tombstone %v", k, v, ok, tomb, r.val, r.tomb)
+			}
+		}
+		if sl.Len() != len(cur) {
+			t.Fatalf("Len = %d, want %d", sl.Len(), len(cur))
+		}
+		for _, g := range gets {
+			if !bytes.Equal(g.got, g.want) {
+				t.Fatalf("a value Get returned changed from %q to %q", g.want, g.got)
 			}
 		}
 	})

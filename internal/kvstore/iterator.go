@@ -17,11 +17,14 @@ type source struct {
 
 	// A memtable source walks mem's level-0 chain as it stood at stamp
 	// snap: it skips nodes inserted later and reads each key's newest
-	// version stamped at or before snap, so writes made after the
-	// snapshot — to a frozen or to the live list — stay invisible.
+	// record stamped at or before snap, so writes made after the
+	// snapshot — to a frozen or to the live list — stay invisible. It
+	// reads the buffer it loaded when last positioned, which it keeps
+	// alive, so its keys and values stay valid after later growth.
 	mem  *SkipList
 	snap uint64
-	n    *slNode
+	a    arena
+	n    uint32 // current node offset
 }
 
 // first positions the cursor at the source's first entry.
@@ -30,7 +33,8 @@ func (s *source) first() {
 		s.at(0)
 		return
 	}
-	s.settle(s.mem.head.next[0].Load())
+	s.a = s.mem.load()
+	s.settle(next(s.a.p, 0).Load())
 }
 
 // seek positions the cursor at the first entry >= k.
@@ -40,8 +44,8 @@ func (s *source) seek(k []byte) {
 		s.at(i)
 		return
 	}
-	var preds [maxHeight]*slNode
-	s.settle(s.mem.findPredecessors(k, &preds))
+	s.a = s.mem.load()
+	s.settle(s.a.seek(int(s.mem.height.Load()), k, nil))
 }
 
 // next advances the cursor and reports whether it points at an entry.
@@ -49,7 +53,7 @@ func (s *source) next() bool {
 	if s.run != nil {
 		s.at(s.i + 1)
 	} else {
-		s.settle(s.n.next[0].Load())
+		s.settle(next(s.a.node(s.n), 0).Load())
 	}
 	return s.valid
 }
@@ -63,15 +67,17 @@ func (s *source) at(i int) {
 }
 
 // settle moves a memtable cursor to the first node from n on that has
-// a version visible at the snapshot.
-func (s *source) settle(n *slNode) {
-	for ; n != nil; n = n.next[0].Load() {
-		if b := n.visible(s.snap); b != nil {
-			s.key, s.val, s.tomb = n.key, b.data, b.tombstone()
+// a record visible at the snapshot.
+func (s *source) settle(n uint32) {
+	for n != 0 {
+		x := s.a.node(n)
+		if r := s.a.visible(x, s.snap); r != 0 {
+			s.key, s.val, s.tomb = nodeKey(x), s.a.value(r), s.a.meta(r)&1 != 0
 			break
 		}
+		n = next(x, 0).Load()
 	}
-	s.n, s.valid = n, n != nil
+	s.n, s.valid = n, n != 0
 }
 
 // merger is the package's one k-way merge, shared by iterators and
@@ -195,9 +201,9 @@ func newIterator(src []source) *Iterator {
 	return &Iterator{m: merger{src: src, heap: make([]int32, 0, len(src))}}
 }
 
-// snapshotLocked appends db's sources, newest first, to src, pinning
-// the memtable at its last write. The caller holds db's lock, on
-// either side, so the snapshot sits between writes.
+// snapshotLocked appends db's sources, newest first, to src, stamping
+// the memtable source with its last write. The caller holds db's lock,
+// on either side, so the snapshot sits between writes.
 func (db *DB) snapshotLocked(src []source) []source {
 	src = append(src, source{mem: db.mem, snap: db.mem.snapshot()})
 	for _, r := range db.runs {

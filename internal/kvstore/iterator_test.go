@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestIteratorOrderedAcrossGenerations(t *testing.T) {
@@ -207,40 +208,64 @@ func TestIteratorSeekIgnoresLaterInserts(t *testing.T) {
 	}
 }
 
-// An overwrite keeps the old value only when a snapshot may still read
-// it, and a kept value counts towards Bytes, so the freeze threshold
-// bounds what open iterators retain.
-func TestSkipListKeepsOnlyPinnedVersions(t *testing.T) {
+// Every write appends a record chained to the one it replaces, so each
+// version stays readable at its own stamp while Get reads the newest,
+// and Bytes charges exactly the arena bytes a write takes: a record on
+// an overwrite, a node and a record on an insert. A value returned
+// before the buffer grows keeps its bytes through later overwrites and
+// growths, the aliasing contract on Store.Get.
+func TestSkipListKeepsEveryVersion(t *testing.T) {
 	sl := NewSkipList()
 	k := []byte("k")
-	versions := func() int {
-		var preds [maxHeight]*slNode
-		n := 0
-		for o := sl.findPredecessors(k, &preds).old.Load(); o != nil; o = o.prev {
-			n++
-		}
-		return n
+	val := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 1000+i%7) }
+	at := func(snap uint64) (string, bool) {
+		src := source{mem: sl, snap: snap}
+		src.first()
+		return string(src.val), src.valid && !src.tomb
 	}
-	sl.Put(k, []byte("v1"))
-	sl.Put(k, []byte("v2"))
+
 	before := sl.Bytes()
-	if n := versions(); n != 0 {
-		t.Fatalf("unpinned overwrite kept %d old versions", n)
+	sl.Put(k, val(0))
+	a := sl.load()
+	h := int(*(*uint32)(unsafe.Add(a.node(next(a.p, 0).Load()), 4)) >> 24) // the node's height
+	if got, want := sl.Bytes()-before, nodeSize(h, len(k))+recordSize(len(val(0))); got != want {
+		t.Fatalf("insert charged %d bytes, want node plus record %d", got, want)
 	}
-	snap := sl.snapshot()
-	sl.Put(k, []byte("v3"))
-	sl.Put(k, []byte("v4"))
-	if n := versions(); n != 1 {
-		t.Fatalf("kept %d old versions after a snapshot, want 1 (v2)", n)
+	stamps := []uint64{sl.snapshot()}
+	v0, _, _ := sl.Get(k)
+	held := [][]byte{v0}
+	for i, growths := 1, 0; growths < 3; i++ {
+		buf, before := &sl.buf[0], sl.Bytes()
+		sl.Put(k, val(i))
+		if got, want := sl.Bytes()-before, recordSize(len(val(i))); got != want {
+			t.Fatalf("overwrite %d charged %d bytes, want its record's %d", i, got, want)
+		}
+		if &sl.buf[0] != buf {
+			growths++
+		}
+		stamps = append(stamps, sl.snapshot())
+		v, ok, tomb := sl.Get(k)
+		if !ok || tomb || !bytes.Equal(v, val(i)) {
+			t.Fatalf("Get after overwrite %d = %d bytes, %v, %v; want the newest", i, len(v), ok, tomb)
+		}
+		held = append(held, v)
 	}
-	if got, want := sl.Bytes(), before+len("v3")+32; got != want {
-		t.Fatalf("Bytes = %d, want %d (kept version charged once)", got, want)
+	sl.Delete(k)
+	if _, ok, tomb := sl.Get(k); !ok || !tomb {
+		t.Fatalf("Get after Delete: found %v, tombstone %v", ok, tomb)
 	}
-	var preds [maxHeight]*slNode
-	if b := sl.findPredecessors(k, &preds).visible(snap); string(b.data) != "v2" {
-		t.Fatalf("snapshot reads %q, want v2", b.data)
+	if _, live := at(sl.snapshot()); live {
+		t.Fatal("the tombstone does not hide the key at its own stamp")
 	}
-	if v, _, _ := sl.Get(k); string(v) != "v4" {
-		t.Fatalf("Get = %q, want v4", v)
+	if _, live := at(0); live {
+		t.Fatal("a version is visible before the first write")
+	}
+	for i, snap := range stamps {
+		if v, live := at(snap); !live || v != string(val(i)) {
+			t.Fatalf("stamp %d reads %d bytes (live %v), want version %d", snap, len(v), live, i)
+		}
+		if !bytes.Equal(held[i], val(i)) || cap(held[i]) != len(held[i]) {
+			t.Fatalf("value %d changed after later writes and growths, or is uncapped", i)
+		}
 	}
 }

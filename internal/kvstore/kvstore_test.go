@@ -134,6 +134,72 @@ func TestSkipListConcurrentReadsDuringWrites(t *testing.T) {
 	}
 }
 
+// Readers Get and iterate while the writer inserts and overwrites into
+// a list whose buffer starts at its minimum, so it grows many times
+// under them: every read must find a well-formed value for its key in
+// whichever buffer it loaded, and an iteration must stay ascending.
+// Under -race, checkptr checks every word view into the buffers.
+func TestSkipListGrowsUnderReaders(t *testing.T) {
+	sl := newSkipList(0)
+	const n, rounds = 2000, 3
+	// value i of key k holds k's id in its first byte, then i's.
+	value := func(id, round int) []byte {
+		return bytes.Repeat([]byte{byte(id), byte(round)}, 1+id%23)
+	}
+	wellFormed := func(k, v []byte) bool {
+		id := int(k[15]) | int(k[14])<<8
+		return len(v) == 2*(1+id%23) && v[0] == byte(id)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := uint64(r); ; i += 13 {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				k := Key(i % n)
+				if v, ok, _ := sl.Get(k); ok && !wellFormed(k, v) {
+					panic(fmt.Sprintf("Get(%x) = %x", k, v))
+				}
+				src := source{mem: sl, snap: math.MaxUint64}
+				var prev []byte
+				src.seek(k)
+				for j := 0; j < 16 && src.valid; j++ {
+					if prev != nil && bytes.Compare(prev, src.key) >= 0 || !wellFormed(src.key, src.val) {
+						panic(fmt.Sprintf("iteration read %x=%x after %x", src.key, src.val, prev))
+					}
+					prev = src.key
+					src.next()
+				}
+			}
+		}(r)
+	}
+	growths, size := 0, len(sl.buf)
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < n; i++ {
+			sl.Put(Key(uint64(i*7%n)), value(i*7%n, round))
+			if len(sl.buf) != size {
+				growths, size = growths+1, len(sl.buf)
+			}
+		}
+	}
+	close(done)
+	wg.Wait()
+	if growths < 10 {
+		t.Fatalf("the buffer grew %d times, want at least 10", growths)
+	}
+	for i := 0; i < n; i++ {
+		if v, ok, _ := sl.Get(Key(uint64(i))); !ok || !bytes.Equal(v, value(i, rounds-1)) {
+			t.Fatalf("key %d reads %x, %v", i, v, ok)
+		}
+	}
+}
+
 func TestRunBuildAndGet(t *testing.T) {
 	sl := NewSkipList()
 	for i := 0; i < 50; i++ {

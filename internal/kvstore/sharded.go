@@ -129,7 +129,7 @@ func (s *ShardedDB) Write(b *Batch) {
 	groups := make([][]batchOp, len(s.shards))
 	touched := make([]int, 0, len(s.shards))
 	for _, op := range b.ops {
-		si := shardIndex(op.key, len(s.shards))
+		si := shardIndex(op.key(b.rep), len(s.shards))
 		if groups[si] == nil {
 			touched = append(touched, si)
 		}
@@ -138,7 +138,7 @@ func (s *ShardedDB) Write(b *Batch) {
 	sort.Ints(touched)
 	s.table.write.lockSet(touched)
 	for _, si := range touched {
-		s.shards[si].applyLocked(groups[si])
+		s.shards[si].applyLocked(b.rep, groups[si])
 	}
 	s.table.write.unlockSet(touched)
 }
