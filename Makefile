@@ -5,8 +5,8 @@
 #                      any unformatted file), go vet, the full
 #                      build+test suite, the conformance, vtime and
 #                      explore tiers, the kvperf benchmark smoke, the
-#                      fuzz smoke, the bench smoke, the benchdiff smoke,
-#                      and the Figure 1 golden check.
+#                      fuzz smoke, the bench smoke, and the Figure 1
+#                      golden check.
 #   make test        — tier 1: build + full test suite (the CI gate);
 #                      includes the Track B golden test, which
 #                      regenerates every deterministic results file
@@ -19,18 +19,6 @@
 #                      (-benchtime 1x): catches a benchmark that panics
 #                      or fails its own checks, which the test tiers
 #                      never run
-#   make bench-json  — regenerate results/bench_baseline.json: a short
-#                      mutexbench sweep, a sharded kvbench sweep
-#                      (shard count × lock matrix), and read-mostly
-#                      sweeps (readmostly/r90 cells: the RW and seqlock
-#                      combinators against their exclusive base, plus
-#                      the kv store's mixed Get/Put loop), each emitted
-#                      in the versioned harness JSON schema and merged
-#                      with benchdiff -merge into the single anchor file
-#                      cmd/benchdiff compares future runs against
-#   make benchdiff-check — self-diff the committed baseline through
-#                      cmd/benchdiff (schema + comparator smoke; part of
-#                      make check)
 #   make chaos       — robustness tier: cancellation/bounded-acquisition
 #                      tests under -race (among them internal/core's
 #                      clock.Virtual TestBounded* repros: LockFor over a
@@ -88,16 +76,15 @@ GOFMT ?= gofmt
 CHAOS_SEED ?= 1
 CONF_SEED ?= 1
 FUZZTIME ?= 5s
-BENCH_BASELINE ?= results/bench_baseline.json
 
-.PHONY: all build check fmt-check test vet race bench bench-smoke bench-json benchdiff-check chaos conformance vtime explore kvperf fuzz-smoke figures-check
+.PHONY: all build check fmt-check test vet race bench bench-smoke chaos conformance vtime explore kvperf fuzz-smoke figures-check
 
 all: test
 
 build:
 	$(GO) build ./...
 
-check: fmt-check vet test conformance vtime explore kvperf fuzz-smoke bench-smoke benchdiff-check figures-check
+check: fmt-check vet test conformance vtime explore kvperf fuzz-smoke bench-smoke figures-check
 
 fmt-check:
 	@out="$$($(GOFMT) -l .)"; if [ -n "$$out" ]; then \
@@ -117,19 +104,6 @@ bench:
 
 bench-smoke: build
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-bench-json: build
-	@mkdir -p results
-	$(GO) run ./cmd/mutexbench -locks=paper -threads=1,2,4,8 -duration=100ms -runs=3 -json -out=results/.mutexbench.part.json
-	$(GO) run ./cmd/kvbench -mode=readrandom -locks=Recipro,MCS,GoMutex -shards=1,4 -threads=1,2,4 -keys=20000 -duration=80ms -runs=3 -json -out=results/.kvbench.part.json
-	$(GO) run ./cmd/mutexbench -locks=Recipro,rw:Recipro,seq:Recipro,occ:Recipro,GoRWMutex -read-frac=0.9 -threads=1,2,4,8 -duration=100ms -runs=3 -json -out=results/.readmostly.part.json
-	$(GO) run ./cmd/kvbench -mode=readrandom -read-frac=0.9 -locks=Recipro,rw:Recipro -shards=1 -threads=1,2,4 -keys=20000 -duration=80ms -runs=3 -json -out=results/.kvreadmostly.part.json
-	$(GO) run ./cmd/benchdiff -merge -name=suite -out=$(BENCH_BASELINE) results/.mutexbench.part.json results/.kvbench.part.json results/.readmostly.part.json results/.kvreadmostly.part.json
-	rm -f results/.mutexbench.part.json results/.kvbench.part.json results/.readmostly.part.json results/.kvreadmostly.part.json
-	$(GO) run ./cmd/benchdiff -check $(BENCH_BASELINE)
-
-benchdiff-check: build
-	$(GO) run ./cmd/benchdiff -check $(BENCH_BASELINE)
 
 chaos: build
 	$(GO) test -race -run 'TryLock|Bounded|Cancel|Abandon|Chaos|PauseBounded' ./internal/chaos ./internal/bounded ./internal/core ./internal/locks ./internal/waiter

@@ -118,9 +118,8 @@ func main() {
 	res.SetConfig("duration", d.String())
 	res.SetConfig("runs", strconv.Itoa(bf.Runs))
 	// The workload base: kvreadmostly/rNN cells are distinct both from
-	// readrandom ones and from mutexbench's readmostly/rNN (merge keys
-	// ignore the harness, so the store-level cells need their own name
-	// to coexist in a merged baseline).
+	// readrandom ones and from mutexbench's readmostly/rNN, so the
+	// store-level cells never pass for the bare-lock ones.
 	base := *mode
 	if *readFrac > 0 {
 		base = fmt.Sprintf("kvreadmostly/r%d", int(*readFrac*100+0.5))

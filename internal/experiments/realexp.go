@@ -202,8 +202,7 @@ func OpenKVStore(mk func() sync.Locker, shards int) kvstore.Store {
 
 // ShardWorkload names a workload cell at a shard count: the base name
 // for the coarse store, "<base>/s<N>" for N shards — keeping coarse
-// cell keys identical to the pre-sharding schema so existing baselines
-// stay comparable.
+// cell labels identical to the pre-sharding schema.
 func ShardWorkload(base string, shards int) string {
 	if shards <= 1 {
 		return base

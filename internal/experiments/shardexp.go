@@ -131,8 +131,8 @@ func CalibrateShardModel(lf registry.Entry, keys int, dur time.Duration) ShardMo
 // experiment: for each selected lock it calibrates the model once,
 // then measures readrandom at every shard count × thread count and
 // emits one harness cell per point — measured throughput as the
-// score (so cmd/benchdiff gates it like any other cell) with the
-// prediction and model parameters as extras.
+// score, like any other cell, with the prediction and model
+// parameters as extras.
 func ShardPredictionResult(lfs []registry.Entry, shardCounts, threads []int, dur time.Duration, keys, runs int, seed uint64) *harness.Result {
 	if dur <= 0 {
 		dur = 100 * time.Millisecond

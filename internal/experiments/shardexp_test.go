@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -79,8 +80,8 @@ func TestCalibrateShardModelSmoke(t *testing.T) {
 }
 
 // End-to-end smoke of the prediction experiment: one lock, a tiny
-// sweep, every cell carrying a positive score and the model extras in
-// the shape cmd/benchdiff consumes.
+// sweep, every cell carrying a positive score and the model extras,
+// one cell per workload × lock × thread count.
 func TestShardPredictionResultSmoke(t *testing.T) {
 	e, ok := registry.Lookup("GoMutex")
 	if !ok {
@@ -97,13 +98,14 @@ func TestShardPredictionResultSmoke(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, c := range res.Cells {
-		seen[c.Key()] = true
+		key := fmt.Sprintf("%s|%s|T=%d", c.Workload, c.Lock, c.Threads)
+		seen[key] = true
 		if c.Score <= 0 {
-			t.Errorf("%s: non-positive measured score %v", c.Key(), c.Score)
+			t.Errorf("%s: non-positive measured score %v", key, c.Score)
 		}
 		for _, k := range []string{"predicted_mops", "model_tau_ns", "model_crit_ns", "prediction_ratio"} {
 			if c.Extras[k] <= 0 {
-				t.Errorf("%s: extra %q = %v, want > 0", c.Key(), k, c.Extras[k])
+				t.Errorf("%s: extra %q = %v, want > 0", key, k, c.Extras[k])
 			}
 		}
 	}

@@ -16,7 +16,7 @@
 //     infrastructure does not itself induce false sharing.
 //   - Result: a versioned, machine-readable JSON schema (result.go)
 //     embedding the internal/stats summaries and environment capture,
-//     consumed by cmd/benchdiff as the repo's perf-regression gate.
+//     emitted under -json for reporting; nothing gates on it.
 //
 // The fairness statistics of a measurement (per-worker operation
 // vector, Jain index, disparity) are always taken from the

@@ -2,10 +2,8 @@ package harness
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
-	"os"
 	"os/exec"
 	"runtime"
 	"strings"
@@ -16,10 +14,10 @@ import (
 	"repro/internal/stats"
 )
 
-// SchemaVersion is the version of the JSON result schema. Decode
-// rejects any other value so that future schema changes fail loudly
-// instead of silently misparsing old baselines; bump it whenever a
-// field's meaning changes or a required field is added/removed.
+// SchemaVersion is the version of the JSON result schema, written as
+// every result's "schema" field so that a reader can tell schema
+// changes apart; bump it whenever a field's meaning changes or a
+// required field is added/removed.
 const SchemaVersion = 1
 
 // Env captures the execution environment of a measurement, following
@@ -89,8 +87,7 @@ func Summarize(xs []float64) Summary {
 
 // Cell is one measured configuration: one lock (or schedule, or
 // variant) × workload × thread count. Score is the cell's primary
-// metric in Unit; higher is always better, so the regression
-// comparator needs no per-unit direction table.
+// metric in Unit; higher is always better.
 type Cell struct {
 	Lock     string `json:"lock,omitempty"`
 	Workload string `json:"workload"`
@@ -118,14 +115,9 @@ type Cell struct {
 	Notes map[string]string `json:"notes,omitempty"`
 }
 
-// Key identifies a cell for cross-file comparison.
-func (c Cell) Key() string {
-	return fmt.Sprintf("%s|%s|T=%d", c.Workload, c.Lock, c.Threads)
-}
-
-// Result is one harness invocation's machine-readable outcome — the
-// unit cmd/benchdiff compares. Every harness command emits this exact
-// schema under -json.
+// Result is one harness invocation's machine-readable outcome. Every
+// harness command emits this exact schema under -json, for reporting:
+// nothing in the repository gates on it.
 type Result struct {
 	Schema  int    `json:"schema"`
 	Harness string `json:"harness"`
@@ -207,46 +199,4 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// WriteFile writes r to path (creating parent-less files 0644).
-func (r *Result) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// Decode parses one Result, enforcing the schema version: a missing or
-// mismatched version is an error, never a silent misparse.
-func Decode(r io.Reader) (*Result, error) {
-	var res Result
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&res); err != nil {
-		return nil, fmt.Errorf("harness: decoding result: %w", err)
-	}
-	if res.Schema != SchemaVersion {
-		return nil, fmt.Errorf("harness: result schema version %d, this binary expects %d (regenerate the file or use a matching binary)",
-			res.Schema, SchemaVersion)
-	}
-	return &res, nil
-}
-
-// ReadFile loads and version-checks one result file.
-func ReadFile(path string) (*Result, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	res, err := Decode(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return res, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -54,6 +55,54 @@ func TestIteratorNextAddsNoAllocs(t *testing.T) {
 	if got != 0 {
 		t.Fatalf("Iterator.Next allocates %.2f allocs/op, want 0", got)
 	}
+}
+
+// A cross-shard batch is grouped by shard into one per-call op slice
+// plus one offsets-and-stripe-set slice, whatever its size or shard
+// count: a group per shard grown by append would cost an allocation or
+// more per touched shard on every scan-batch write. The memtable puts
+// add none while their buffers have room.
+func TestShardedWriteAllocs(t *testing.T) {
+	db := openMutexSharded(0)
+	var b Batch
+	for i := uint64(0); i < 8; i++ {
+		b.Put(Key(i), []byte("value"))
+	}
+	if got := testing.AllocsPerRun(100, func() { db.Write(&b) }); got > 2 {
+		t.Fatalf("8-key Write over 4 shards allocates %.0f times, want at most 2", got)
+	}
+}
+
+// Opening a sharded iterator allocates its source list, its merge heap
+// and the Iterator itself, and Seek and Next add nothing: the stripe
+// set every snapshot locks is built once, by OpenSharded.
+func TestShardedIteratorAllocs(t *testing.T) {
+	db := openMutexSharded(4096)
+	k := Key(0)
+	got := testing.AllocsPerRun(100, func() {
+		it := db.NewIterator()
+		it.Seek(k)
+		for i := 0; i < 32 && it.Next(); i++ {
+		}
+	})
+	if got > 3 {
+		t.Fatalf("NewIterator + Seek + 32 Next allocates %.0f times, want at most 3", got)
+	}
+}
+
+// openMutexSharded opens a 4-shard store holding keys entries, in about
+// seven memtables' worth per shard. Its locks are sync.Mutex so that an
+// allocation count is the store's own: the default lock draws its
+// queue elements from a sync.Pool, which the race detector empties at
+// random.
+func openMutexSharded(keys int) *ShardedDB {
+	db := OpenSharded(ShardedOptions{
+		Shards:        4,
+		NewLock:       func() sync.Locker { return new(sync.Mutex) },
+		MemTableBytes: keys * 80 / 4 / 7, // 0: the default
+	})
+	FillSeq(db, keys, 32)
+	return db
 }
 
 // A run is pointer-free: keys, values, offsets, tombstones and the

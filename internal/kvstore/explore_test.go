@@ -364,21 +364,6 @@ func TestExploreHuntUnstampedSnapshot(t *testing.T) {
 	hunt(t, p, "torn scan")
 }
 
-// shardGroups splits b's ops by shard, returning the touched shards in
-// ascending order.
-func shardGroups(s *ShardedDB, b *Batch) (groups [][]batchOp, touched []int) {
-	groups = make([][]batchOp, len(s.shards))
-	for _, op := range b.ops {
-		si := shardIndex(op.key(b.rep), len(s.shards))
-		if groups[si] == nil {
-			touched = append(touched, si)
-		}
-		groups[si] = append(groups[si], op)
-	}
-	slices.Sort(touched)
-	return groups, touched
-}
-
 // TestExploreHuntPerShardWrite applies a cross-shard batch shard by
 // shard, each under only its own lock: a snapshot taken between two
 // shards' applies sees half the batch.
@@ -386,10 +371,10 @@ func TestExploreHuntPerShardWrite(t *testing.T) {
 	p := exploreStore(t, 2)
 	p.writers = []func(Store, *Batch){func(st Store, b *Batch) {
 		s := st.(*ShardedDB)
-		groups, touched := shardGroups(s, b)
+		ops, bounds, touched := s.groupByShard(b)
 		for _, si := range touched {
 			s.shards[si].mu.Lock()
-			s.shards[si].applyLocked(b.rep, groups[si])
+			s.shards[si].applyLocked(b.rep, ops[bounds[si]:bounds[si+1]])
 			s.shards[si].mu.Unlock()
 		}
 	}}
@@ -400,12 +385,12 @@ func TestExploreHuntPerShardWrite(t *testing.T) {
 // in descending shard order, bypassing lockSet's canonical-order check.
 func writeDescending(st Store, b *Batch) {
 	s := st.(*ShardedDB)
-	groups, touched := shardGroups(s, b)
+	ops, bounds, touched := s.groupByShard(b)
 	for i := len(touched) - 1; i >= 0; i-- {
 		s.table.write[touched[i]].Lock()
 	}
 	for _, si := range touched {
-		s.shards[si].applyLocked(b.rep, groups[si])
+		s.shards[si].applyLocked(b.rep, ops[bounds[si]:bounds[si+1]])
 	}
 	s.table.write.unlockSet(touched)
 }

@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -43,6 +42,7 @@ type ShardedOptions struct {
 type ShardedDB struct {
 	shards []*DB
 	table  stripeTable
+	all    []int // every shard index, ascending: an iterator's stripe set
 }
 
 // OpenSharded creates an empty sharded database.
@@ -55,8 +55,9 @@ func OpenSharded(opts ShardedOptions) *ShardedDB {
 	if mk == nil {
 		mk = func() sync.Locker { return new(core.Lock) }
 	}
-	s := &ShardedDB{shards: make([]*DB, n)}
+	s := &ShardedDB{shards: make([]*DB, n), all: make([]int, n)}
 	for i := range s.shards {
+		s.all[i] = i
 		s.shards[i] = Open(Options{
 			Lock:          mk(),
 			MemTableBytes: opts.MemTableBytes,
@@ -126,21 +127,44 @@ func (s *ShardedDB) Write(b *Batch) {
 		s.shards[0].Write(b)
 		return
 	}
-	groups := make([][]batchOp, len(s.shards))
-	touched := make([]int, 0, len(s.shards))
-	for _, op := range b.ops {
-		si := shardIndex(op.key(b.rep), len(s.shards))
-		if groups[si] == nil {
-			touched = append(touched, si)
-		}
-		groups[si] = append(groups[si], op)
-	}
-	sort.Ints(touched)
+	ops, bounds, touched := s.groupByShard(b)
 	s.table.write.lockSet(touched)
 	for _, si := range touched {
-		s.shards[si].applyLocked(b.rep, groups[si])
+		s.shards[si].applyLocked(b.rep, ops[bounds[si]:bounds[si+1]])
 	}
 	s.table.write.unlockSet(touched)
+}
+
+// groupByShard sorts b's ops by shard in one stable counting pass:
+// shard si's ops are ops[bounds[si]:bounds[si+1]], in batch order, so
+// a key queued twice still ends at its newest value. touched lists the
+// shards with ops in ascending order, as lockSet wants them. It makes
+// two allocations however large the batch or the store.
+func (s *ShardedDB) groupByShard(b *Batch) (ops []batchOp, bounds, touched []int) {
+	n := len(s.shards)
+	idx := make([]int, 2*n+1)
+	bounds, touched = idx[:n+1], idx[n+1:n+1]
+	for _, op := range b.ops {
+		bounds[shardIndex(op.key(b.rep), n)]++
+	}
+	// Counts become each shard's end offset; placing the ops from the
+	// last back then walks every end down to its shard's start.
+	for si := 0; si < n; si++ {
+		if bounds[si] > 0 {
+			touched = append(touched, si)
+		}
+		if si > 0 {
+			bounds[si] += bounds[si-1]
+		}
+	}
+	bounds[n] = len(b.ops)
+	ops = make([]batchOp, len(b.ops))
+	for i := len(b.ops) - 1; i >= 0; i-- {
+		si := shardIndex(b.ops[i].key(b.rep), n)
+		bounds[si]--
+		ops[bounds[si]] = b.ops[i]
+	}
+	return ops, bounds, touched
 }
 
 // NewIterator captures a consistent snapshot of every shard — all
@@ -157,16 +181,12 @@ func (s *ShardedDB) NewIterator() *Iterator {
 	if len(s.shards) == 1 {
 		return s.shards[0].NewIterator()
 	}
-	all := make([]int, len(s.shards))
-	for i := range all {
-		all[i] = i
-	}
 	src := make([]source, 0, len(s.shards)*(1+s.shards[0].opts.MaxRuns))
-	s.table.read.lockSet(all)
+	s.table.read.lockSet(s.all)
 	for _, sh := range s.shards {
 		src = sh.snapshotLocked(src)
 	}
-	s.table.read.unlockSet(all)
+	s.table.read.unlockSet(s.all)
 	return newIterator(src)
 }
 

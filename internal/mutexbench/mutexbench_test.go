@@ -117,8 +117,8 @@ func TestReadMostlyAllSurfaces(t *testing.T) {
 }
 
 // ReadFrac controls the cell label and is recorded in the result
-// config, so readmostly sweeps land in bench_baseline.json as their
-// own workload rather than overwriting max/moderate cells.
+// config, so a readmostly sweep's cells are their own workload rather
+// than a copy of the max/moderate labels.
 func TestReadMostlyWorkloadNaming(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  Config
