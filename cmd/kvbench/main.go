@@ -174,7 +174,6 @@ func main() {
 		}
 		if st != nil {
 			lockstat.InstallWaiterSink(nil)
-			lockstat.Publish("lockstat.kv."+lf.Name, st)
 			if res.Lockstat == nil {
 				res.Lockstat = map[string]lockstat.Snapshot{}
 			}

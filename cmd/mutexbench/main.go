@@ -117,7 +117,6 @@ func main() {
 		res.Cells = append(res.Cells, sub.Cells...)
 		if st != nil {
 			lockstat.InstallWaiterSink(nil)
-			lockstat.Publish("lockstat."+lf.Name, st)
 			if res.Lockstat == nil {
 				res.Lockstat = map[string]lockstat.Snapshot{}
 			}

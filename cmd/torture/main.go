@@ -99,7 +99,6 @@ func main() {
 		ops, acquires, abandons, reads := torture(lf, per, *workers, *tableSize, st, *stallTimeout, *chaosOn)
 		if st != nil {
 			lockstat.InstallWaiterSink(nil)
-			lockstat.Publish("lockstat.torture."+lf.Name, st)
 			telemetry[lf.Name] = st.Snapshot()
 			order = append(order, lf.Name)
 		}
@@ -120,9 +119,9 @@ func main() {
 	}
 }
 
-// printChaosReport renders the accumulated injection counters, with a
-// per-site breakdown under each point that absorbed injections so the
-// report names the faulting call sites, not just the points.
+// printChaosReport renders the accumulated injection counters, one row
+// per point; a point is one call site, so each row names the faulting
+// code path.
 func printChaosReport(w *os.File) {
 	rep := chaos.Report()
 	if len(rep) == 0 {
@@ -134,10 +133,6 @@ func printChaosReport(w *os.File) {
 	for _, ps := range rep {
 		fmt.Fprintf(w, "  %-34s %10d %8d %8d %8d %8d\n",
 			ps.Name, ps.Calls, ps.Delays, ps.Preempts, ps.Fails, ps.Wakes)
-		for _, ss := range ps.Sites {
-			fmt.Fprintf(w, "    @%-32s %10s %8d %8d %8d %8d\n",
-				ss.Label, "", ss.Delays, ss.Preempts, ss.Fails, ss.Wakes)
-		}
 	}
 }
 

@@ -5,8 +5,9 @@
 //
 // bounded.PollFor/PollCtx, the TryLock-polling fallback of the bounded
 // acquisition contract, use it for its sleep schedule once an episode
-// escalates past hot spinning, and the conformance suite's lease
-// re-acquisition check retries under it.
+// escalates past hot spinning; the OCC read path and the virtual-time
+// conformance schedules (conformance.VTimeTrace) retry under it, and
+// waiter.PolicyBackoff follows its jitter-free Exp schedule.
 //
 // The package computes durations only — it never sleeps — so the same
 // policy drives real time.Sleep retries and retries on a virtual
@@ -15,7 +16,7 @@
 // same retry pressure.
 //
 // Decorrelated jitter grows the expected delay geometrically while
-// keeping every delay uniformly spread over [Base, prev·Mult], which
+// keeping every delay uniformly spread over [Base, prev·3], which
 // breaks retry synchronization (thundering herds re-colliding on the
 // same schedule) without the dead-time cost of full exponential
 // backoff; the cap bounds the worst-case reacquisition latency.
@@ -27,7 +28,11 @@ import (
 	"repro/internal/xrand"
 )
 
-// Policy bounds a backoff sequence. The zero value selects defaults.
+// mult is the decorrelation multiplier: delay k+1 is drawn uniformly
+// from [Base, delay_k · mult].
+const mult = 3
+
+// Policy bounds a backoff sequence: 0 < Base ≤ Cap.
 //
 // Boundary behavior, pinned by tests because the virtual-time
 // conformance schedules depend on it:
@@ -39,32 +44,10 @@ import (
 //     (the draw span collapses to zero; the PRNG is never consulted),
 //     so the sequence is a constant schedule independent of seed.
 type Policy struct {
-	// Base is the minimum (and first) delay. Default 4ms.
+	// Base is the minimum (and first) delay.
 	Base time.Duration
-	// Cap bounds every delay. Default 64ms.
+	// Cap bounds every delay.
 	Cap time.Duration
-	// Mult is the decorrelation multiplier: delay k+1 is drawn
-	// uniformly from [Base, delay_k · Mult]. Values below 2 select
-	// the default, 3.
-	Mult int
-}
-
-// WithDefaults fills zero (or out-of-range) fields with the package
-// defaults.
-func (p Policy) WithDefaults() Policy {
-	if p.Base <= 0 {
-		p.Base = 4 * time.Millisecond
-	}
-	if p.Cap <= 0 {
-		p.Cap = 64 * time.Millisecond
-	}
-	if p.Cap < p.Base {
-		p.Cap = p.Base
-	}
-	if p.Mult < 2 {
-		p.Mult = 3
-	}
-	return p
 }
 
 // Exp returns the capped exponential (jitter-free) delay for attempt n
@@ -72,7 +55,6 @@ func (p Policy) WithDefaults() Policy {
 // waiter.PolicyBackoff follows; it is exposed here so the two packages
 // share one tested implementation of the capped-doubling math.
 func (p Policy) Exp(n int) time.Duration {
-	p = p.WithDefaults()
 	if n < 0 {
 		n = 0
 	}
@@ -87,34 +69,27 @@ func (p Policy) Exp(n int) time.Duration {
 // Backoff is one seeded retry sequence. Not safe for concurrent use;
 // construct one per waiter (they are two words plus the policy).
 type Backoff struct {
-	p        Policy
-	rng      xrand.XorShift64
-	prev     time.Duration
-	attempts int
+	p    Policy
+	rng  xrand.XorShift64
+	prev time.Duration
 }
 
-// New returns a sequence governed by p (zero fields defaulted),
-// deterministic for the given seed.
+// New returns a sequence governed by p, deterministic for the given
+// seed.
 func New(p Policy, seed uint64) *Backoff {
-	b := &Backoff{p: p.WithDefaults()}
-	b.rng = *xrand.NewXorShift64(seed)
-	return b
+	return &Backoff{p: p, rng: *xrand.NewXorShift64(seed)}
 }
 
 // Next returns the delay to wait before the next retry and advances
 // the sequence: the first call returns Base exactly (a fast first
 // retry, and a guaranteed lower bound); call k+1 draws uniformly from
-// [Base, min(Cap, delay_k·Mult)].
+// [Base, min(Cap, delay_k·3)].
 func (b *Backoff) Next() time.Duration {
-	b.attempts++
 	if b.prev == 0 {
 		b.prev = b.p.Base
 		return b.prev
 	}
-	hi := b.prev * time.Duration(b.p.Mult)
-	if hi > b.p.Cap {
-		hi = b.p.Cap
-	}
+	hi := min(b.prev*mult, b.p.Cap)
 	d := b.p.Base
 	if span := int64(hi - b.p.Base); span > 0 {
 		d += time.Duration(b.rng.Uint64() % uint64(span+1))
@@ -123,15 +98,8 @@ func (b *Backoff) Next() time.Duration {
 	return d
 }
 
-// Attempts reports how many delays have been drawn since the last
-// Reset.
-func (b *Backoff) Attempts() int { return b.attempts }
-
 // Reset rewinds the sequence to its initial state (the next delay is
 // Base again) without reseeding the generator, so a successful
 // acquisition starts the next episode fast while the overall stream
 // stays deterministic.
-func (b *Backoff) Reset() {
-	b.prev = 0
-	b.attempts = 0
-}
+func (b *Backoff) Reset() { b.prev = 0 }

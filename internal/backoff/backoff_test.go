@@ -8,9 +8,10 @@ import (
 // TestDeterministic pins the seed contract: the same seed yields the
 // same sequence, different seeds diverge.
 func TestDeterministic(t *testing.T) {
-	a := New(Policy{}, 42)
-	b := New(Policy{}, 42)
-	c := New(Policy{}, 43)
+	p := Policy{Base: 4 * time.Millisecond, Cap: 64 * time.Millisecond}
+	a := New(p, 42)
+	b := New(p, 42)
+	c := New(p, 43)
 	var diverged bool
 	for i := 0; i < 64; i++ {
 		da, db, dc := a.Next(), b.Next(), c.Next()
@@ -27,9 +28,9 @@ func TestDeterministic(t *testing.T) {
 }
 
 // TestBounds verifies every delay stays in [Base, Cap], the first is
-// exactly Base, and each delay is at most Mult× its predecessor.
+// exactly Base, and each delay is at most 3× its predecessor.
 func TestBounds(t *testing.T) {
-	p := Policy{Base: 2 * time.Millisecond, Cap: 50 * time.Millisecond, Mult: 3}
+	p := Policy{Base: 2 * time.Millisecond, Cap: 50 * time.Millisecond}
 	b := New(p, 7)
 	prev := time.Duration(0)
 	for i := 0; i < 200; i++ {
@@ -40,13 +41,10 @@ func TestBounds(t *testing.T) {
 		if d < p.Base || d > p.Cap {
 			t.Fatalf("draw %d: delay %v outside [%v, %v]", i, d, p.Base, p.Cap)
 		}
-		if prev > 0 && d > prev*time.Duration(p.Mult) {
-			t.Fatalf("draw %d: delay %v > %d× previous %v", i, d, p.Mult, prev)
+		if prev > 0 && d > prev*mult {
+			t.Fatalf("draw %d: delay %v > %d× previous %v", i, d, mult, prev)
 		}
 		prev = d
-	}
-	if b.Attempts() != 200 {
-		t.Fatalf("Attempts = %d, want 200", b.Attempts())
 	}
 }
 
@@ -54,7 +52,7 @@ func TestBounds(t *testing.T) {
 // the mean delay must clearly exceed Base (decorrelated jitter grows
 // geometrically in expectation until the cap).
 func TestGrowth(t *testing.T) {
-	p := Policy{Base: time.Millisecond, Cap: 100 * time.Millisecond, Mult: 3}
+	p := Policy{Base: time.Millisecond, Cap: 100 * time.Millisecond}
 	b := New(p, 11)
 	var sum time.Duration
 	n := 100
@@ -68,14 +66,11 @@ func TestGrowth(t *testing.T) {
 
 // TestReset rewinds to a Base first-retry without reseeding.
 func TestReset(t *testing.T) {
-	b := New(Policy{}, 3)
+	b := New(Policy{Base: 4 * time.Millisecond, Cap: 64 * time.Millisecond}, 3)
 	for i := 0; i < 10; i++ {
 		b.Next()
 	}
 	b.Reset()
-	if b.Attempts() != 0 {
-		t.Fatalf("Attempts after Reset = %d", b.Attempts())
-	}
 	if d := b.Next(); d != b.p.Base {
 		t.Fatalf("first delay after Reset = %v, want Base %v", d, b.p.Base)
 	}
@@ -84,7 +79,7 @@ func TestReset(t *testing.T) {
 // TestExp pins the capped-doubling schedule shared with
 // waiter.PolicyBackoff.
 func TestExp(t *testing.T) {
-	p := Policy{Base: time.Microsecond, Cap: 256 * time.Microsecond, Mult: 3}
+	p := Policy{Base: time.Microsecond, Cap: 256 * time.Microsecond}
 	for n, want := range []time.Duration{
 		1 * time.Microsecond, 2 * time.Microsecond, 4 * time.Microsecond,
 		8 * time.Microsecond, 16 * time.Microsecond, 32 * time.Microsecond,
@@ -100,9 +95,5 @@ func TestExp(t *testing.T) {
 	}
 	if got := p.Exp(200); got != p.Cap {
 		t.Fatalf("Exp(200) = %v, want Cap", got)
-	}
-	// Defaults fill in.
-	if got := (Policy{}).Exp(0); got != 4*time.Millisecond {
-		t.Fatalf("zero-policy Exp(0) = %v, want default Base", got)
 	}
 }

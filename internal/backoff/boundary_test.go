@@ -43,27 +43,3 @@ func TestCapEqualsBaseDegeneratesSanely(t *testing.T) {
 		}
 	}
 }
-
-// Mult <= 0 selects the default multiplier: a negative Mult is no
-// zero-jitter mode, and the sequence does jitter past the first draw.
-// A constant schedule is Cap == Base, pinned above.
-func TestMultZeroIsDefaultNotSentinel(t *testing.T) {
-	for _, mult := range []int{0, -1} {
-		p := Policy{Base: time.Millisecond, Cap: 64 * time.Millisecond, Mult: mult}
-		if got := p.WithDefaults().Mult; got != 3 {
-			t.Fatalf("WithDefaults(Mult=%d) = %d, want default 3", mult, got)
-		}
-		b := New(p, 42)
-		b.Next() // Base, pinned above
-		varied := false
-		for i := 0; i < 50; i++ {
-			if b.Next() != p.Base {
-				varied = true
-				break
-			}
-		}
-		if !varied {
-			t.Fatalf("Mult=%d sequence never left Base", mult)
-		}
-	}
-}

@@ -1,8 +1,9 @@
 // Package chaos is the repository's deterministic fault-injection
 // substrate: named injection points threaded through the lock
-// algorithms (internal/core, internal/locks), the waiting layer
-// (internal/waiter, internal/futex) and the kvstore application, all
-// governed by one seeded configuration.
+// algorithms (internal/core, internal/locks), the futex waiting layer
+// (internal/futex), the kvstore application and registry.WithChaosVeto,
+// all governed by one seeded configuration. Each point is one call
+// site, so a point's name says where an injection fired.
 //
 // Design constraints, in order:
 //
@@ -19,7 +20,8 @@
 //     same schedule.
 //  3. Failure-only bias. Injections may add delays, force scheduler
 //     preemptions at linearization points, report spurious wakeups, or
-//     veto a TryLock/LockFor — all of which are legal behaviors of the
+//     veto a TryLock/LockFor (registry.WithChaosVeto, the only TryLock
+//     veto) — all of which are legal behaviors of the
 //     underlying primitives. An injection can therefore never *cause*
 //     a correctness violation, only expose one.
 //
@@ -41,21 +43,23 @@ import (
 	"repro/internal/clock"
 )
 
+// maxDelay caps an injected delay.
+const maxDelay = 100 * time.Microsecond
+
 // Config selects injection probabilities. Probabilities are in [0, 1]
 // and are evaluated independently per hit.
 type Config struct {
 	// Seed drives every per-point decision stream.
 	Seed uint64
 	// Delay is the probability that a Hit injects a sleep of up to
-	// MaxDelay (uniform, deterministic per stream).
+	// 100µs (uniform, deterministic per stream).
 	Delay float64
-	// MaxDelay caps injected delays; zero selects 100µs.
-	MaxDelay time.Duration
 	// Preempt is the probability that a Hit forces a runtime.Gosched,
 	// simulating preemption at the instrumented linearization point.
 	Preempt float64
-	// TryFail is the probability that Fail() vetoes a TryLock/LockFor
-	// attempt (a spurious failure, always legal for those operations).
+	// TryFail is the probability that Fail() reports a spurious
+	// failure (registry.WithChaosVeto's TryLock/LockFor/ReadValidate
+	// veto; always legal for those operations).
 	TryFail float64
 	// SpuriousWake is the probability that Wake() reports true,
 	// causing an instrumented blocking wait to return spuriously.
@@ -69,7 +73,6 @@ func DefaultConfig(seed uint64) Config {
 	return Config{
 		Seed:         seed,
 		Delay:        0.02,
-		MaxDelay:     100 * time.Microsecond,
 		Preempt:      0.05,
 		TryFail:      0.02,
 		SpuriousWake: 0.05,
@@ -90,9 +93,6 @@ var (
 // Enable installs cfg and zeroes all point counters and the recent-
 // injection ring. It replaces any previous configuration.
 func Enable(cfg Config) {
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 100 * time.Microsecond
-	}
 	regMu.Lock()
 	for _, p := range points {
 		p.reset()
@@ -101,8 +101,7 @@ func Enable(cfg Config) {
 	recentMu.Lock()
 	recentSeq = 0
 	recentMu.Unlock()
-	c := cfg
-	active.Store(&c)
+	active.Store(&cfg)
 }
 
 // Disable uninstalls the configuration; all hooks revert to no-ops.
@@ -113,19 +112,11 @@ func Disable() { active.Store(nil) }
 // Enabled reports whether fault injection is currently armed.
 func Enabled() bool { return active.Load() != nil }
 
-// Seed returns the active seed (0 when disabled).
-func Seed() uint64 {
-	if c := active.Load(); c != nil {
-		return c.Seed
-	}
-	return 0
-}
-
-// Point is a named injection point. Construct once at package scope
-// (NewPoint) and call Hit/Fail/Wake from the instrumented code; the
-// handle form keeps the armed path free of map lookups. A point that
-// serves several call sites can hand each one a labeled Site so
-// reports and stall dumps name the faulting site, not just the point.
+// Point is a named injection point at exactly one call site.
+// Construct once at package scope (NewPoint) and call Hit, Fail or
+// Wake from the instrumented code; the handle form keeps the armed
+// path free of map lookups, and the point's name says where an
+// injection fired.
 type Point struct {
 	name string
 	hash uint64
@@ -135,13 +126,10 @@ type Point struct {
 	preempts atomic.Uint64
 	fails    atomic.Uint64
 	wakes    atomic.Uint64
-
-	sites []*Site
 }
 
 // NewPoint registers and returns a new injection point. Names are
-// dotted paths ("reciprocating.arrive"); each call site should own a
-// distinct name so Report attributes injections usefully.
+// dotted paths ("reciprocating.arrive"), one per call site.
 func NewPoint(name string) *Point {
 	p := &Point{name: name, hash: fnv64(name)}
 	regMu.Lock()
@@ -150,59 +138,13 @@ func NewPoint(name string) *Point {
 	return p
 }
 
-// Name returns the point's registered name.
-func (p *Point) Name() string { return p.name }
-
 func (p *Point) reset() {
 	p.calls.Store(0)
 	p.delays.Store(0)
 	p.preempts.Store(0)
 	p.fails.Store(0)
 	p.wakes.Store(0)
-	for _, s := range p.sites {
-		s.delays.Store(0)
-		s.preempts.Store(0)
-		s.fails.Store(0)
-		s.wakes.Store(0)
-	}
 }
-
-// Site is a labeled view of a Point for one call site. All sites of a
-// point share the point's decision stream and call counter — labeling
-// never changes which injections fire for a given seed — but record
-// which site an injection actually hit, so a stall or violation dump
-// can name the faulting code path ("locks.trylock@CLH.TryLock") rather
-// than just the seed. Construct at package scope with Point.Site.
-type Site struct {
-	p     *Point
-	label string
-
-	delays   atomic.Uint64
-	preempts atomic.Uint64
-	fails    atomic.Uint64
-	wakes    atomic.Uint64
-}
-
-// Site registers and returns a labeled view of p for one call site.
-func (p *Point) Site(label string) *Site {
-	s := &Site{p: p, label: label}
-	regMu.Lock()
-	p.sites = append(p.sites, s)
-	regMu.Unlock()
-	return s
-}
-
-// Label returns the site's label.
-func (s *Site) Label() string { return s.label }
-
-// Hit is Point.Hit attributed to this site.
-func (s *Site) Hit() { s.p.hit(s) }
-
-// Fail is Point.Fail attributed to this site.
-func (s *Site) Fail() bool { return s.p.fail(s) }
-
-// Wake is Point.Wake attributed to this site.
-func (s *Site) Wake() bool { return s.p.wake(s) }
 
 // draw advances the point's decision stream by one call and returns
 // the call's 64-bit noise word. splitmix64 over (seed ^ name-hash) +
@@ -214,67 +156,64 @@ func (p *Point) draw(c *Config) uint64 {
 }
 
 // Hit possibly injects a scheduler preemption and/or a bounded delay
-// at this point. It is a no-op unless chaos is enabled.
-func (p *Point) Hit() { p.hit(nil) }
-
-func (p *Point) hit(s *Site) {
-	c := active.Load()
-	if c == nil {
-		return
+// at this point. Disarmed, it is one atomic load (and inlines).
+func (p *Point) Hit() {
+	if c := active.Load(); c != nil {
+		p.hit(c)
 	}
+}
+
+func (p *Point) hit(c *Config) {
 	x := p.draw(c)
 	if c.Preempt > 0 && unit(x) < c.Preempt {
 		p.preempts.Add(1)
-		record(p, s, "preempt")
+		record(p, "preempt")
 		runtime.Gosched()
 	}
 	y := splitmix64(x)
 	if c.Delay > 0 && unit(y) < c.Delay {
 		p.delays.Add(1)
-		record(p, s, "delay")
-		d := time.Duration(splitmix64(y) % uint64(c.MaxDelay))
-		clock.Wall.Sleep(d)
+		record(p, "delay")
+		clock.Wall.Sleep(time.Duration(splitmix64(y) % uint64(maxDelay)))
 	}
 }
 
-// Fail reports whether a TryLock/LockFor attempt at this point should
-// fail spuriously. Always false when chaos is disabled.
-func (p *Point) Fail() bool { return p.fail(nil) }
-
-func (p *Point) fail(s *Site) bool {
+// Fail reports whether the operation at this point should fail
+// spuriously. Always false, after one atomic load, when disarmed.
+func (p *Point) Fail() bool {
 	c := active.Load()
-	if c == nil {
-		return false
-	}
+	return c != nil && p.fail(c)
+}
+
+func (p *Point) fail(c *Config) bool {
 	if c.TryFail > 0 && unit(p.draw(c)) < c.TryFail {
 		p.fails.Add(1)
-		record(p, s, "fail")
+		record(p, "fail")
 		return true
 	}
 	return false
 }
 
 // Wake reports whether a blocking wait at this point should return
-// spuriously. Always false when chaos is disabled.
-func (p *Point) Wake() bool { return p.wake(nil) }
-
-func (p *Point) wake(s *Site) bool {
+// spuriously. Always false, after one atomic load, when disarmed.
+func (p *Point) Wake() bool {
 	c := active.Load()
-	if c == nil {
-		return false
-	}
+	return c != nil && p.wake(c)
+}
+
+func (p *Point) wake(c *Config) bool {
 	if c.SpuriousWake > 0 && unit(p.draw(c)) < c.SpuriousWake {
 		p.wakes.Add(1)
-		record(p, s, "wake")
+		record(p, "wake")
 		return true
 	}
 	return false
 }
 
-// recent is a small ring of the latest injections, labeled by site,
-// so a stall or violation dump can say which code paths chaos was
-// perturbing when the run wedged. The ring is only touched when an
-// injection actually fires, so the mutex is off the no-injection path.
+// recent is a small ring of the latest injections, so a stall or
+// violation dump can say which code paths chaos was perturbing when
+// the run wedged. The ring is only touched when an injection actually
+// fires, so the mutex is off the no-injection path.
 const recentCap = 64
 
 var (
@@ -283,48 +222,26 @@ var (
 	recentSeq uint64
 )
 
-// Injection is one recorded injection: which point fired, at which
-// labeled site (empty for unlabeled Point calls), and what it did.
+// Injection is one recorded injection: which point fired and what it
+// did.
 type Injection struct {
 	// Seq numbers injections from the last Enable, starting at 1.
 	Seq uint64
 	// Point is the injection point's registered name.
 	Point string
-	// Site is the call-site label, or "" for unlabeled calls.
-	Site string
 	// Kind is one of "delay", "preempt", "fail", "wake".
 	Kind string
 }
 
-// String renders the injection as "point@site:kind" for dumps.
-func (i Injection) String() string {
-	at := i.Point
-	if i.Site != "" {
-		at += "@" + i.Site
-	}
-	return at + ":" + i.Kind
-}
+// String renders the injection as "point:kind" for dumps.
+func (i Injection) String() string { return i.Point + ":" + i.Kind }
 
-// record notes an injection in the site's counters and the recent
-// ring. Called only when an injection fires.
-func record(p *Point, s *Site, kind string) {
-	label := ""
-	if s != nil {
-		label = s.label
-		switch kind {
-		case "delay":
-			s.delays.Add(1)
-		case "preempt":
-			s.preempts.Add(1)
-		case "fail":
-			s.fails.Add(1)
-		case "wake":
-			s.wakes.Add(1)
-		}
-	}
+// record notes an injection in the recent ring. Called only when an
+// injection fires.
+func record(p *Point, kind string) {
 	recentMu.Lock()
 	recentSeq++
-	recentBuf[recentSeq%recentCap] = Injection{Seq: recentSeq, Point: p.name, Site: label, Kind: kind}
+	recentBuf[recentSeq%recentCap] = Injection{Seq: recentSeq, Point: p.name, Kind: kind}
 	recentMu.Unlock()
 }
 
@@ -344,20 +261,6 @@ func Recent() []Injection {
 	return out
 }
 
-// SiteStat is the per-site injection breakdown inside a PointStat.
-type SiteStat struct {
-	Label    string
-	Delays   uint64
-	Preempts uint64
-	Fails    uint64
-	Wakes    uint64
-}
-
-// Injected sums the site's injections.
-func (s SiteStat) Injected() uint64 {
-	return s.Delays + s.Preempts + s.Fails + s.Wakes
-}
-
 // PointStat is one row of a chaos report.
 type PointStat struct {
 	Name     string
@@ -366,9 +269,6 @@ type PointStat struct {
 	Preempts uint64
 	Fails    uint64
 	Wakes    uint64
-	// Sites breaks the injections down by call-site label, listing
-	// only sites that absorbed at least one injection.
-	Sites []SiteStat
 }
 
 // Injected sums the injections (everything but plain calls).
@@ -388,28 +288,14 @@ func Report() []PointStat {
 		if calls == 0 {
 			continue
 		}
-		ps := PointStat{
+		out = append(out, PointStat{
 			Name:     p.name,
 			Calls:    calls,
 			Delays:   p.delays.Load(),
 			Preempts: p.preempts.Load(),
 			Fails:    p.fails.Load(),
 			Wakes:    p.wakes.Load(),
-		}
-		for _, s := range p.sites {
-			ss := SiteStat{
-				Label:    s.label,
-				Delays:   s.delays.Load(),
-				Preempts: s.preempts.Load(),
-				Fails:    s.fails.Load(),
-				Wakes:    s.wakes.Load(),
-			}
-			if ss.Injected() > 0 {
-				ps.Sites = append(ps.Sites, ss)
-			}
-		}
-		sort.Slice(ps.Sites, func(i, j int) bool { return ps.Sites[i].Label < ps.Sites[j].Label })
-		out = append(out, ps)
+		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

@@ -26,9 +26,6 @@ func TestDisabledIsNoOp(t *testing.T) {
 	if Enabled() {
 		t.Fatal("Enabled() true after Disable")
 	}
-	if Seed() != 0 {
-		t.Fatalf("Seed() = %d while disabled, want 0", Seed())
-	}
 }
 
 // The same seed must reproduce the same injection decisions, point by
@@ -125,7 +122,7 @@ func TestEnableResetsCounters(t *testing.T) {
 // configured cap (loose upper check only: scheduling noise).
 func TestHitDelayBounded(t *testing.T) {
 	p := NewPoint("test.delay")
-	Enable(Config{Seed: 3, Delay: 1, MaxDelay: 100 * time.Microsecond})
+	Enable(Config{Seed: 3, Delay: 1})
 	defer Disable()
 	start := time.Now()
 	for i := 0; i < 50; i++ {
@@ -164,85 +161,14 @@ func TestConcurrentHits(t *testing.T) {
 	}
 }
 
-// Sites share their point's decision stream — labeling a call site must
-// never change which injections fire for a seed — while attributing
-// each injection to the site that absorbed it.
-func TestSiteSharesStreamAndAttributes(t *testing.T) {
-	p := NewPoint("test.sites")
-	sa := p.Site("SiteA")
-	sb := p.Site("SiteB")
-	cfg := Config{Seed: 21, TryFail: 0.4}
-
-	// Baseline: decisions drawn through the bare point.
-	Enable(cfg)
-	bare := make([]bool, 400)
-	for i := range bare {
-		bare[i] = p.Fail()
-	}
-	Disable()
-
-	// Same seed, same draws, but alternating through the two sites.
-	Enable(cfg)
-	defer Disable()
-	var aFails, bFails uint64
-	for i := range bare {
-		var got bool
-		if i%2 == 0 {
-			got = sa.Fail()
-		} else {
-			got = sb.Fail()
-		}
-		if got != bare[i] {
-			t.Fatalf("draw %d: site-routed decision %v differs from bare point's %v", i, got, bare[i])
-		}
-		if got {
-			if i%2 == 0 {
-				aFails++
-			} else {
-				bFails++
-			}
-		}
-	}
-	if sa.fails.Load() != aFails || sb.fails.Load() != bFails {
-		t.Fatalf("site counters (%d, %d) != observed (%d, %d)",
-			sa.fails.Load(), sb.fails.Load(), aFails, bFails)
-	}
-	if aFails == 0 || bFails == 0 {
-		t.Fatalf("want injections at both sites, got (%d, %d)", aFails, bFails)
-	}
-
-	// The report breaks the point down by site.
-	for _, ps := range Report() {
-		if ps.Name != "test.sites" {
-			continue
-		}
-		if ps.Fails != aFails+bFails {
-			t.Fatalf("point fails = %d, want %d", ps.Fails, aFails+bFails)
-		}
-		want := map[string]uint64{"SiteA": aFails, "SiteB": bFails}
-		for _, ss := range ps.Sites {
-			if ss.Fails != want[ss.Label] {
-				t.Fatalf("site %q fails = %d, want %d", ss.Label, ss.Fails, want[ss.Label])
-			}
-			delete(want, ss.Label)
-		}
-		if len(want) != 0 {
-			t.Fatalf("report missing sites: %v", want)
-		}
-		return
-	}
-	t.Fatal("test.sites missing from report")
-}
-
 // The recent-injection ring must record fired injections oldest-first
-// with their site labels, cap at the ring size, and reset on Enable.
+// with their point names, cap at the ring size, and reset on Enable.
 func TestRecentRing(t *testing.T) {
 	p := NewPoint("test.recent")
-	s := p.Site("Recent.Fail")
 	Enable(Config{Seed: 2, TryFail: 1})
 	fired := 0
 	for i := 0; i < recentCap+10; i++ {
-		if s.Fail() {
+		if p.Fail() {
 			fired++
 		}
 	}
@@ -257,31 +183,24 @@ func TestRecentRing(t *testing.T) {
 		if i > 0 && inj.Seq != recent[i-1].Seq+1 {
 			t.Fatalf("ring not oldest-first at %d: %d after %d", i, inj.Seq, recent[i-1].Seq)
 		}
-		if inj.Point != "test.recent" || inj.Site != "Recent.Fail" || inj.Kind != "fail" {
+		if inj.Point != "test.recent" || inj.Kind != "fail" {
 			t.Fatalf("entry %d = %+v", i, inj)
 		}
 	}
 	if last := recent[len(recent)-1]; last.Seq != uint64(fired) {
 		t.Fatalf("newest Seq = %d, want %d", last.Seq, fired)
 	}
-	if got, want := recent[0].String(), "test.recent@Recent.Fail:fail"; got != want {
+	if got, want := recent[0].String(), "test.recent:fail"; got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
 	}
 
-	// Unlabeled point calls record with an empty site.
-	p.Fail()
-	recent = Recent()
-	if last := recent[len(recent)-1]; last.Site != "" || last.String() != "test.recent:fail" {
-		t.Fatalf("unlabeled entry = %+v (%s)", last, last.String())
-	}
-
-	// Enable resets the ring and site counters.
+	// Enable resets the ring and the point's counters.
 	Enable(Config{Seed: 2, TryFail: 1})
 	defer Disable()
 	if got := Recent(); len(got) != 0 {
 		t.Fatalf("ring not reset by Enable: %d entries", len(got))
 	}
-	if s.fails.Load() != 0 {
-		t.Fatalf("site counter not reset by Enable: %d", s.fails.Load())
+	if p.fails.Load() != 0 {
+		t.Fatalf("point counter not reset by Enable: %d", p.fails.Load())
 	}
 }

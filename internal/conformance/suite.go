@@ -169,14 +169,15 @@ func CheckTryLock(e registry.Entry, o Options) error {
 // CheckBounded verifies the bounded-acquisition contract for Boundable
 // entries: LockFor(0) behaves like TryLock on both free and held
 // locks, LockFor respects its deadline while the lock is held — also
-// with chaos stalls armed — and LockCtx honors pre-cancelled contexts
-// and deadlines, leaving the lock usable after every abandoned wait.
+// with chaos stalls and the registry's TryLock/LockFor veto armed —
+// and LockCtx honors pre-cancelled contexts and deadlines, leaving the
+// lock usable after every abandoned wait.
 func CheckBounded(e registry.Entry, o Options) error {
 	if !e.Boundable() {
 		return skipError("not boundable")
 	}
 	o = o.withDefaults()
-	l, err := e.Build(registry.WithBounded())
+	l, err := e.Build(registry.WithChaosVeto(""), registry.WithBounded())
 	if err != nil {
 		return err
 	}
@@ -360,18 +361,18 @@ func checkBoundedHolders(e registry.Entry, bl bounded.Locker) error {
 }
 
 // CheckAbandonment verifies abandonment safety with the chaos fault
-// points armed: goroutines mix unbounded Lock with short LockFor
-// deadlines (many of which abandon mid-queue, amplified by chaos
-// delays, preemptions, and spurious wakes); every successful
-// acquisition is counted under the lock, and afterwards the counter
-// must equal the successes and the lock must still hand itself over
-// cleanly.
+// points and the registry's veto armed: goroutines mix unbounded Lock
+// with short LockFor deadlines (many of which abandon mid-queue,
+// amplified by chaos delays, preemptions, spurious wakes and vetoed
+// doorways); every successful acquisition is counted under the lock,
+// and afterwards the counter must equal the successes and the lock
+// must still hand itself over cleanly.
 func CheckAbandonment(e registry.Entry, o Options) error {
 	if !e.Boundable() {
 		return skipError("not boundable")
 	}
 	o = o.withDefaults()
-	l, err := e.Build(registry.WithBounded())
+	l, err := e.Build(registry.WithChaosVeto(""), registry.WithBounded())
 	if err != nil {
 		return err
 	}

@@ -42,9 +42,9 @@ const (
 )
 
 // vtBackoffPolicy is the retry policy timed-out workers sleep under
-// between LockFor attempts. Mult is left at the default (3) so the
-// decorrelated-jitter draw is exercised; determinism comes from the
-// per-worker seed, not from suppressing jitter.
+// between LockFor attempts. Cap > Base, so the decorrelated-jitter
+// draw is exercised; determinism comes from the per-worker seed, not
+// from suppressing jitter.
 var vtBackoffPolicy = backoff.Policy{
 	Base: 50 * time.Microsecond,
 	Cap:  800 * time.Microsecond,

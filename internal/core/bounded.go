@@ -43,34 +43,16 @@ import (
 // The bound a buried waiter keeps is therefore not strictly d: it
 // gives up once the later arrivals above it have left or been served.
 
+// Chaos points, one per call site.
 var (
-	chArrive   = chaos.NewPoint("reciprocating.arrive")
-	chGrant    = chaos.NewPoint("reciprocating.grant")
-	chDetach   = chaos.NewPoint("reciprocating.detach")
-	chTry      = chaos.NewPoint("reciprocating.trylock")
-	chAbandon  = chaos.NewPoint("reciprocating.abandon")
-	chSArrive  = chaos.NewPoint("simplified.arrive")
-	chSGrant   = chaos.NewPoint("simplified.grant")
-	chSDetach  = chaos.NewPoint("simplified.detach")
-	chSTry     = chaos.NewPoint("simplified.trylock")
-	chSAbandon = chaos.NewPoint("simplified.abandon")
-)
-
-// Labeled sites: several points serve more than one call site
-// (TryLock vetoes fire from two methods), so each call site hits the
-// point through a label that stall/violation dumps can name.
-var (
-	siteArrive         = chArrive.Site("Lock.acquire")
-	siteGrantRelease   = chGrant.Site("Lock.Release")
-	siteDetachRelease  = chDetach.Site("Lock.Release")
-	siteTryLock        = chTry.Site("Lock.TryLock")
-	siteTryFair        = chTry.Site("FairLock.TryLock")
-	siteAbandon        = chAbandon.Site("Lock.acquire")
-	siteSArrive        = chSArrive.Site("SimplifiedLock.acquire")
-	siteSGrant         = chSGrant.Site("SimplifiedLock.grant")
-	siteSDetachRelease = chSDetach.Site("SimplifiedLock.Release")
-	siteSTryLock       = chSTry.Site("SimplifiedLock.TryLock")
-	siteSAbandon       = chSAbandon.Site("SimplifiedLock.acquire")
+	chArrive   = chaos.NewPoint("reciprocating.arrive")  // Lock.acquire
+	chAbandon  = chaos.NewPoint("reciprocating.abandon") // Lock.acquire
+	chGrant    = chaos.NewPoint("reciprocating.grant")   // Lock.Release
+	chDetach   = chaos.NewPoint("reciprocating.detach")  // Lock.Release
+	chSArrive  = chaos.NewPoint("simplified.arrive")     // SimplifiedLock.acquire
+	chSAbandon = chaos.NewPoint("simplified.abandon")    // SimplifiedLock.acquire
+	chSGrant   = chaos.NewPoint("simplified.grant")      // SimplifiedLock.grant
+	chSDetach  = chaos.NewPoint("simplified.detach")     // SimplifiedLock.Release
 )
 
 // Interface conformance: the canonical variants satisfy the

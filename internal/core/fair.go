@@ -189,9 +189,6 @@ func (l *FairLock) Unlock() {
 // the normal Release path reverts it; no deferral can occur on a
 // try-acquired episode (there is no successor to defer to).
 func (l *FairLock) TryLock() bool {
-	if siteTryFair.Fail() {
-		return false
-	}
 	if l.arrivals.CompareAndSwap(nil, &lockedEmptySentinel) {
 		l.succ, l.eos, l.defp, l.cur = nil, &lockedEmptySentinel, nil, nil
 		return true

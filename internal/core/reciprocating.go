@@ -73,7 +73,7 @@ func (l *Lock) acquire(e *WaitElement, deadline time.Duration, done <-chan struc
 	eos := e // anticipate uncontended fast path (line 19)
 
 	tail := l.arrivals.Swap(e) // the doorway: one wait-free exchange
-	siteArrive.Hit()
+	chArrive.Hit()
 	if tail != nil {
 		// Contention. Coerce LOCKEDEMPTY to nil (line 25): the
 		// sentinel means "no successor precedes us on this segment".
@@ -98,7 +98,7 @@ func (l *Lock) acquire(e *WaitElement, deadline time.Duration, done <-chan struc
 			// Exit 1: self-removal, retried as the threads above us
 			// in the LIFO segment drain.
 			if l.arrivals.Load() == e {
-				siteAbandon.Hit()
+				chAbandon.Hit()
 				if l.arrivals.CompareAndSwap(e, tail) {
 					return Token{}, false
 				}
@@ -130,7 +130,7 @@ func (l *Lock) Release(t Token) {
 	if t.succ != nil {
 		// Entry segment populated: grant the successor, propagating
 		// the end-of-segment identity toward the tail (line 58).
-		siteGrantRelease.Hit()
+		chGrant.Hit()
 		t.succ.gate.Store(t.eos)
 		return
 	}
@@ -154,7 +154,7 @@ func (l *Lock) Release(t Token) {
 		// pop-stack A-B-A immune. (The chaos point sits in the window
 		// between the failed fast-path CAS and the detach Swap — the
 		// window bounded abandonment must respect; see bounded.go.)
-		siteDetachRelease.Hit()
+		chDetach.Hit()
 		w := l.arrivals.Swap(&lockedEmptySentinel)
 		if w != eos && w != &lockedEmptySentinel {
 			w.gate.Store(eos)
@@ -214,9 +214,6 @@ func (l *Lock) Unlock() {
 // whether it succeeded. A successful TryLock leaves the arrival word
 // in the LOCKEDEMPTY state, which the normal Release path reverts.
 func (l *Lock) TryLock() bool {
-	if siteTryLock.Fail() {
-		return false
-	}
 	if l.arrivals.CompareAndSwap(nil, &lockedEmptySentinel) {
 		l.succ, l.eos, l.cur = nil, &lockedEmptySentinel, nil
 		return true

@@ -66,7 +66,7 @@ func (l *SimplifiedLock) Acquire(e *flagElement) *flagElement {
 func (l *SimplifiedLock) acquire(e *flagElement, deadline time.Duration, done <-chan struct{}) (*flagElement, bool) {
 	e.gate.Store(0)
 	succRaw := l.arrivals.Swap(e)
-	siteSArrive.Hit()
+	chSArrive.Hit()
 	if succRaw == nil {
 		// Fast-path uncontended acquire: publish our element as the
 		// segment terminus (Listing 2 line 23).
@@ -84,7 +84,7 @@ func (l *SimplifiedLock) acquire(e *flagElement, deadline time.Duration, done <-
 	for e.gate.Load() == 0 {
 		if timedOut && l.arrivals.Load() == e {
 			// Exit 1: self-removal (see bounded.go).
-			siteSAbandon.Hit()
+			chSAbandon.Hit()
 			if l.arrivals.CompareAndSwap(e, succRaw) {
 				return nil, false
 			}
@@ -162,7 +162,7 @@ func (l *SimplifiedLock) Release(succ, e *flagElement) {
 			}
 		}
 		// Arrivals populated: detach the segment and grant its head.
-		siteSDetachRelease.Hit()
+		chSDetach.Hit()
 		w := l.arrivals.Swap(nemo())
 		if w != e && w != nemo() {
 			l.grant(w)
@@ -186,7 +186,7 @@ const parkThreshold = 64
 // The store-then-wake order plus futex.Wait's compare-under-lock makes
 // the pairing lose-free.
 func (l *SimplifiedLock) grant(succ *flagElement) {
-	siteSGrant.Hit()
+	chSGrant.Hit()
 	succ.gate.Store(1)
 	if l.Park {
 		futex.Wake(&succ.gate, 1)
@@ -221,9 +221,6 @@ func (l *SimplifiedLock) Unlock() {
 
 // TryLock attempts a non-blocking acquire.
 func (l *SimplifiedLock) TryLock() bool {
-	if siteSTryLock.Fail() {
-		return false
-	}
 	if l.arrivals.CompareAndSwap(nil, nemo()) {
 		// Keep the eos word consistent with "no zombie terminus" so a
 		// waiter that queues behind this episode cannot observe a

@@ -90,26 +90,29 @@ func (h *holdTimer) Unlock() {
 
 func (h *holdTimer) reset() { h.heldNS, h.acqs = 0, 0 }
 
+// calibrationOps is the length of the calibration run. Bounding it by
+// operations, not wall time, lets a loaded host slow calibration down
+// but never leave it an empty measurement window.
+const calibrationOps = 20_000
+
 // CalibrateShardModel measures τ and c for one catalog lock with a
-// single-threaded readrandom run over a coarse store. The hold timer
-// brackets every acquisition, so c includes both of Get's critical
-// sections; timer overhead inflates τ and c together, keeping their
-// ratio — what the prediction hinges on — honest.
-func CalibrateShardModel(lf registry.Entry, keys int, dur time.Duration) ShardModel {
+// single-threaded readrandom run of calibrationOps Gets over a coarse
+// store. The hold timer brackets every acquisition, so c includes both
+// of Get's critical sections; timer overhead inflates τ and c
+// together, keeping their ratio — what the prediction hinges on —
+// honest.
+func CalibrateShardModel(lf registry.Entry, keys int) ShardModel {
 	if keys <= 0 {
 		keys = 50_000
-	}
-	if dur <= 0 {
-		dur = 100 * time.Millisecond
 	}
 	ht := &holdTimer{inner: lf.New(nil)}
 	db := kvstore.Open(kvstore.Options{Lock: ht, MemTableBytes: kvMemTableBytes})
 	kvstore.FillSeq(db, keys, 100)
 	ht.reset() // exclude the fill's acquisitions from the model
 	res := kvstore.ReadRandom(db, kvstore.ReadRandomConfig{
-		Threads:  1,
-		Keyspace: keys,
-		Duration: dur,
+		Threads:      1,
+		Keyspace:     keys,
+		OpsPerThread: calibrationOps,
 	})
 	m := ShardModel{Procs: runtime.GOMAXPROCS(0)}
 	if res.Mops > 0 {
@@ -156,7 +159,7 @@ func ShardPredictionResult(lfs []registry.Entry, shardCounts, threads []int, dur
 	res.SetConfig("runs", strconv.Itoa(runs))
 	res.SetConfig("shards", intList(shardCounts))
 	for _, lf := range lfs {
-		model := CalibrateShardModel(lf, keys, dur)
+		model := CalibrateShardModel(lf, keys)
 		for _, sc := range shardCounts {
 			for _, tc := range threads {
 				m := KVShardedReadRandomMeasure(lf, nil, sc, kvstore.ReadRandomConfig{

@@ -67,7 +67,7 @@ func TestCalibrateShardModelSmoke(t *testing.T) {
 	if !ok {
 		t.Fatal("GoMutex not in catalog")
 	}
-	m := CalibrateShardModel(e, 2000, 5*time.Millisecond)
+	m := CalibrateShardModel(e, 2000)
 	if m.TauNS <= 0 {
 		t.Fatalf("calibration produced τ=%v", m.TauNS)
 	}

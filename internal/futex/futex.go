@@ -34,13 +34,13 @@ import (
 	"repro/internal/clock"
 )
 
-// chWait injects spurious wakeups (kernel futexes are allowed to
-// return spuriously; this implementation otherwise never does, so the
-// injection keeps callers honest about re-checking their predicate).
+// chWait and chWaitTimeout inject spurious wakeups into Wait and
+// WaitTimeoutClock (kernel futexes are allowed to return spuriously;
+// this implementation otherwise never does, so the injection keeps
+// callers honest about re-checking their predicate).
 var (
-	chWait          = chaos.NewPoint("futex.wait")
-	siteWait        = chWait.Site("futex.Wait")
-	siteWaitTimeout = chWait.Site("futex.WaitTimeoutClock")
+	chWait        = chaos.NewPoint("futex.wait")
+	chWaitTimeout = chaos.NewPoint("futex.waittimeout")
 )
 
 const shardCount = 64 // power of two
@@ -127,7 +127,7 @@ func shardFor(key uintptr) *shard {
 // except under chaos fault injection, but callers must loop,
 // futex-style, regardless.
 func Wait(addr *atomic.Uint32, val uint32) {
-	if siteWait.Wake() {
+	if chWait.Wake() {
 		return
 	}
 	key := uintptr(unsafe.Pointer(addr))
@@ -153,7 +153,7 @@ func Wait(addr *atomic.Uint32, val uint32) {
 // it so a virtual clock can expire their waits deterministically. Like
 // Wait, it may return true spuriously under chaos fault injection.
 func WaitTimeoutClock(addr *atomic.Uint32, val uint32, d time.Duration, c clock.Clock) bool {
-	if siteWaitTimeout.Wake() {
+	if chWaitTimeout.Wake() {
 		return true
 	}
 	key := uintptr(unsafe.Pointer(addr))

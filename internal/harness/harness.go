@@ -235,12 +235,18 @@ func runOnce(w Workload, cfg Config) RunOutcome {
 	}
 	// In iteration mode workers terminate on their own; in duration
 	// mode the elapsed interval ends where the final snapshot is
-	// taken, immediately before workers are released.
+	// taken, immediately before workers are released. That snapshot
+	// is the first one, at or after Duration, that holds a completed
+	// operation: on a loaded host the workers may not have run at all
+	// yet, and an empty window would score 0.
 	var el time.Duration
 	var per []uint64
 	if cfg.Duration > 0 {
-		per = snapshot()
-		el = time.Since(start)
+		per, el = snapshot(), time.Since(start)
+		for sum(per) == 0 {
+			time.Sleep(10 * time.Microsecond)
+			per, el = snapshot(), time.Since(start)
+		}
 		stop.Store(true)
 		done.Wait()
 	} else {
@@ -249,15 +255,19 @@ func runOnce(w Workload, cfg Config) RunOutcome {
 		per = snapshot()
 	}
 
-	var total uint64
-	for _, v := range per {
-		total += v
-	}
+	total := sum(per)
 	score := 0.0
 	if s := el.Seconds(); s > 0 {
 		score = float64(total) / s / 1e6
 	}
 	return RunOutcome{Score: score, PerWorker: per, Elapsed: el}
+}
+
+func sum(xs []uint64) (t uint64) {
+	for _, x := range xs {
+		t += x
+	}
+	return t
 }
 
 // WorkloadFunc adapts a stateless operation factory into a Workload:

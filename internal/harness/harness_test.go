@@ -69,6 +69,29 @@ func TestDurationModeMeasures(t *testing.T) {
 	}
 }
 
+// A duration window closes on a snapshot that holds a completed
+// operation, however late the workers get going: here every worker's
+// first operation outlasts the whole 1 ms window, as a worker not yet
+// scheduled on a loaded host would, and the run must still score.
+func TestDurationModeNeverEmpty(t *testing.T) {
+	w := &WorkloadFunc{WorkerFn: func(int) func() {
+		first := true
+		return func() {
+			if first {
+				first = false
+				time.Sleep(20 * time.Millisecond)
+			}
+		}
+	}}
+	out := Measure(w, Config{Threads: 2, Duration: time.Millisecond, Runs: 1}).MedianOutcome()
+	if out.Score <= 0 || sum(out.PerWorker) == 0 {
+		t.Fatalf("empty measurement window: score %v, per-worker %v", out.Score, out.PerWorker)
+	}
+	if out.Elapsed < 20*time.Millisecond {
+		t.Fatalf("window closed after %v, before the first operation completed", out.Elapsed)
+	}
+}
+
 func TestMedianIndex(t *testing.T) {
 	cases := []struct {
 		scores []float64

@@ -13,11 +13,17 @@ import (
 // arithmetic over the key bytes, and both paths share the same
 // snapshot-then-search read protocol. A regression here (a hash that
 // boxes, an interface conversion in shard()) would tax every read in
-// every shard sweep.
+// every shard sweep. Both stores lock with sync.Mutex, so the count is
+// the store's own (see openMutexSharded); the default lock's own
+// allocations are pinned by registry's TestLockUnlockFastPathAllocFree.
 func TestShardedGetAddsNoAllocs(t *testing.T) {
 	const keys = 2048
-	coarse := Open(Options{MemTableBytes: 64 << 10})
-	sharded := OpenSharded(ShardedOptions{Shards: 8, MemTableBytes: 16 << 10})
+	coarse := Open(Options{Lock: new(sync.Mutex), MemTableBytes: 64 << 10})
+	sharded := OpenSharded(ShardedOptions{
+		Shards:        8,
+		NewLock:       func() sync.Locker { return new(sync.Mutex) },
+		MemTableBytes: 16 << 10,
+	})
 	FillSeq(coarse, keys, 32)
 	FillSeq(sharded, keys, 32)
 

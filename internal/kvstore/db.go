@@ -51,20 +51,16 @@ import (
 	"repro/internal/rwlock"
 )
 
-// Chaos points. kvstore.put and kvstore.freeze fire while holding the
-// store's mutex (per shard, in a ShardedDB), stretching hold times to
-// amplify contention;
-// kvstore.snapshot fires between Get's snapshot and its lock-free
-// search, widening the window in which a stale snapshot must stay
-// consistent under concurrent freezes and compactions.
+// Chaos points. kvstore.put (DB.Put) and kvstore.freeze
+// (DB.maybeFreezeLocked) fire while holding the store's mutex (per
+// shard, in a ShardedDB), stretching hold times to amplify contention;
+// kvstore.snapshot (DB.Get) fires between Get's snapshot and its
+// lock-free search, widening the window in which a stale snapshot must
+// stay consistent under concurrent freezes and compactions.
 var (
 	chKvPut      = chaos.NewPoint("kvstore.put")
 	chKvFreeze   = chaos.NewPoint("kvstore.freeze")
 	chKvSnapshot = chaos.NewPoint("kvstore.snapshot")
-
-	siteKvPut      = chKvPut.Site("DB.Put")
-	siteKvFreeze   = chKvFreeze.Site("DB.maybeFreezeLocked")
-	siteKvSnapshot = chKvSnapshot.Site("DB.Get")
 )
 
 // Options configures a DB.
@@ -136,7 +132,7 @@ func Open(opts Options) *DB {
 // Put inserts or updates a key.
 func (db *DB) Put(key, value []byte) {
 	db.mu.Lock()
-	siteKvPut.Hit()
+	chKvPut.Hit()
 	db.mem.Put(key, value)
 	db.stats.Puts++
 	db.maybeFreezeLocked()
@@ -158,7 +154,7 @@ func (db *DB) maybeFreezeLocked() {
 	if db.mem.Bytes() < db.opts.MemTableBytes {
 		return
 	}
-	siteKvFreeze.Hit()
+	chKvFreeze.Hit()
 	frozen := buildRun(db.mem)
 	// Newest first; replace the slice wholesale so concurrent readers
 	// holding the previous snapshot stay consistent.
@@ -185,7 +181,7 @@ func (db *DB) Get(key []byte) ([]byte, bool) {
 	runs := db.runs
 	db.readMu.Unlock()
 
-	siteKvSnapshot.Hit()
+	chKvSnapshot.Hit()
 	val, found := get(mem, runs, key)
 
 	db.readMu.Lock()

@@ -64,9 +64,6 @@ func (l *ABQLock) Lock() {
 // TryLocks are serialized by the CAS; the loser never touches the
 // slot.
 func (l *ABQLock) TryLock() bool {
-	if siteTryABQL.Fail() {
-		return false
-	}
 	t := l.ticket.Load()
 	idx := t % uint64(len(l.slots))
 	if l.slots[idx].flag.Load() == 0 {

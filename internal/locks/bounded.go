@@ -27,34 +27,14 @@ import (
 // FIFO admission for abandonability (the classic timedlock-over-ticket
 // compromise).
 
+// Chaos points, one per call site.
 var (
-	chLocksTry   = chaos.NewPoint("locks.trylock")
-	chMcsArrive  = chaos.NewPoint("mcs.arrive")
-	chMcsGrant   = chaos.NewPoint("mcs.grant")
-	chMcsAbandon = chaos.NewPoint("mcs.abandon")
-	chClhArrive  = chaos.NewPoint("clh.arrive")
-	chClhAbandon = chaos.NewPoint("clh.abandon")
-)
-
-// Labeled sites: locks.trylock serves every baseline TryLock doorway
-// and clh.abandon serves both TryLock and the bounded wait, so each
-// call site gets a label for stall/violation dumps.
-var (
-	siteTryTAS        = chLocksTry.Site("TASLock.TryLock")
-	siteTryTTAS       = chLocksTry.Site("TTASLock.TryLock")
-	siteTryTicket     = chLocksTry.Site("TicketLock.TryLock")
-	siteTryMCS        = chLocksTry.Site("MCSLock.TryLock")
-	siteTryCLH        = chLocksTry.Site("CLHLock.TryLock")
-	siteTryChen       = chLocksTry.Site("ChenLock.TryLock")
-	siteTryABQL       = chLocksTry.Site("ABQLock.TryLock")
-	siteTryRetro      = chLocksTry.Site("RetrogradeLock.TryLock")
-	siteTryRetroRand  = chLocksTry.Site("RetrogradeRandLock.TryLock")
-	siteMcsArrive     = chMcsArrive.Site("MCSLock.lockBounded")
-	siteMcsGrant      = chMcsGrant.Site("MCSLock.unlockNode")
-	siteMcsAbandon    = chMcsAbandon.Site("MCSLock.lockBounded")
-	siteClhArrive     = chClhArrive.Site("CLHLock.enqueue")
-	siteClhAbandonBnd = chClhAbandon.Site("CLHLock.lockBounded")
-	siteClhAbandonTry = chClhAbandon.Site("CLHLock.TryLock")
+	chMcsArrive     = chaos.NewPoint("mcs.arrive")     // MCSLock.lockBounded
+	chMcsAbandon    = chaos.NewPoint("mcs.abandon")    // MCSLock.lockBounded
+	chMcsGrant      = chaos.NewPoint("mcs.grant")      // MCSLock.unlockNode
+	chClhArrive     = chaos.NewPoint("clh.arrive")     // CLHLock.enqueue
+	chClhAbandon    = chaos.NewPoint("clh.abandon")    // CLHLock.lockBounded
+	chClhTryAbandon = chaos.NewPoint("clh.tryabandon") // CLHLock.TryLock
 )
 
 // Interface conformance for the natively bounded baselines.

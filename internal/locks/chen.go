@@ -98,9 +98,6 @@ func (l *ChenLock) Unlock() {
 // locked-empty sentinel and clearing the zombie-terminus word so a
 // waiter queuing behind this episode cannot observe a stale marker.
 func (l *ChenLock) TryLock() bool {
-	if siteTryChen.Fail() {
-		return false
-	}
 	if l.arrivals.CompareAndSwap(nil, &chenNEMO) {
 		l.eos.Store(&chenNEMO)
 		l.succ, l.cur = nil, nil

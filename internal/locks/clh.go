@@ -68,7 +68,7 @@ func (l *CLHLock) enqueue() (n, pred *clhNode) {
 	n.succMustWait.Store(1)
 	n.aband.Store(nil)
 	pred = l.tail.Swap(n)
-	siteClhArrive.Hit()
+	chClhArrive.Hit()
 	return n, pred
 }
 
@@ -102,7 +102,7 @@ func (l *CLHLock) lockBounded(deadline time.Duration, done <-chan struct{}) bool
 				// The grant landed as the budget expired: take it.
 				break
 			}
-			siteClhAbandonBnd.Hit()
+			chClhAbandon.Hit()
 			n.aband.Store(pred)
 			return false
 		}
@@ -131,9 +131,6 @@ func (l *CLHLock) Unlock() {
 // the next arrival to consume, so repeated failures do not accumulate
 // state.
 func (l *CLHLock) TryLock() bool {
-	if siteTryCLH.Fail() {
-		return false
-	}
 	l.ensureInit()
 	n, pred := l.enqueue()
 	for {
@@ -146,7 +143,7 @@ func (l *CLHLock) TryLock() bool {
 			pred = hop(pred, a)
 			continue
 		}
-		siteClhAbandonTry.Hit()
+		chClhTryAbandon.Hit()
 		n.aband.Store(pred)
 		return false
 	}

@@ -58,7 +58,7 @@ func (l *MCSLock) lockBounded(deadline time.Duration, done <-chan struct{}) bool
 	n.next.Store(nil)
 	n.locked.Store(mcsWaiting)
 	pred := l.tail.Swap(n)
-	siteMcsArrive.Hit()
+	chMcsArrive.Hit()
 	if pred == nil {
 		l.head = n
 		return true
@@ -68,7 +68,7 @@ func (l *MCSLock) lockBounded(deadline time.Duration, done <-chan struct{}) bool
 	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	for n.locked.Load() != mcsGranted {
 		if !w.PauseBounded(deadline, done) {
-			siteMcsAbandon.Hit()
+			chMcsAbandon.Hit()
 			if n.locked.CompareAndSwap(mcsWaiting, mcsAbandoned) {
 				// Node ownership transferred to the eventual releaser;
 				// we must not touch n again.
@@ -114,7 +114,7 @@ func (l *MCSLock) unlockNode(n *mcsNode) {
 			}
 		}
 		succ := n.next.Load()
-		siteMcsGrant.Hit()
+		chMcsGrant.Hit()
 		old := succ.locked.Swap(mcsGranted)
 		mcsPool.Put(n)
 		if old != mcsAbandoned {
@@ -126,9 +126,6 @@ func (l *MCSLock) unlockNode(n *mcsNode) {
 
 // TryLock attempts a non-blocking acquire.
 func (l *MCSLock) TryLock() bool {
-	if siteTryMCS.Fail() {
-		return false
-	}
 	n := mcsPool.Get().(*mcsNode)
 	n.next.Store(nil)
 	n.locked.Store(0)

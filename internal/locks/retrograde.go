@@ -47,9 +47,6 @@ func (l *RetrogradeLock) Lock() {
 // owner-side segment bookkeeping (top/base) is read only at Unlock, so
 // a try-acquired episode releases identically to a queued one.
 func (l *RetrogradeLock) TryLock() bool {
-	if siteTryRetro.Fail() {
-		return false
-	}
 	g := l.grant.Load()
 	return l.ticket.CompareAndSwap(g, g+1)
 }
@@ -126,9 +123,6 @@ func (l *RetrogradeRandLock) Lock() {
 // RetrogradeLock.TryLock (lo/hi/seghi are owner-owned and consulted
 // only at Unlock).
 func (l *RetrogradeRandLock) TryLock() bool {
-	if siteTryRetroRand.Fail() {
-		return false
-	}
 	g := l.grant.Load()
 	return l.ticket.CompareAndSwap(g, g+1)
 }

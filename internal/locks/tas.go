@@ -30,7 +30,7 @@ func (l *TASLock) Unlock() { l.word.Store(0) }
 
 // TryLock attempts a non-blocking acquire.
 func (l *TASLock) TryLock() bool {
-	return !siteTryTAS.Fail() && l.word.Swap(1) == 0
+	return l.word.Swap(1) == 0
 }
 
 // TTASLock is the "polite" test-and-test-and-set lock [52]: spin
@@ -60,5 +60,5 @@ func (l *TTASLock) Unlock() { l.word.Store(0) }
 
 // TryLock attempts a non-blocking acquire.
 func (l *TTASLock) TryLock() bool {
-	return !siteTryTTAS.Fail() && l.word.Load() == 0 && l.word.Swap(1) == 0
+	return l.word.Load() == 0 && l.word.Swap(1) == 0
 }

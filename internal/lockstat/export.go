@@ -1,23 +1,12 @@
 package lockstat
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 
 	"repro/internal/table"
 	"repro/internal/waiter"
 )
-
-// Publish exposes s under the given expvar name as a JSON snapshot
-// (e.g. lockstat.Recipro). Re-publishing an existing name is a no-op
-// rather than the expvar panic, so harnesses can publish per-run.
-func Publish(name string, s *Stats) {
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return s.Snapshot() }))
-}
 
 // InstallWaiterSink routes waiting-policy transitions (spin/yield/
 // park) to s and returns a restore function reinstating the previous

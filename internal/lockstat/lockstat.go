@@ -20,9 +20,9 @@
 //     bounded, shared and optimistic reads); registry.Build fuses the
 //     chaos veto and bounded polling into it. A nil-Stats decorator
 //     degenerates to one nil check plus the inner call.
-//   - Export: expvar publication and text/CSV table dumps built on
-//     internal/table, wired into cmd/mutexbench, cmd/kvbench and
-//     cmd/torture behind their -lockstat flags.
+//   - Export: text/CSV table dumps built on internal/table, wired
+//     into cmd/mutexbench, cmd/kvbench and cmd/torture behind their
+//     -lockstat flags.
 //
 // Attribution model: per-lock counters (acquisitions, contention,
 // handovers, latencies) are exact, recorded by the wrapper. Waiting-
@@ -159,7 +159,7 @@ func (s *Stats) Snapshot() Snapshot {
 }
 
 // Snapshot is a plain-value copy of a Stats, JSON-serializable for the
-// expvar export.
+// harness result's lockstat section.
 type Snapshot struct {
 	Acquisitions uint64       `json:"acquisitions"`
 	Contended    uint64       `json:"contended"`

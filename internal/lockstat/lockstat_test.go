@@ -1,7 +1,6 @@
 package lockstat
 
 import (
-	"expvar"
 	"math/bits"
 	"strings"
 	"sync"
@@ -249,20 +248,6 @@ func TestInstallWaiterSinkRestores(t *testing.T) {
 		t.Fatal("restore did not reinstate previous sink")
 	}
 	waiter.SetSink(nil)
-}
-
-func TestPublishIdempotent(t *testing.T) {
-	s := New()
-	s.RecordAcquire(false, time.Microsecond)
-	Publish("lockstat.test", s)
-	Publish("lockstat.test", s) // must not panic
-	v := expvar.Get("lockstat.test")
-	if v == nil {
-		t.Fatal("var not published")
-	}
-	if js := v.String(); !strings.Contains(js, "\"acquisitions\":1") {
-		t.Errorf("published JSON missing acquisitions: %s", js)
-	}
 }
 
 func TestBuildTableAndReport(t *testing.T) {

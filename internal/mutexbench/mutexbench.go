@@ -148,12 +148,22 @@ func readMostlyWorkload(lf registry.Entry, cfg Config) harness.Workload {
 					gp.y.Add(1)
 					lk.Unlock()
 				}
-				if ncs > 0 {
-					private.Skip(int(private.Uint32n(uint32(ncs))))
-				}
+				nonCritical(private, ncs)
 			}
 		},
 	}
+}
+
+// nonCritical is the non-critical section: it advances the worker's
+// private generator a uniform [0, max) steps and returns how many
+// (none when max is 0, maximal contention).
+func nonCritical(private *xrand.MT19937, max int) int {
+	if max <= 0 {
+		return 0
+	}
+	n := int(private.Uint32n(uint32(max)))
+	private.Skip(n)
+	return n
 }
 
 // Workload returns the §7.1 MutexBench kernel over one catalog entry
@@ -185,10 +195,7 @@ func Workload(lf registry.Entry, cfg Config) harness.Workload {
 					sh.Uint32()
 				}
 				lk.Unlock()
-				if ncs > 0 {
-					n := int(private.Uint32n(uint32(ncs)))
-					private.Skip(n)
-				}
+				nonCritical(private, ncs)
 			}
 		},
 	}

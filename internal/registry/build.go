@@ -68,8 +68,10 @@ func WithClock(c clock.Clock) Option {
 
 // WithChaosVeto makes TryLock, a native LockFor and ReadValidate fail
 // spuriously through a chaos point named point (or
-// "registry.veto.<entry name>" when point is empty). The veto is inert
-// until chaos.Enable arms the process, and a veto is always a legal
+// "registry.veto.<entry name>" when point is empty). It is the only
+// source of spurious TryLock failures: no lock carries its own veto,
+// so a bare build's TryLock never fails on a free lock. The veto is
+// inert until chaos.Enable arms the process, and a veto is always a legal
 // outcome of the vetoed operation, so it can expose bugs but never
 // cause one. Entries with no TryLock doorway have nothing to veto and
 // pass through unchanged.

@@ -210,6 +210,53 @@ func TestVetoUnderChaos(t *testing.T) {
 	}
 }
 
+// The registry veto is the only spurious TryLock failure: under a
+// certain veto every TryLock-capable catalog entry, built bare, still
+// takes a free lock, and built WithChaosVeto never does — nor does a
+// vetoed TryLock leave its lock held.
+func TestVetoIsTheOnlyTryLockFailure(t *testing.T) {
+	chaos.Enable(chaos.Config{Seed: 7, TryFail: 1})
+	defer chaos.Disable()
+	var vetoed []bounded.TryLocker
+	var names []string
+	for _, e := range All() {
+		bare, err := e.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tl, ok := bare.(bounded.TryLocker)
+		if !ok {
+			continue
+		}
+		if tl.TryLock() {
+			tl.Unlock()
+		} else {
+			t.Errorf("%s: bare TryLock failed on a free lock under armed chaos", e.Name)
+		}
+		v, err := e.Build(WithChaosVeto("test.veto.only." + e.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		vtl := v.(bounded.TryLocker)
+		if vtl.TryLock() {
+			vtl.Unlock()
+			t.Errorf("%s: TryLock succeeded under a certain veto", e.Name)
+		}
+		vetoed, names = append(vetoed, vtl), append(names, e.Name)
+	}
+	if len(vetoed) == 0 {
+		t.Fatal("no TryLock-capable entry in the catalog")
+	}
+	chaos.Disable()
+	for i, vtl := range vetoed {
+		if !vtl.TryLock() {
+			t.Errorf("%s: lock left held by a vetoed TryLock", names[i])
+			continue
+		}
+		vtl.Unlock()
+	}
+}
+
 func TestFactory(t *testing.T) {
 	e, _ := Lookup("CLH")
 	fac, err := e.Factory()
