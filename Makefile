@@ -113,7 +113,7 @@ conformance: build
 	$(GO) run ./cmd/conformance -locks=all -seed=$(CONF_SEED) -schedules=100
 
 vtime: build
-	$(GO) test -race -count=1 -run 'Wall|Virtual|Deadline|NoDirectWallClock|VTime' ./internal/clock ./internal/conformance
+	$(GO) test -race -count=1 -run 'Wall|Virtual|NoDirectWallClock|VTime' ./internal/clock ./internal/conformance
 	$(GO) run ./cmd/conformance -vtime -seed=1 -vtime-seeds=3
 
 explore: build

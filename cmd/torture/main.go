@@ -3,7 +3,7 @@
 // random subsets of a lock table in canonical order (plural locking),
 // mutate lock-protected counters, release in imbalanced order, and
 // randomly churn (exit and get replaced). A cancellation lane mixes in
-// bounded acquisitions (TryLock / LockFor / LockCtx) that frequently
+// bounded acquisitions (TryLock / LockFor) that frequently
 // abandon mid-wait. Invariant violations — mutual exclusion breaches
 // or lost updates — abort with a report that includes the run's seed.
 //
@@ -21,7 +21,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -129,9 +128,9 @@ func printChaosReport(w *os.File) {
 		return
 	}
 	fmt.Fprintf(w, "chaos injection report (seed=%d):\n", runSeed)
-	fmt.Fprintf(w, "  %-34s %10s %8s %8s %8s %8s\n", "point", "calls", "delay", "preempt", "fail", "wake")
+	fmt.Fprintf(w, "  %-40s %10s %8s %8s %8s %8s\n", "point", "calls", "delay", "preempt", "fail", "wake")
 	for _, ps := range rep {
-		fmt.Fprintf(w, "  %-34s %10d %8d %8d %8d %8d\n",
+		fmt.Fprintf(w, "  %-40s %10d %8d %8d %8d %8d\n",
 			ps.Name, ps.Calls, ps.Delays, ps.Preempts, ps.Fails, ps.Wakes)
 	}
 }
@@ -306,16 +305,11 @@ func torture(lf registry.Entry, d time.Duration, workers, tableSize int, st *loc
 			if g.bnd == nil {
 				return // unboundable lock type: no cancellation lane
 			}
-			acquired := false
-			switch rng.Intn(3) {
-			case 0:
+			var acquired bool
+			if rng.Intn(3) == 0 {
 				acquired = g.bnd.TryLock()
-			case 1:
+			} else {
 				acquired = g.bnd.LockFor(time.Duration(rng.Intn(100)) * time.Microsecond)
-			default:
-				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(1+rng.Intn(100))*time.Microsecond)
-				acquired = g.bnd.LockCtx(ctx) == nil
-				cancel()
 			}
 			if acquired {
 				if atomic.AddInt32(&g.inside, 1) != 1 {

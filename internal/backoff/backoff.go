@@ -3,8 +3,8 @@
 // the AWS architecture blog's backoff study), seeded and fully
 // deterministic.
 //
-// bounded.PollFor/PollCtx, the TryLock-polling fallback of the bounded
-// acquisition contract, use it for its sleep schedule once an episode
+// bounded.PollFor, the TryLock-polling fallback of the bounded
+// acquisition contract, uses it for its sleep schedule once an episode
 // escalates past hot spinning; the OCC read path and the virtual-time
 // conformance schedules (conformance.VTimeTrace) retry under it, and
 // waiter.PolicyBackoff follows its jitter-free Exp schedule.

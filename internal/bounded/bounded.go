@@ -1,6 +1,8 @@
-// Package bounded defines the repository's cancellable-acquisition
-// contract: every lock that can give up on an acquisition — by
-// deadline (LockFor) or by context (LockCtx) — implements Locker.
+// Package bounded defines the repository's bounded-acquisition
+// contract: every lock that can give up on an acquisition implements
+// Locker, whose LockFor(d) gives up once d has elapsed on the lock's
+// clock. That deadline is the only budget: an acquisition gives up
+// for no other reason.
 //
 // Two implementation tiers exist:
 //
@@ -9,9 +11,9 @@
 //     CLH) implement bounded acquisition inside the algorithm, with
 //     safe abandonment of an already-published waiter. Each has one
 //     arrival-and-wait body that Lock runs with no budget.
-//   - Polling: any lock exposing TryLock gains LockFor/LockCtx by
-//     retrying TryLock under a deadline-aware waiter pause (PollFor,
-//     PollCtx; registry.WithBounded applies them). TAS, TTAS and the
+//   - Polling: any lock exposing TryLock gains LockFor by retrying
+//     TryLock under a deadline-aware waiter pause (PollFor;
+//     registry.WithBounded applies it). TAS, TTAS and the
 //     ticket family are served this way. Polling acquisition barges
 //     (it never enters the lock's queue), so it trades the lock's
 //     admission order for the ability to abandon instantly; that is
@@ -20,7 +22,6 @@
 package bounded
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,17 +44,13 @@ type TryLocker interface {
 // false return the caller does not hold the lock and the lock remains
 // fully usable by other goroutines. The Reciprocating locks admit a
 // segment LIFO, so their waiter, once later arrivals bury it, gives up
-// only when those have left or been served, not strictly after d.
-//
-// LockCtx acquires the lock unless ctx is cancelled or its deadline
-// passes first, returning nil exactly when the lock was acquired and
-// the context's error otherwise. A waiter that loses the race between
-// cancellation and a lock grant releases the lock before reporting
-// failure — it never returns non-nil while holding the lock.
+// only when those have left or been served, not strictly after d. A
+// waiter that loses the race between its deadline and a lock grant
+// releases the lock before reporting failure — it never returns false
+// while holding the lock.
 type Locker interface {
 	TryLocker
 	LockFor(d time.Duration) bool
-	LockCtx(ctx context.Context) error
 }
 
 // PollFor is LockFor over a bare try doorway: one attempt, then — for
@@ -65,14 +62,7 @@ func PollFor(try func() bool, c clock.Clock, d time.Duration) bool {
 	if d <= 0 {
 		return false
 	}
-	return poll(try, c, clock.Or(c).Now()+d, nil)
-}
-
-// PollCtx is LockCtx over a bare try doorway: retries until ctx is done.
-func PollCtx(try func() bool, c clock.Clock, ctx context.Context) error {
-	return CtxFrom(c, ctx, func(deadline time.Duration, done <-chan struct{}) bool {
-		return poll(try, c, deadline, done)
-	})
+	return poll(try, c, clock.Or(c).Now()+d)
 }
 
 // pollSpinBudget is how many waiter pauses a polling episode spends in
@@ -94,8 +84,8 @@ var pollSeq atomic.Uint64
 // adaptive waiter policy, then capped decorrelated-jitter sleeps from
 // the shared backoff package, which desynchronizes competing pollers
 // instead of letting them re-collide on a fixed schedule. The deadline
-// is an absolute instant on c; zero means unbounded.
-func poll(try func() bool, c clock.Clock, deadline time.Duration, done <-chan struct{}) bool {
+// is an absolute instant on c.
+func poll(try func() bool, c clock.Clock, deadline time.Duration) bool {
 	w := waiter.NewClocked(waiter.PolicyAdaptive, c)
 	c = clock.Or(c)
 	var bo *backoff.Backoff
@@ -104,62 +94,24 @@ func poll(try func() bool, c clock.Clock, deadline time.Duration, done <-chan st
 			return true
 		}
 		if w.Spins() < pollSpinBudget {
-			if !w.PauseBounded(deadline, done) {
+			if !w.PauseBounded(deadline) {
 				return false
 			}
 			continue
 		}
 		// Escalated phase: decorrelated-jitter sleeps, clamped to the
-		// deadline and interruptible by done. Each sleep is a park in
-		// the waiter's transition taxonomy.
+		// deadline. Each sleep is a park in the waiter's transition
+		// taxonomy.
 		if bo == nil {
 			bo = backoff.New(pollDefaults, pollSeq.Add(1))
 		}
-		d := bo.Next()
-		if deadline != 0 {
-			rem := deadline - c.Now()
-			if rem <= 0 {
-				return false
-			}
-			if d > rem {
-				d = rem
-			}
+		rem := deadline - c.Now()
+		if rem <= 0 {
+			return false
 		}
 		if s := w.Sink(); s != nil {
 			s.CountPark()
 		}
-		if !c.ParkFor(d, done) {
-			return false
-		}
+		c.Sleep(min(bo.Next(), rem))
 	}
-}
-
-// CtxFrom adapts a lock's deadline/done-aware bounded acquire into the
-// LockCtx surface: it maps the context onto (deadline, done) — the
-// deadline re-anchored as an absolute instant on c (nil = Wall) via
-// clock.Deadline — runs the acquire, and converts a false return into
-// the context's error. The native implementations in internal/core and
-// internal/locks share this glue.
-func CtxFrom(c clock.Clock, ctx context.Context, lockBounded func(deadline time.Duration, done <-chan struct{}) bool) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	var deadline time.Duration
-	if t, ok := ctx.Deadline(); ok {
-		deadline = clock.Deadline(clock.Or(c), t)
-	}
-	if lockBounded(deadline, ctx.Done()) {
-		return nil
-	}
-	return ctxError(ctx)
-}
-
-// ctxError returns ctx's error, defaulting to DeadlineExceeded for the
-// skew window where the deadline has passed by our clock but the
-// context's own timer has not fired yet.
-func ctxError(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return context.DeadlineExceeded
 }

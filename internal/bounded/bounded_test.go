@@ -4,7 +4,6 @@
 package bounded_test
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,9 +32,9 @@ func boundables() []struct {
 		{"SimplifiedPark", func() bounded.Locker { return &core.SimplifiedLock{Park: true} }},
 		{"MCS", func() bounded.Locker { return new(locks.MCSLock) }},
 		{"CLH", func() bounded.Locker { return new(locks.CLHLock) }},
-		// Polling tier (TryLock-capable locks adapted by PollFor/PollCtx).
+		// Polling tier (TryLock-capable locks adapted by PollFor).
 		// The spin and ticket rows keep their names from when they
-		// carried their own PollFor/PollCtx methods.
+		// carried their own polling methods.
 		{"TAS", func() bounded.Locker { return get(new(locks.TASLock)) }},
 		{"TTAS", func() bounded.Locker { return get(new(locks.TTASLock)) }},
 		{"Ticket", func() bounded.Locker { return get(new(locks.TicketLock)) }},
@@ -54,8 +53,6 @@ func boundables() []struct {
 type polling struct{ bounded.TryLocker }
 
 func (p polling) LockFor(d time.Duration) bool { return bounded.PollFor(p.TryLock, nil, d) }
-
-func (p polling) LockCtx(ctx context.Context) error { return bounded.PollCtx(p.TryLock, nil, ctx) }
 
 // LockFor(0) must behave exactly like TryLock: immediate success on a
 // free lock, immediate failure on a held one, no residue either way.
@@ -120,54 +117,10 @@ func TestLockForTimesOutPromptly(t *testing.T) {
 	}
 }
 
-// LockCtx must honor both cancellation flavors: an already-cancelled
-// context fails immediately with the context's error, and a deadline
-// expiring mid-wait fails within 2x the deadline, never holding the
-// lock on the failure path.
-func TestLockCtxCancellation(t *testing.T) {
-	for _, v := range boundables() {
-		v := v
-		t.Run(v.name, func(t *testing.T) {
-			l := v.mk()
-
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			if err := l.LockCtx(ctx); err != context.Canceled {
-				t.Fatalf("LockCtx(cancelled) = %v, want context.Canceled", err)
-			}
-
-			l.Lock()
-			const budget = 250 * time.Millisecond
-			dctx, dcancel := context.WithTimeout(context.Background(), budget)
-			start := time.Now()
-			err := l.LockCtx(dctx)
-			el := time.Since(start)
-			dcancel()
-			if err == nil {
-				t.Fatal("LockCtx acquired a continuously held lock")
-			}
-			if err != context.DeadlineExceeded {
-				t.Fatalf("LockCtx = %v, want context.DeadlineExceeded", err)
-			}
-			if el > 2*budget {
-				t.Fatalf("LockCtx returned after %v (> 2x %v deadline)", el, budget)
-			}
-			l.Unlock()
-
-			// Free lock: LockCtx must succeed and hold.
-			octx, ocancel := context.WithTimeout(context.Background(), time.Second)
-			if err := l.LockCtx(octx); err != nil {
-				t.Fatalf("LockCtx on free lock = %v", err)
-			}
-			ocancel()
-			l.Unlock()
-		})
-	}
-}
-
-// A cancelled waiter must never end up holding the lock: while a
-// holder cycles the lock rapidly, cancellers race tiny deadlines
-// against grants. Whatever the outcome of each race, the inside
+// A waiter that gives up must never end up holding the lock: while a
+// holder cycles the lock rapidly, two LockFor lanes race tiny
+// deadlines (one lane's starting at zero, the other's at 1µs) against
+// grants. Whatever the outcome of each race, the inside
 // counter must stay exact, and failed attempts must leave the
 // goroutine lock-free (verified by the holder's continued progress).
 func TestCancelledWaiterNeverHoldsLock(t *testing.T) {
@@ -197,23 +150,15 @@ func TestCancelledWaiterNeverHoldsLock(t *testing.T) {
 				}
 			}()
 
-			// Canceller lanes: deadlines short enough to usually lose
+			// Bounded lanes: deadlines short enough to usually lose
 			// the race to the holder lane.
 			for g := 0; g < 2; g++ {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
 					for i := 0; !stop.Load(); i++ {
-						if g == 0 {
-							if l.LockFor(time.Duration(i%50) * time.Microsecond) {
-								enter()
-							}
-						} else {
-							ctx, cancel := context.WithTimeout(context.Background(), time.Duration(1+i%50)*time.Microsecond)
-							if l.LockCtx(ctx) == nil {
-								enter()
-							}
-							cancel()
+						if l.LockFor(time.Duration(g+i%50) * time.Microsecond) {
+							enter()
 						}
 					}
 				}(g)
@@ -257,8 +202,8 @@ func TestUsableAfterRepeatedAbandonment(t *testing.T) {
 	}
 }
 
-// Mixed-mode stress: unbounded Lock, bounded LockFor/LockCtx and
-// TryLock all race on one lock; the shared counter must come out
+// Mixed-mode stress: unbounded Lock, bounded LockFor (budgets from
+// zero and from 1µs) and TryLock all race on one lock; the shared counter must come out
 // exact. Run under -race this validates the abandonment protocol's
 // happens-before edges.
 func TestMixedModeStress(t *testing.T) {
@@ -288,9 +233,7 @@ func TestMixedModeStress(t *testing.T) {
 						case 2:
 							got = l.LockFor(time.Duration(i%20) * time.Microsecond)
 						default:
-							ctx, cancel := context.WithTimeout(context.Background(), time.Duration(1+i%20)*time.Microsecond)
-							got = l.LockCtx(ctx) == nil
-							cancel()
+							got = l.LockFor(time.Duration(1+i%20) * time.Microsecond)
 						}
 						if !got {
 							continue

@@ -71,26 +71,6 @@ func Or(c Clock) Clock {
 	return c
 }
 
-// Deadline converts a wall-clock time.Time deadline (as carried by
-// context.Context) into an absolute instant on c: the wall time
-// remaining, re-anchored at c.Now(). Exact for Wall; for a virtual
-// clock it interprets the remaining wall duration as virtual duration,
-// which is the only meaningful reading a wall-anchored context has
-// there. Returns 0 (the "no deadline" sentinel) only for the zero
-// time.Time.
-func Deadline(c Clock, t time.Time) time.Duration {
-	if t.IsZero() {
-		return 0
-	}
-	d := c.Now() + time.Until(t)
-	if d == 0 {
-		// An exactly-at-epoch result would read as "no deadline";
-		// nudge to the earliest expressible expired instant.
-		d = -1
-	}
-	return d
-}
-
 // Wall is the process wall clock (monotonic, epoch = package init).
 var Wall Clock = wallClock{}
 

@@ -121,10 +121,12 @@ func (v *Virtual) Sleep(d time.Duration) {
 // becomes ready, whichever is first; it reports whether the full
 // duration elapsed. d <= 0 parks unboundedly on done.
 //
-// When the timer fire and done race, the winner is the select winner —
-// deterministic schedules must therefore resolve cancellation and
-// expiry at distinct instants (the conformance virtual-time schedules
-// pass done == nil, where no race exists).
+// When the timer fire and done race, the winner is the select winner.
+// The only such race left on a virtual clock is a futex park
+// (futex.WaitTimeoutClock, whose done is its wake channel): bounded
+// waits and polling sleep on the clock alone, so their give-up is a
+// plain deadline comparison. Deterministic schedules must resolve a
+// futex wake and its expiry at distinct instants.
 func (v *Virtual) ParkFor(d time.Duration, done <-chan struct{}) bool {
 	if d <= 0 {
 		if done == nil {

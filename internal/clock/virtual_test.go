@@ -61,20 +61,6 @@ func TestOrDefaultsToWall(t *testing.T) {
 	}
 }
 
-func TestDeadlineMapping(t *testing.T) {
-	if d := Deadline(Wall, time.Time{}); d != 0 {
-		t.Fatalf("zero time mapped to %v, want 0 sentinel", d)
-	}
-	d := Deadline(Wall, time.Now().Add(time.Hour))
-	if d <= Wall.Now() {
-		t.Fatalf("future wall deadline mapped to past instant %v", d)
-	}
-	past := Deadline(Wall, time.Now().Add(-time.Hour))
-	if past == 0 || past >= Wall.Now() {
-		t.Fatalf("past wall deadline mapped to %v (now %v)", past, Wall.Now())
-	}
-}
-
 // waitLen blocks until the guarded slice reaches length n.
 func waitLen(t *testing.T, mu *sync.Mutex, s *[]int, n int) {
 	t.Helper()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/bounded"
@@ -9,13 +8,13 @@ import (
 	"repro/internal/clock"
 )
 
-// Bounded (cancellable) acquisition for the canonical Reciprocating
-// variants. LockFor and LockCtx run the same acquire body as Lock,
-// with a budget. The admission chain makes abandonment the algorithm's
-// hardest robustness question: a waiter's element address is live
-// context — it is the CAS comparand of the next arrival's succ link
-// and may become an end-of-segment marker — so a waiter cannot simply
-// leave. Two exits exist, in preference order:
+// Bounded acquisition for the canonical Reciprocating variants.
+// LockFor runs the same acquire body as Lock, with a deadline. The
+// admission chain makes abandonment the algorithm's hardest robustness
+// question: a waiter's element address is live context — it is the CAS
+// comparand of the next arrival's succ link and may become an
+// end-of-segment marker — so a waiter cannot simply leave. Two exits
+// exist, in preference order:
 //
 //  1. Self-removal. While arrivals still equals our element e, no
 //     later thread has swapped over us, so nobody captured e as a
@@ -73,13 +72,7 @@ func (l *Lock) LockFor(d time.Duration) bool {
 	if d <= 0 {
 		return l.TryLock()
 	}
-	return l.lockBounded(clock.Or(l.Clk).Now()+d, nil)
-}
-
-// LockCtx acquires l unless ctx is cancelled or expires first. It
-// returns nil exactly when the lock was acquired.
-func (l *Lock) LockCtx(ctx context.Context) error {
-	return bounded.CtxFrom(l.Clk, ctx, l.lockBounded)
+	return l.lockBounded(clock.Or(l.Clk).Now() + d)
 }
 
 // LockFor acquires l like Lock but gives up after d, reporting whether
@@ -89,11 +82,5 @@ func (l *SimplifiedLock) LockFor(d time.Duration) bool {
 	if d <= 0 {
 		return l.TryLock()
 	}
-	return l.lockBounded(clock.Or(l.Clk).Now()+d, nil)
-}
-
-// LockCtx acquires l unless ctx is cancelled or expires first. It
-// returns nil exactly when the lock was acquired.
-func (l *SimplifiedLock) LockCtx(ctx context.Context) error {
-	return bounded.CtxFrom(l.Clk, ctx, l.lockBounded)
+	return l.lockBounded(clock.Or(l.Clk).Now() + d)
 }

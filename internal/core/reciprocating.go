@@ -56,17 +56,16 @@ type Token struct {
 // element may be reused for another Acquire (on any lock) only after
 // the corresponding Release has returned.
 func (l *Lock) Acquire(e *WaitElement) Token {
-	t, _ := l.acquire(e, 0, nil)
+	t, _ := l.acquire(e, 0)
 	return t
 }
 
 // acquire is Listing 1's doorway and waiting phase, the one body behind
-// Acquire, Lock, LockFor and LockCtx. The budget is an absolute
-// deadline on l's clock (zero = none) plus an optional done channel; a
-// zero deadline with a nil done never times out. A timed-out waiter
+// Acquire, Lock and LockFor. The budget is an absolute deadline on l's
+// clock; a zero deadline never times out. A timed-out waiter
 // leaves through one of the two exits described in bounded.go and
 // reports false, after which e is free for reuse.
-func (l *Lock) acquire(e *WaitElement, deadline time.Duration, done <-chan struct{}) (Token, bool) {
+func (l *Lock) acquire(e *WaitElement, deadline time.Duration) (Token, bool) {
 	// Listing 1 line 17: re-arm the gate before publication.
 	e.gate.Store(nil)
 	var succ *WaitElement
@@ -92,7 +91,7 @@ func (l *Lock) acquire(e *WaitElement, deadline time.Duration, done <-chan struc
 				break
 			}
 			if !timedOut {
-				timedOut = !w.PauseBounded(deadline, done)
+				timedOut = !w.PauseBounded(deadline)
 				continue
 			}
 			// Exit 1: self-removal, retried as the threads above us
@@ -178,7 +177,7 @@ func (l *Lock) Release(t Token) {
 // measurably slowed the contended kvperf scan-batch workload.
 func (l *Lock) Lock() {
 	e := getElement()
-	t, _ := l.acquire(e, 0, nil)
+	t, _ := l.acquire(e, 0)
 	// Owner-owned context: safe to store in plain fields; successive
 	// owners are ordered by the Gate/arrival-word atomics.
 	l.succ, l.eos, l.cur = t.succ, t.eos, t.elem
@@ -186,9 +185,9 @@ func (l *Lock) Lock() {
 
 // lockBounded is Lock with a budget (see acquire), reporting whether
 // it acquired l.
-func (l *Lock) lockBounded(deadline time.Duration, done <-chan struct{}) bool {
+func (l *Lock) lockBounded(deadline time.Duration) bool {
 	e := getElement()
-	t, ok := l.acquire(e, deadline, done)
+	t, ok := l.acquire(e, deadline)
 	if !ok {
 		putElement(e)
 		return false

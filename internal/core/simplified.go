@@ -51,19 +51,19 @@ func nemo() *flagElement { return &flagLockedEmptySentinel }
 // Acquire enters the lock with the supplied element and returns the
 // successor context for Release.
 func (l *SimplifiedLock) Acquire(e *flagElement) *flagElement {
-	succ, _ := l.acquire(e, 0, nil)
+	succ, _ := l.acquire(e, 0)
 	return succ
 }
 
 // acquire is Listing 2's doorway and waiting phase, the one body behind
-// Acquire, Lock, LockFor and LockCtx, with the budget and the two
+// Acquire, Lock and LockFor, with the budget and the two
 // abandonment exits of (*Lock).acquire; NEMO plays the LOCKEDEMPTY
 // role and the sequestered eos word is maintained as on a grant. In
 // Park mode a budgeted waiter, and a timed-out one still waiting to
 // self-remove, blocks in futex.WaitTimeoutClock slices so it rechecks its
 // budget and its exit without a dedicated wakeup from the releaser;
 // only a waiter with no budget parks in a plain futex.Wait.
-func (l *SimplifiedLock) acquire(e *flagElement, deadline time.Duration, done <-chan struct{}) (*flagElement, bool) {
+func (l *SimplifiedLock) acquire(e *flagElement, deadline time.Duration) (*flagElement, bool) {
 	e.gate.Store(0)
 	succRaw := l.arrivals.Swap(e)
 	chSArrive.Hit()
@@ -79,7 +79,6 @@ func (l *SimplifiedLock) acquire(e *flagElement, deadline time.Duration, done <-
 		succ = nil
 	}
 	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
-	unbounded := deadline == 0 && done == nil
 	timedOut := false
 	for e.gate.Load() == 0 {
 		if timedOut && l.arrivals.Load() == e {
@@ -94,7 +93,7 @@ func (l *SimplifiedLock) acquire(e *flagElement, deadline time.Duration, done <-
 			if !timedOut && deadline != 0 {
 				slice = min(slice, deadline-clock.Or(l.Clk).Now())
 			}
-			if !timedOut && (slice <= 0 || isDone(done)) {
+			if !timedOut && slice <= 0 {
 				timedOut = true
 				continue
 			}
@@ -103,7 +102,7 @@ func (l *SimplifiedLock) acquire(e *flagElement, deadline time.Duration, done <-
 			if s := w.Sink(); s != nil {
 				s.CountPark()
 			}
-			if unbounded {
+			if deadline == 0 {
 				futex.Wait(&e.gate, 0)
 			} else {
 				futex.WaitTimeoutClock(&e.gate, 0, slice, l.Clk)
@@ -113,7 +112,7 @@ func (l *SimplifiedLock) acquire(e *flagElement, deadline time.Duration, done <-
 		if timedOut {
 			w.Pause()
 		} else {
-			timedOut = !w.PauseBounded(deadline, done)
+			timedOut = !w.PauseBounded(deadline)
 		}
 	}
 	// Check for the eos-terminated entry segment chain. Crucially the
@@ -134,16 +133,6 @@ func (l *SimplifiedLock) acquire(e *flagElement, deadline time.Duration, done <-
 
 // parkSlice bounds one futex sleep of a budgeted parked waiter.
 const parkSlice = 100 * time.Microsecond
-
-// isDone reports whether done is closed; a nil done never is.
-func isDone(done <-chan struct{}) bool {
-	select {
-	case <-done:
-		return true
-	default:
-		return false
-	}
-}
 
 // Release exits the lock; succ must be the value returned by the
 // matching Acquire and e the element passed to it.
@@ -194,13 +183,13 @@ func (l *SimplifiedLock) grant(succ *flagElement) {
 }
 
 // Lock acquires l (sync.Locker).
-func (l *SimplifiedLock) Lock() { l.lockBounded(0, nil) }
+func (l *SimplifiedLock) Lock() { l.lockBounded(0) }
 
 // lockBounded is Lock with a budget (see acquire), reporting whether
 // it acquired l.
-func (l *SimplifiedLock) lockBounded(deadline time.Duration, done <-chan struct{}) bool {
+func (l *SimplifiedLock) lockBounded(deadline time.Duration) bool {
 	e := getFlagElement()
-	succ, ok := l.acquire(e, deadline, done)
+	succ, ok := l.acquire(e, deadline)
 	if !ok {
 		putFlagElement(e)
 		return false

@@ -193,15 +193,20 @@ func runOnce(w Workload, cfg Config) RunOutcome {
 	counters := make([]counter, threads)
 	var stop atomic.Bool
 
-	var begin, done sync.WaitGroup
+	// Every worker marks ready before waiting on begin, and the clock
+	// starts only once all have, so goroutine start-up and scheduling
+	// delay stay out of Elapsed.
+	var ready, begin, done sync.WaitGroup
 	begin.Add(1)
 	for t := 0; t < threads; t++ {
 		t := t
 		op := w.Worker(t)
+		ready.Add(1)
 		done.Add(1)
 		go func() {
 			defer done.Done()
 			c := &counters[t]
+			ready.Done()
 			begin.Wait()
 			if cfg.Duration <= 0 {
 				// Deterministic iteration mode: exactly Iterations
@@ -228,6 +233,7 @@ func runOnce(w Workload, cfg Config) RunOutcome {
 		return s
 	}
 
+	ready.Wait()
 	start := time.Now()
 	begin.Done()
 	if cfg.Duration > 0 {
@@ -237,8 +243,8 @@ func runOnce(w Workload, cfg Config) RunOutcome {
 	// mode the elapsed interval ends where the final snapshot is
 	// taken, immediately before workers are released. That snapshot
 	// is the first one, at or after Duration, that holds a completed
-	// operation: on a loaded host the workers may not have run at all
-	// yet, and an empty window would score 0.
+	// operation: on a loaded host the workers may not have completed
+	// one yet, and an empty window would score 0.
 	var el time.Duration
 	var per []uint64
 	if cfg.Duration > 0 {

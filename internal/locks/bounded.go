@@ -1,7 +1,6 @@
 package locks
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/bounded"
@@ -9,9 +8,9 @@ import (
 	"repro/internal/clock"
 )
 
-// Bounded (cancellable) acquisition for the queue baselines. Lock,
-// LockFor and LockCtx share one acquire body per lock (lockBounded,
-// with no budget for Lock), and each abandons inside its protocol:
+// Bounded acquisition for the queue baselines. Lock and LockFor share
+// one acquire body per lock (lockBounded, with no deadline for Lock),
+// and each abandons inside its protocol:
 //
 //   - MCS abandons by publishing mcsAbandoned into its own node with a
 //     CAS; the release cascades through abandoned nodes (unlockNode).
@@ -20,7 +19,7 @@ import (
 //
 // Every other baseline with a TryLock (TAS, TTAS, Ticket, Chen,
 // Retrograde*, ABQL, TWA, HemLock, FutexMutex) is served by the
-// generic TryLock-polling fallback (bounded.PollFor/PollCtx, applied
+// generic TryLock-polling fallback (bounded.PollFor, applied
 // by registry.WithBounded). A taken ticket cannot be abandoned — the
 // grant chain would wedge on the unclaimed number — so the ticket
 // family's bounded path barges through its TryLock doorway, trading
@@ -49,12 +48,7 @@ func (l *MCSLock) LockFor(d time.Duration) bool {
 	if d <= 0 {
 		return l.TryLock()
 	}
-	return l.lockBounded(clock.Or(l.Clk).Now()+d, nil)
-}
-
-// LockCtx acquires l unless ctx is cancelled or expires first.
-func (l *MCSLock) LockCtx(ctx context.Context) error {
-	return bounded.CtxFrom(l.Clk, ctx, l.lockBounded)
+	return l.lockBounded(clock.Or(l.Clk).Now() + d)
 }
 
 // LockFor acquires l like Lock but gives up after d, reporting whether
@@ -63,10 +57,5 @@ func (l *CLHLock) LockFor(d time.Duration) bool {
 	if d <= 0 {
 		return l.TryLock()
 	}
-	return l.lockBounded(clock.Or(l.Clk).Now()+d, nil)
-}
-
-// LockCtx acquires l unless ctx is cancelled or expires first.
-func (l *CLHLock) LockCtx(ctx context.Context) error {
-	return bounded.CtxFrom(l.Clk, ctx, l.lockBounded)
+	return l.lockBounded(clock.Or(l.Clk).Now() + d)
 }

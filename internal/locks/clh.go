@@ -82,12 +82,11 @@ func hop(pred, a *clhNode) *clhNode {
 }
 
 // Lock acquires l.
-func (l *CLHLock) Lock() { l.lockBounded(0, nil) }
+func (l *CLHLock) Lock() { l.lockBounded(0) }
 
 // lockBounded is Lock with a budget: an absolute deadline on l's clock
-// (zero = none) plus an optional done channel. With neither, the
-// abandon branch is never reached.
-func (l *CLHLock) lockBounded(deadline time.Duration, done <-chan struct{}) bool {
+// (zero = none). With none, the abandon branch is never reached.
+func (l *CLHLock) lockBounded(deadline time.Duration) bool {
 	l.ensureInit()
 	n, pred := l.enqueue()
 	// Dependent load chain: spin on the predecessor's node.
@@ -97,7 +96,7 @@ func (l *CLHLock) lockBounded(deadline time.Duration, done <-chan struct{}) bool
 			pred = hop(pred, a)
 			continue
 		}
-		if !w.PauseBounded(deadline, done) {
+		if !w.PauseBounded(deadline) {
 			if pred.succMustWait.Load() == 0 {
 				// The grant landed as the budget expired: take it.
 				break

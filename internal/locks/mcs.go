@@ -48,12 +48,11 @@ type MCSLock struct {
 }
 
 // Lock acquires l.
-func (l *MCSLock) Lock() { l.lockBounded(0, nil) }
+func (l *MCSLock) Lock() { l.lockBounded(0) }
 
 // lockBounded is Lock with a budget: an absolute deadline on l's clock
-// (zero = none) plus an optional done channel. With neither, the
-// abandon branch is never reached.
-func (l *MCSLock) lockBounded(deadline time.Duration, done <-chan struct{}) bool {
+// (zero = none). With none, the abandon branch is never reached.
+func (l *MCSLock) lockBounded(deadline time.Duration) bool {
 	n := mcsPool.Get().(*mcsNode)
 	n.next.Store(nil)
 	n.locked.Store(mcsWaiting)
@@ -67,7 +66,7 @@ func (l *MCSLock) lockBounded(deadline time.Duration, done <-chan struct{}) bool
 	pred.next.Store(n)
 	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
 	for n.locked.Load() != mcsGranted {
-		if !w.PauseBounded(deadline, done) {
+		if !w.PauseBounded(deadline) {
 			chMcsAbandon.Hit()
 			if n.locked.CompareAndSwap(mcsWaiting, mcsAbandoned) {
 				// Node ownership transferred to the eventual releaser;

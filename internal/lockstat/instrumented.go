@@ -1,7 +1,7 @@
 package lockstat
 
 import (
-	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,15 +26,37 @@ type lockedProber interface {
 // a microsecond; a waiting episode that reaches the scheduler cannot.
 const ContendedThreshold = time.Microsecond
 
+// Veto holds the chaos points a decorated lock's spurious failures
+// are drawn from, one stream per vetoed operation, so a report row
+// says which operation was vetoed and one operation's draws never
+// shift another's.
+type Veto struct {
+	tryLock  *chaos.Point // TryLock
+	lockFor  *chaos.Point // a native LockFor, or each polled attempt
+	validate *chaos.Point // ReadValidate
+}
+
+// NewVeto returns the veto streams <name>.trylock, <name>.lockfor and
+// <name>.validate. Points are never unregistered, so callers building
+// many locks intern the result by name.
+func NewVeto(name string) *Veto {
+	return &Veto{
+		tryLock:  chaos.NewPoint(name + ".trylock"),
+		lockFor:  chaos.NewPoint(name + ".lockfor"),
+		validate: chaos.NewPoint(name + ".validate"),
+	}
+}
+
 // Decorate is the repository's one lock decorator. It fuses three
 // layers over the base lock l, each optional:
 //
-//   - chaos veto (veto != nil): TryLock, a native LockFor and
-//     ReadValidate may fail spuriously through the chaos point — always
-//     a legal outcome, so the veto can expose bugs but never cause one.
-//     Lock, LockCtx, RLock and OptimisticRead are never vetoed.
-//   - bounded acquisition (poll): a lock without native LockFor/LockCtx
-//     gains them by polling the vetoed TryLock (see bounded.PollFor).
+//   - chaos veto (veto != nil): TryLock, LockFor and ReadValidate may
+//     fail spuriously, each through its own point of veto — always a
+//     legal outcome, so the veto can expose bugs but never cause one.
+//     Lock, RLock and OptimisticRead are never vetoed.
+//   - bounded acquisition (poll): a lock without a native LockFor gains
+//     one by polling its TryLock, each attempt behind the LockFor veto
+//     (see bounded.PollFor).
 //   - telemetry into s; a nil s records nothing and reduces every call
 //     to one nil check plus the inner call.
 //
@@ -43,7 +65,7 @@ const ContendedThreshold = time.Microsecond
 //
 // The surfaces of l are resolved once, here, and the returned value's
 // dynamic type offers exactly them: TryLock only when l has it;
-// LockFor/LockCtx only when l bounds natively or poll was asked of a
+// LockFor only when l bounds natively or poll was asked of a
 // TryLock-capable l; RLock/RUnlock only when l implements
 // rwlock.RWLocker; ReadBegin/ReadValidate/OptimisticRead only when l
 // implements rwlock.OptimisticLocker. A type assertion on the result
@@ -52,7 +74,7 @@ const ContendedThreshold = time.Microsecond
 // c is the time source of the latency timestamps and polling sleeps
 // (nil = wall clock); the base lock carries its own, set when it was
 // constructed.
-func Decorate(l sync.Locker, c clock.Clock, veto *chaos.Point, poll bool, s *Stats) sync.Locker {
+func Decorate(l sync.Locker, c clock.Clock, veto *Veto, poll bool, s *Stats) sync.Locker {
 	d := newDecorated(l, c, veto, poll, s)
 	return d.expose()
 }
@@ -69,12 +91,12 @@ type decorated struct {
 	inner  sync.Locker
 	try    bounded.TryLocker // nil when the base has no TryLock
 	native bounded.Locker    // nil unless the base bounds natively
-	poll   bool              // LockFor/LockCtx poll the vetoed TryLock
+	poll   bool              // LockFor polls the base's TryLock
 	rw     rwlock.RWLocker
 	opt    rwlock.OptimisticLocker
 	probe  lockedProber
 
-	veto  *chaos.Point
+	veto  Veto // nil points: no veto
 	stats *Stats
 	clk   clock.Clock
 
@@ -89,8 +111,11 @@ type decorated struct {
 	holdStart atomic.Int64
 }
 
-func newDecorated(l sync.Locker, c clock.Clock, veto *chaos.Point, poll bool, s *Stats) *decorated {
-	d := &decorated{inner: l, veto: veto, stats: s, clk: c}
+func newDecorated(l sync.Locker, c clock.Clock, veto *Veto, poll bool, s *Stats) *decorated {
+	d := &decorated{inner: l, stats: s, clk: c}
+	if veto != nil {
+		d.veto = *veto
+	}
 	d.try, _ = l.(bounded.TryLocker)
 	d.native, _ = l.(bounded.Locker)
 	d.poll = poll && d.native == nil && d.try != nil
@@ -101,7 +126,7 @@ func newDecorated(l sync.Locker, c clock.Clock, veto *chaos.Point, poll bool, s 
 }
 
 // The method groups. The write side is one of plain (Lock/Unlock),
-// trying (+ TryLock) or bounding (+ LockFor/LockCtx), each embedding
+// trying (+ TryLock) or bounding (+ LockFor), each embedding
 // the one before; sharer and optimist are the read groups. Each
 // carries only the decorated state and forwards to it.
 type (
@@ -112,105 +137,72 @@ type (
 	optimist struct{ d *decorated }
 )
 
-func (g plain) Lock()                                { g.d.lock() }
-func (g plain) Unlock()                              { g.d.unlock() }
-func (g trying) TryLock() bool                       { return g.d.tryLock() }
-func (g bounding) LockFor(t time.Duration) bool      { return g.d.lockFor(t) }
-func (g bounding) LockCtx(ctx context.Context) error { return g.d.lockCtx(ctx) }
-func (g sharer) RLock()                              { g.d.rlock() }
-func (g sharer) RUnlock()                            { g.d.rw.RUnlock() }
-func (g optimist) ReadBegin() uint64                 { return g.d.opt.ReadBegin() }
-func (g optimist) ReadValidate(stamp uint64) bool    { return g.d.readValidate(stamp) }
-func (g optimist) OptimisticRead(f func())           { g.d.optimisticRead(f) }
+func (g plain) Lock()                             { g.d.lock() }
+func (g plain) Unlock()                           { g.d.unlock() }
+func (g trying) TryLock() bool                    { return g.d.tryLock() }
+func (g bounding) LockFor(t time.Duration) bool   { return g.d.lockFor(t) }
+func (g sharer) RLock()                           { g.d.rlock() }
+func (g sharer) RUnlock()                         { g.d.rw.RUnlock() }
+func (g optimist) ReadBegin() uint64              { return g.d.opt.ReadBegin() }
+func (g optimist) ReadValidate(stamp uint64) bool { return g.d.readValidate(stamp) }
+func (g optimist) OptimisticRead(f func())        { g.d.optimisticRead(f) }
 
 // expose assembles the value whose method set is exactly d's surfaces:
-// the write side the base supports, plus its read groups.
+// the write side the base supports, plus its read group. Seven sets
+// occur: every lock with a read path has TryLock, and none has both
+// RLock and the optimistic read.
 func (d *decorated) expose() sync.Locker {
+	if (d.rw != nil || d.opt != nil) && d.try == nil || d.rw != nil && d.opt != nil {
+		panic(fmt.Sprintf("lockstat: no decorated surface set for %T (TryLock %v, RLock %v, optimistic read %v)",
+			d.inner, d.try != nil, d.rw != nil, d.opt != nil))
+	}
 	p := plain{d}
 	t := trying{p}
 	b := bounding{t}
 	r, o := sharer{d}, optimist{d}
-	write := 0 // 0: plain, 1: trying, 2: bounding
-	if d.try != nil {
-		write = 1
-		if d.native != nil || d.poll {
-			write = 2
-		}
-	}
-	read := 0 // bit 0: shared, bit 1: optimistic
-	if d.rw != nil {
-		read |= 1
-	}
-	if d.opt != nil {
-		read |= 2
-	}
-	switch 4*write + read {
-	case 0:
+	bounds := d.native != nil || d.poll
+	switch {
+	case d.try == nil:
 		return p
-	case 1:
-		return struct {
-			plain
-			sharer
-		}{p, r}
-	case 2:
-		return struct {
-			plain
-			optimist
-		}{p, o}
-	case 3:
-		return struct {
-			plain
-			sharer
-			optimist
-		}{p, r, o}
-	case 4:
-		return t
-	case 5:
+	case !bounds && d.rw != nil:
 		return struct {
 			trying
 			sharer
 		}{t, r}
-	case 6:
+	case !bounds && d.opt != nil:
 		return struct {
 			trying
 			optimist
 		}{t, o}
-	case 7:
-		return struct {
-			trying
-			sharer
-			optimist
-		}{t, r, o}
-	case 8:
-		return b
-	case 9:
+	case !bounds:
+		return t
+	case d.rw != nil:
 		return struct {
 			bounding
 			sharer
 		}{b, r}
-	case 10:
+	case d.opt != nil:
 		return struct {
 			bounding
 			optimist
 		}{b, o}
-	default:
-		return struct {
-			bounding
-			sharer
-			optimist
-		}{b, r, o}
 	}
+	return b
 }
 
 // nanotime reads the decorator's timestamp source.
 func (d *decorated) nanotime() int64 { return int64(clock.Or(d.clk).Now()) }
 
-// vetoed draws one veto decision (false when no veto is installed).
-func (d *decorated) vetoed() bool { return d.veto != nil && d.veto.Fail() }
+// vetoed draws one veto decision from p (false when no veto is
+// installed).
+func vetoed(p *chaos.Point) bool { return p != nil && p.Fail() }
 
-// tryVetoed is the base's TryLock behind the veto, unrecorded: the
-// doorway that TryLock records and that polling retries.
-func (d *decorated) tryVetoed() bool { return !d.vetoed() && d.try.TryLock() }
+// tryVetoed is the base's TryLock behind the TryLock veto, unrecorded.
+func (d *decorated) tryVetoed() bool { return !vetoed(d.veto.tryLock) && d.try.TryLock() }
+
+// pollVetoed is one polled LockFor attempt: the base's TryLock behind
+// the LockFor veto.
+func (d *decorated) pollVetoed() bool { return !vetoed(d.veto.lockFor) && d.try.TryLock() }
 
 // acquired records a successful blocking or bounded acquisition that
 // started at t0; a wait reaching ContendedThreshold counts as
@@ -274,27 +266,16 @@ func (d *decorated) tryLock() bool {
 	return true
 }
 
-// lockFor attempts a bounded acquire (see boundedFor).
+// lockFor attempts a bounded acquire (see boundedFor), recording an
+// acquisition on success and an abandon on timeout.
 func (d *decorated) lockFor(t time.Duration) bool {
-	return d.recordBounded(func() bool { return d.boundedFor(t) })
-}
-
-// lockCtx attempts a context-bounded acquire (see boundedCtx).
-func (d *decorated) lockCtx(ctx context.Context) (err error) {
-	d.recordBounded(func() bool { err = d.boundedCtx(ctx); return err == nil })
-	return err
-}
-
-// recordBounded runs a bounded acquire, recording an acquisition on
-// success and an abandon on timeout or cancellation.
-func (d *decorated) recordBounded(acquire func() bool) bool {
 	s := d.stats
 	if s == nil {
-		return acquire()
+		return d.boundedFor(t)
 	}
 	t0 := d.nanotime()
 	d.waiting.Add(1)
-	ok := acquire()
+	ok := d.boundedFor(t)
 	d.waiting.Add(-1)
 	if !ok {
 		s.RecordAbandon()
@@ -308,19 +289,9 @@ func (d *decorated) recordBounded(acquire func() bool) bool {
 // is an immediate spurious timeout, which callers must tolerate anyway.
 func (d *decorated) boundedFor(t time.Duration) bool {
 	if d.native != nil {
-		return !d.vetoed() && d.native.LockFor(t)
+		return !vetoed(d.veto.lockFor) && d.native.LockFor(t)
 	}
-	return bounded.PollFor(d.tryVetoed, d.clk, t)
-}
-
-// boundedCtx is LockCtx beneath the telemetry. A native LockCtx is not
-// vetoed: its contract ties a failure to the context's own error, and
-// fabricating one would turn the veto from failure-only into a liar.
-func (d *decorated) boundedCtx(ctx context.Context) error {
-	if d.native != nil {
-		return d.native.LockCtx(ctx)
-	}
-	return bounded.PollCtx(d.tryVetoed, d.clk, ctx)
+	return bounded.PollFor(d.pollVetoed, d.clk, t)
 }
 
 // rlock acquires the base's shared read path, recording the read
@@ -340,7 +311,7 @@ func (d *decorated) rlock() {
 // validation is always legal and forces the caller's retry path),
 // recording failures as optimistic retries.
 func (d *decorated) readValidate(stamp uint64) bool {
-	if !d.vetoed() && d.opt.ReadValidate(stamp) {
+	if !vetoed(d.veto.validate) && d.opt.ReadValidate(stamp) {
 		return true
 	}
 	if s := d.stats; s != nil {

@@ -61,7 +61,7 @@ type Stats struct {
 	handovers    counter // unlocks performed while at least one waiter was queued
 	unlocks      counter // total unlocks
 	tryFails     counter // failed TryLock attempts
-	abandons     counter // bounded acquisitions abandoned (timeout/cancel)
+	abandons     counter // bounded acquisitions abandoned (deadline passed)
 	spins        counter // hot spin iterations (waiter policy layer)
 	yields       counter // scheduler yields (waiter policy layer)
 	parks        counter // blocking waits: policy sleeps + futex parks
@@ -108,8 +108,8 @@ func (s *Stats) RecordRelease(handover bool, held time.Duration) {
 // RecordTryFail records one failed TryLock attempt.
 func (s *Stats) RecordTryFail() { s.tryFails.inc() }
 
-// RecordAbandon records one bounded acquisition (LockFor/LockCtx) that
-// gave up — by deadline or cancellation — without acquiring. Chaos
+// RecordAbandon records one bounded acquisition (LockFor) that gave up
+// at its deadline without acquiring. Chaos
 // runs read this column as the degradation rate.
 func (s *Stats) RecordAbandon() { s.abandons.inc() }
 

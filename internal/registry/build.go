@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/bounded"
-	"repro/internal/chaos"
 	"repro/internal/clock"
 	"repro/internal/lockstat"
 )
@@ -18,12 +17,12 @@ import (
 //
 // The order is that of their effects: the veto sits against the raw
 // lock so injected TryLock failures exercise the algorithm's own retry
-// paths; bounded polling retries the vetoed TryLock so it feels the
-// injected pressure; and telemetry is outermost so vetoed attempts are
-// recorded as try-failures and abandoned bounded waits as abandons,
-// exactly as real ones are. The decorator offers exactly the surfaces
-// the base lock has (plus LockFor/LockCtx under WithBounded), so a
-// type assertion on a built lock tells the truth. When no layer
+// paths; bounded polling retries the TryLock behind the LockFor veto
+// so it feels the injected pressure; and telemetry is outermost so
+// vetoed attempts are recorded as try-failures and abandoned bounded
+// waits as abandons, exactly as real ones are. The decorator offers
+// exactly the surfaces the base lock has (plus LockFor under
+// WithBounded), so a type assertion on a built lock tells the truth. When no layer
 // applies — no options, only WithClock, or WithBounded on a natively
 // bounded lock — Build returns the base lock itself.
 
@@ -48,9 +47,10 @@ func WithStats(st *lockstat.Stats) Option {
 }
 
 // WithBounded requires the built lock to support bounded acquisition
-// (LockFor/LockCtx): Build fails for entries that support neither
-// native bounding nor TryLock polling, and otherwise guarantees the
-// returned value implements bounded.Locker.
+// (LockFor, whose deadline is the only way an acquisition gives up):
+// Build fails for entries that support neither native bounding nor
+// TryLock polling, and otherwise guarantees the returned value
+// implements bounded.Locker.
 func WithBounded() Option {
 	return func(c *buildConfig) { c.bounded = true }
 }
@@ -66,9 +66,11 @@ func WithClock(c clock.Clock) Option {
 	return func(cfg *buildConfig) { cfg.clk, cfg.clkSet = c, true }
 }
 
-// WithChaosVeto makes TryLock, a native LockFor and ReadValidate fail
-// spuriously through a chaos point named point (or
-// "registry.veto.<entry name>" when point is empty). It is the only
+// WithChaosVeto makes TryLock, LockFor and ReadValidate fail
+// spuriously, each through its own chaos point: <point>.trylock,
+// <point>.lockfor (a native LockFor, or each attempt of a polled one)
+// and <point>.validate, where point defaults to
+// "registry.veto.<entry name>" when empty. It is the only
 // source of spurious TryLock failures: no lock carries its own veto,
 // so a bare build's TryLock never fails on a free lock. The veto is
 // inert until chaos.Enable arms the process, and a veto is always a legal
@@ -110,15 +112,15 @@ func (e Entry) Build(opts ...Option) (sync.Locker, error) {
 	if !veto && !poll && !cfg.statsSet {
 		return l, nil
 	}
-	var pt *chaos.Point
+	var v *lockstat.Veto
 	if veto {
 		name := cfg.vetoPoint
 		if name == "" {
 			name = "registry.veto." + e.Name
 		}
-		pt = vetoPoint(name)
+		v = vetoFor(name)
 	}
-	return lockstat.Decorate(l, cfg.clk, pt, poll, cfg.stats), nil
+	return lockstat.Decorate(l, cfg.clk, v, poll, cfg.stats), nil
 }
 
 // Factory validates the pipeline once and returns a constructor that
@@ -134,21 +136,21 @@ func (e Entry) Factory(opts ...Option) (func() sync.Locker, error) {
 	}, nil
 }
 
-// vetoPoints interns chaos points by name so repeated Builds of the
-// same entry share one injection stream instead of growing the chaos
-// registry per instance.
+// vetoes interns veto streams by name so repeated Builds of the same
+// entry share one injection stream per operation instead of growing
+// the chaos registry per instance.
 var (
-	vetoMu     sync.Mutex
-	vetoPoints = map[string]*chaos.Point{}
+	vetoMu sync.Mutex
+	vetoes = map[string]*lockstat.Veto{}
 )
 
-func vetoPoint(name string) *chaos.Point {
+func vetoFor(name string) *lockstat.Veto {
 	vetoMu.Lock()
 	defer vetoMu.Unlock()
-	p, ok := vetoPoints[name]
+	v, ok := vetoes[name]
 	if !ok {
-		p = chaos.NewPoint(name)
-		vetoPoints[name] = p
+		v = lockstat.NewVeto(name)
+		vetoes[name] = v
 	}
-	return p
+	return v
 }

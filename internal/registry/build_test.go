@@ -1,7 +1,7 @@
 package registry
 
 import (
-	"context"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -136,9 +136,9 @@ func TestVetoPreservesTier(t *testing.T) {
 }
 
 // With chaos disarmed the veto is transparent; with TryFail forced to
-// certainty every TryLock, native LockFor, polled bounded acquisition
-// and ReadValidate is vetoed, while Lock, native LockCtx, RLock and
-// OptimisticRead are untouched.
+// certainty every TryLock, native LockFor, polled LockFor and
+// ReadValidate is vetoed, while Lock, RLock and OptimisticRead are
+// untouched.
 func TestVetoUnderChaos(t *testing.T) {
 	build := func(name string, opts ...Option) sync.Locker {
 		t.Helper()
@@ -170,16 +170,11 @@ func TestVetoUnderChaos(t *testing.T) {
 	if b.LockFor(time.Millisecond) {
 		t.Fatal("LockFor succeeded under a certain veto")
 	}
-	// A veto is failure-only: blocking acquisition still works, and a
-	// native LockCtx is never vetoed.
+	// A veto is failure-only: blocking acquisition still works.
 	b.Lock()
 	b.Unlock()
-	if err := b.LockCtx(context.Background()); err != nil {
-		t.Fatalf("native LockCtx vetoed: %v", err)
-	}
-	b.Unlock()
 
-	// Polling retries the vetoed TryLock, so it never gets in.
+	// Every polled attempt is vetoed, so it never gets in.
 	if polled.LockFor(2 * time.Millisecond) {
 		t.Fatal("polled LockFor succeeded under a certain veto")
 	}
@@ -196,17 +191,48 @@ func TestVetoUnderChaos(t *testing.T) {
 		t.Fatal("OptimisticRead never ran its section under the veto")
 	}
 
-	// The shared read path and blocking writes are untouched; the
-	// polled LockCtx expires on its context like the polled LockFor.
+	// The shared read path and blocking writes are untouched; a
+	// polled LockFor behind the telemetry expires like the bare one.
 	r := rw.(rwlock.RWLocker)
 	r.RLock()
 	r.RUnlock()
 	rw.Lock()
 	rw.Unlock()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
-	defer cancel()
-	if err := rw.(bounded.Locker).LockCtx(ctx); err == nil {
-		t.Fatal("polled LockCtx succeeded under a certain veto")
+	if rw.(bounded.Locker).LockFor(2 * time.Millisecond) {
+		t.Fatal("polled LockFor succeeded under a certain veto")
+	}
+}
+
+// Each vetoed operation draws from its own stream: a polled LockFor's
+// retries, however many, leave the verdicts the lock's TryLocks see
+// unchanged.
+func TestVetoStreamPerOperation(t *testing.T) {
+	l, err := Build("TWA", WithChaosVeto("test.veto.streams"), WithBounded())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := l.(bounded.Locker)
+	verdicts := func() []bool {
+		v := make([]bool, 64)
+		for i := range v {
+			if v[i] = b.TryLock(); v[i] {
+				b.Unlock()
+			}
+		}
+		return v
+	}
+	chaos.Enable(chaos.Config{Seed: 7, TryFail: 0.5})
+	defer chaos.Disable()
+	want := verdicts()
+
+	chaos.Enable(chaos.Config{Seed: 7, TryFail: 0.5})
+	b.Lock()
+	if b.LockFor(time.Millisecond) {
+		t.Fatal("polled LockFor acquired a held lock")
+	}
+	b.Unlock()
+	if got := verdicts(); !slices.Equal(got, want) {
+		t.Fatalf("TryLock verdicts shifted by a polled LockFor:\n got %v\nwant %v", got, want)
 	}
 }
 
@@ -289,12 +315,12 @@ func TestFactory(t *testing.T) {
 	}
 }
 
-// Repeated builds with the same veto point must share one chaos
-// point — the injection stream is per-name, not per-instance.
+// Repeated builds with the same veto point must share one set of chaos
+// points — the injection streams are per-name, not per-instance.
 func TestVetoPointInterning(t *testing.T) {
 	const name = "test.veto.interned"
-	a := vetoPoint(name)
-	b := vetoPoint(name)
+	a := vetoFor(name)
+	b := vetoFor(name)
 	if a != b {
 		t.Fatal("veto points not interned")
 	}

@@ -77,7 +77,7 @@ func FprintCatalog(w io.Writer) {
 		t.Add(append(row, e.Doc)...)
 	}
 	t.Render(w)
-	fmt.Fprintln(w, "\nBounded: native = abandonable in-algorithm LockFor/LockCtx; polling = TryLock retry fallback (barges).")
+	fmt.Fprintln(w, "\nBounded: native = abandonable in-algorithm LockFor; polling = TryLock retry fallback (barges).")
 	fmt.Fprintln(w, "SimTwin: the internal/simlocks model checked against this lock by the differential conformance harness.")
 	fmt.Fprintln(w, "ReadShared/OptRead: RLock shared readers / version-stamped optimistic reads; derive over any TryLock base with rw:<lock>, seq:<lock>, occ:<lock>.")
 	fmt.Fprintln(w, "Select with -locks=<name,...|paper|all>; names and aliases are case-insensitive.")

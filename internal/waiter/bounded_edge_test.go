@@ -14,53 +14,12 @@ func TestPauseBoundedNegativeDeadlineImmediate(t *testing.T) {
 	for _, p := range []Policy{PolicyYield, PolicyBackoff} {
 		rec := &recordingSink{}
 		w := NewWithSink(p, rec)
-		if w.PauseBounded(clock.Wall.Now()-time.Hour, nil) {
+		if w.PauseBounded(clock.Wall.Now() - time.Hour) {
 			t.Fatalf("policy %v: expired deadline not detected on first call", p)
 		}
 		if len(rec.events) != 0 {
 			t.Fatalf("policy %v: exhausted return still paused (%q)", p, rec.events)
 		}
-	}
-}
-
-// An already-closed done channel (the already-expired-context case:
-// bounded.LockCtx passes ctx.Done() straight through) must be detected
-// within one spin stride even for hot-spinning policies, and
-// immediately for polling-every-call policies.
-func TestPauseBoundedPreClosedDone(t *testing.T) {
-	done := make(chan struct{})
-	close(done)
-
-	w := NewWithSink(PolicyYield, nil)
-	if w.PauseBounded(0, done) {
-		t.Fatal("PolicyYield: pre-closed done not detected on first call")
-	}
-
-	w = NewWithSink(PolicySpin, nil)
-	for i := 1; i <= deadlineStride; i++ {
-		if !w.PauseBounded(0, done) {
-			return
-		}
-	}
-	t.Fatal("PolicySpin: pre-closed done not detected within one stride")
-}
-
-// Both bounds together: whichever trips first terminates the episode.
-// A closed done channel wins over a generous deadline; an expired
-// deadline wins over an open done channel.
-func TestPauseBoundedCombinedBounds(t *testing.T) {
-	done := make(chan struct{})
-	close(done)
-	w := NewWithSink(PolicyYield, nil)
-	if w.PauseBounded(clock.Wall.Now()+time.Hour, done) {
-		t.Fatal("closed done ignored because the deadline was far away")
-	}
-
-	open := make(chan struct{})
-	defer close(open)
-	w = NewWithSink(PolicyYield, nil)
-	if w.PauseBounded(clock.Wall.Now()-time.Second, open) {
-		t.Fatal("expired deadline ignored because done was open")
 	}
 }
 
@@ -73,7 +32,7 @@ func TestPauseBoundedSinkTransitionOrdering(t *testing.T) {
 	w := NewWithSink(PolicyAdaptive, rec)
 	const calls = spinBudget + yieldBudget + 10
 	for i := 0; i < calls; i++ {
-		if !w.PauseBounded(0, nil) {
+		if !w.PauseBounded(0) {
 			t.Fatal("unbounded episode reported exhaustion")
 		}
 	}
@@ -90,7 +49,7 @@ func TestPauseBoundedSinkTransitionOrdering(t *testing.T) {
 	}
 
 	before := len(rec.events)
-	if w.PauseBounded(clock.Wall.Now()-time.Minute, nil) {
+	if w.PauseBounded(clock.Wall.Now() - time.Minute) {
 		t.Fatal("escalated waiter missed an expired deadline")
 	}
 	if len(rec.events) != before {
@@ -98,13 +57,13 @@ func TestPauseBoundedSinkTransitionOrdering(t *testing.T) {
 	}
 }
 
-// A zero deadline is "no time bound", not "expired at the epoch": with
-// a nil done channel the episode must keep going indefinitely even for
-// policies that poll every call.
+// A zero deadline is "no time bound", not "expired at the epoch": the
+// episode must keep going indefinitely even for policies that poll
+// every call.
 func TestPauseBoundedZeroDeadlineMeansUnbounded(t *testing.T) {
 	w := NewWithSink(PolicyYield, nil)
 	for i := 0; i < 200; i++ {
-		if !w.PauseBounded(0, nil) {
+		if !w.PauseBounded(0) {
 			t.Fatal("zero deadline treated as a bound")
 		}
 	}

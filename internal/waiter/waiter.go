@@ -132,7 +132,7 @@ func NewWithSink(p Policy, s Sink) Waiter { return Waiter{policy: p, sink: s} }
 // the policy as the episode lengthens. Each call reports exactly one
 // transition (spin, yield, or park) to the attached sink. It is
 // PauseBounded with no budget.
-func (w *Waiter) Pause() { w.PauseBounded(0, nil) }
+func (w *Waiter) Pause() { w.PauseBounded(0) }
 
 // plan computes the next pause step for the current policy without
 // performing it: d > 0 means sleep d, else yield selects a scheduler
@@ -176,38 +176,28 @@ func (w *Waiter) plan() (d time.Duration, yield bool) {
 }
 
 // deadlineStride is how many hot-spin pauses elapse between budget
-// checks in PauseBounded. Reading the clock (and polling the done
-// channel) every iteration would dominate a short spin; checking every
-// stride keeps the bounded wait within one stride of the unbounded
-// wait's cost while bounding detection latency to a few dozen spins.
+// checks in PauseBounded. Reading the clock every iteration would
+// dominate a short spin; checking every stride keeps the bounded wait
+// within one stride of the unbounded wait's cost while bounding
+// detection latency to a few dozen spins.
 const deadlineStride = 16
 
 // PauseBounded performs one unit of polite waiting within a budget. It
 // follows the policy's escalation schedule, clamps sleeps to the time
-// remaining, and polls the budget — deadline and done channel — before
-// pausing: on every step once the episode has escalated past hot
-// spinning, and only at stride boundaries while still spinning hot, so
-// bounded waiting stays off the fast path's critical cycle count. Each
-// call reports one transition to the attached sink, like Pause.
+// remaining, and checks the deadline before pausing: on every step
+// once the episode has escalated past hot spinning, and only at stride
+// boundaries while still spinning hot, so bounded waiting stays off
+// the fast path's critical cycle count. Each call reports one
+// transition to the attached sink, like Pause.
 //
-// The deadline is an absolute instant on the waiter's clock (see
-// clock.Deadline for mapping a context's wall deadline); zero means no
-// time bound. A nil done means no cancellation channel. PauseBounded
-// reports false once the budget is exhausted — before pausing when the
-// bound is already spent, or mid-park when done fires during a sleep —
-// and the caller must then begin abandonment. It never reports false
-// when both bounds are absent.
-func (w *Waiter) PauseBounded(deadline time.Duration, done <-chan struct{}) bool {
+// The deadline is an absolute instant on the waiter's clock; zero
+// means no time bound. PauseBounded reports false, without pausing,
+// once the deadline has passed, and the caller must then begin
+// abandonment. It never reports false with no deadline.
+func (w *Waiter) PauseBounded(deadline time.Duration) bool {
 	w.n++
 	d, yield := w.plan()
 	if d > 0 || yield || w.n%deadlineStride == 0 {
-		if done != nil {
-			select {
-			case <-done:
-				return false
-			default:
-			}
-		}
 		if deadline != 0 {
 			rem := deadline - clock.Or(w.clk).Now()
 			if rem <= 0 {
@@ -223,9 +213,7 @@ func (w *Waiter) PauseBounded(deadline time.Duration, done <-chan struct{}) bool
 		if w.sink != nil {
 			w.sink.CountPark()
 		}
-		if !clock.Or(w.clk).ParkFor(d, done) {
-			return false
-		}
+		clock.Or(w.clk).Sleep(d)
 	case yield:
 		if w.sink != nil {
 			w.sink.CountYield()

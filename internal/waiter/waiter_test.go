@@ -214,8 +214,8 @@ func TestGlobalSinkPickup(t *testing.T) {
 func TestPauseBoundedUnbounded(t *testing.T) {
 	w := New(PolicyAdaptive)
 	for i := 0; i < 500; i++ {
-		if !w.PauseBounded(0, nil) {
-			t.Fatal("PauseBounded with no bounds reported exhaustion")
+		if !w.PauseBounded(0) {
+			t.Fatal("PauseBounded with no deadline reported exhaustion")
 		}
 	}
 }
@@ -228,7 +228,7 @@ func TestPauseBoundedDeadline(t *testing.T) {
 	w := New(PolicyAdaptive)
 	expired := clock.Wall.Now() - time.Millisecond
 	for i := 0; i < deadlineStride+1; i++ {
-		if !w.PauseBounded(expired, nil) {
+		if !w.PauseBounded(expired) {
 			if i == 0 {
 				t.Log("expired deadline detected on first pause")
 			}
@@ -242,30 +242,13 @@ detected:
 	const budget = 50 * time.Millisecond
 	deadline := clock.Wall.Now() + budget
 	start := time.Now()
-	for w.PauseBounded(deadline, nil) {
+	for w.PauseBounded(deadline) {
 		if time.Since(start) > 10*budget {
 			t.Fatal("deadline overshot by 10x")
 		}
 	}
 	if el := time.Since(start); el > 3*budget {
 		t.Fatalf("deadline %v detected after %v", budget, el)
-	}
-}
-
-// Closing the done channel must terminate the episode even with no
-// deadline set.
-func TestPauseBoundedDoneChannel(t *testing.T) {
-	w := New(PolicyAdaptive)
-	done := make(chan struct{})
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		close(done)
-	}()
-	start := time.Now()
-	for w.PauseBounded(0, done) {
-		if time.Since(start) > 10*time.Second {
-			t.Fatal("done-channel close never detected")
-		}
 	}
 }
 
@@ -281,7 +264,7 @@ func TestPauseBoundedClampsSleep(t *testing.T) {
 	const budget = 5 * time.Millisecond
 	deadline := clock.Wall.Now() + budget
 	start := time.Now()
-	for w.PauseBounded(deadline, nil) {
+	for w.PauseBounded(deadline) {
 	}
 	if el := time.Since(start); el > 20*budget {
 		t.Fatalf("escalated waiter overshot %v deadline by %v", budget, el)
