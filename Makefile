@@ -25,7 +25,9 @@
 #                      TryLock holder, a handoff holder and a buried
 #                      waiter), then a seeded fault-injected torture run
 #                      over every lock variant with the stall watchdog
-#                      armed
+#                      armed; it fails if a lock offers a vetoed surface
+#                      (TryLock, LockFor, ReadValidate) whose veto point
+#                      no call drew
 #   make conformance — cross-track tier: the full property suite and the
 #                      100-schedule sim/real differential checker over
 #                      every catalog lock (cmd/conformance)

@@ -10,9 +10,13 @@
 // With -chaos, the internal/chaos fault-injection layer is armed with
 // the run seed: deterministic delays, forced preemptions at
 // linearization points, spurious futex wakeups, and probabilistic
-// TryLock failures. With -stall-timeout > 0, a watchdog aborts the run
-// (dumping the seed, chaos report, telemetry, and all goroutine
-// stacks) if no worker completes an episode within the window.
+// TryLock failures. The run then exits 1 if a veto point of a surface
+// some lock offers (TryLock, LockFor, ReadValidate) was never drawn,
+// so a lane that stops calling a vetoed surface fails instead of
+// silently leaving it untested. With -stall-timeout > 0, a watchdog
+// aborts the run (dumping the seed, chaos report, telemetry, and all
+// goroutine stacks) if no worker completes an episode within the
+// window.
 //
 // Usage:
 //
@@ -25,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,7 +89,7 @@ func main() {
 
 	per := *duration / time.Duration(len(lfs))
 	telemetry := make(map[string]lockstat.Snapshot)
-	var order []string
+	var order, vetoPoints []string
 	for _, lf := range lfs {
 		fmt.Printf("%-12s ", lf.Name)
 		var st *lockstat.Stats
@@ -95,15 +100,16 @@ func main() {
 			st = lockstat.New()
 			lockstat.InstallWaiterSink(st)
 		}
-		ops, acquires, abandons, reads := torture(lf, per, *workers, *tableSize, st, *stallTimeout, *chaosOn)
+		out := torture(lf, per, *workers, *tableSize, st, *stallTimeout, *chaosOn)
 		if st != nil {
 			lockstat.InstallWaiterSink(nil)
 			telemetry[lf.Name] = st.Snapshot()
 			order = append(order, lf.Name)
 		}
-		line := fmt.Sprintf("ok: %d multi-lock ops, %d acquisitions, %d abandons", ops, acquires, abandons)
-		if reads > 0 {
-			line += fmt.Sprintf(", %d shared reads", reads)
+		vetoPoints = append(vetoPoints, out.vetoPoints...)
+		line := fmt.Sprintf("ok: %d multi-lock ops, %d acquisitions, %d abandons", out.ops, out.acquires, out.abandons)
+		if out.reads > 0 {
+			line += fmt.Sprintf(", %d shared reads", out.reads)
 		}
 		fmt.Println(line)
 	}
@@ -115,7 +121,45 @@ func main() {
 	if *chaosOn {
 		fmt.Println()
 		printChaosReport(os.Stdout)
+		if missed := undrawn(vetoPoints); len(missed) > 0 {
+			fmt.Fprintf(os.Stderr, "torture: (seed %d) no call drew the veto of an offered surface: %s\n",
+				runSeed, strings.Join(missed, ", "))
+			os.Exit(1)
+		}
 	}
+}
+
+// vetoPointsOf names the chaos veto points of the vetoed surfaces mu
+// offers, when built with registry.WithChaosVeto(point): none without
+// a TryLock doorway, else .trylock, .lockfor when mu bounds, and
+// .validate when it offers the optimistic read.
+func vetoPointsOf(point string, mu sync.Locker) []string {
+	if _, ok := mu.(bounded.TryLocker); !ok {
+		return nil
+	}
+	pts := []string{point + ".trylock"}
+	if _, ok := mu.(bounded.Locker); ok {
+		pts = append(pts, point+".lockfor")
+	}
+	if _, ok := mu.(rwlock.OptimisticLocker); ok {
+		pts = append(pts, point+".validate")
+	}
+	return pts
+}
+
+// undrawn returns the points among names that recorded no call.
+func undrawn(names []string) []string {
+	calls := map[string]uint64{}
+	for _, ps := range chaos.Report() {
+		calls[ps.Name] = ps.Calls
+	}
+	var missed []string
+	for _, n := range names {
+		if calls[n] == 0 {
+			missed = append(missed, n)
+		}
+	}
+	return missed
 }
 
 // printChaosReport renders the accumulated injection counters, one row
@@ -202,14 +246,23 @@ func watchdog(name string, heartbeat *atomic.Uint64, window time.Duration, st *l
 	}
 }
 
-func torture(lf registry.Entry, d time.Duration, workers, tableSize int, st *lockstat.Stats, stallTimeout time.Duration, chaosOn bool) (uint64, uint64, uint64, uint64) {
+// outcome is one lock type's torture totals, and the veto points of
+// the surfaces its locks offer when chaos is armed.
+type outcome struct {
+	ops, acquires, abandons, reads uint64
+	vetoPoints                     []string
+}
+
+func torture(lf registry.Entry, d time.Duration, workers, tableSize int, st *lockstat.Stats, stallTimeout time.Duration, chaosOn bool) outcome {
 	// The lock table is built through the registry's decorator: a
-	// chaos veto when fault injection is armed (spurious TryLock/LockFor
-	// failures, uniform across lock types), bounded acquisition for
-	// every boundable entry, telemetry when -lockstat is on.
+	// chaos veto when fault injection is armed (spurious TryLock,
+	// LockFor and ReadValidate failures, uniform across lock types),
+	// bounded acquisition for every boundable entry, telemetry when
+	// -lockstat is on.
 	var opts []registry.Option
+	vetoPoint := "registry.veto." + lf.Name
 	if chaosOn {
-		opts = append(opts, registry.WithChaosVeto(""))
+		opts = append(opts, registry.WithChaosVeto(vetoPoint))
 	}
 	if lf.Boundable() {
 		opts = append(opts, registry.WithBounded())
@@ -336,7 +389,10 @@ func torture(lf registry.Entry, d time.Duration, workers, tableSize int, st *loc
 	// shared readers must never overlap a writer's critical section
 	// (inside != 0), and the guarded counter must hold still under a
 	// held read lock; for optimistic-only locks, a validated optimistic
-	// section must not have overlapped a writer.
+	// section must not have overlapped a writer. Optimistic reads
+	// alternate between OptimisticRead and a manual ReadBegin →
+	// load → ReadValidate section, which is the surface the veto
+	// fails; a section that does not validate is discarded.
 	reader := func(seed uint64) {
 		defer wg.Done()
 		rng := xrand.NewXorShift64(seed)
@@ -358,8 +414,15 @@ func torture(lf registry.Entry, d time.Duration, workers, tableSize int, st *loc
 				g.rw.RUnlock()
 			} else {
 				var snap int32
-				g.opt.OptimisticRead(func() { snap = atomic.LoadInt32(&g.inside) })
-				if snap != 0 {
+				validated := true
+				if reads%2 == 0 {
+					g.opt.OptimisticRead(func() { snap = atomic.LoadInt32(&g.inside) })
+				} else {
+					stamp := g.opt.ReadBegin()
+					snap = atomic.LoadInt32(&g.inside)
+					validated = g.opt.ReadValidate(stamp)
+				}
+				if validated && snap != 0 {
 					violation("%s: validated optimistic section overlapped a writer", lf.Name)
 				}
 			}
@@ -416,5 +479,9 @@ func torture(lf registry.Entry, d time.Duration, workers, tableSize int, st *loc
 	if got != expected.Load() {
 		violation("%s: lost updates: counted %d, expected %d", lf.Name, got, expected.Load())
 	}
-	return totalOps.Load(), totalAcq.Load(), totalAbandon.Load(), totalReads.Load()
+	out := outcome{ops: totalOps.Load(), acquires: totalAcq.Load(), abandons: totalAbandon.Load(), reads: totalReads.Load()}
+	if chaosOn {
+		out.vetoPoints = vetoPointsOf(vetoPoint, locks[0].mu)
+	}
+	return out
 }

@@ -30,9 +30,11 @@
 // tombstones included, so a Get hashes its key once and searches only
 // the sources that may hold it. Deletion uses tombstones. A run is
 // pointer-free — key and value byte arenas addressed by offset arrays
-// — and Get binary-searches it over one machine word of key per entry
-// (run.go), so the search outside the lock costs cache misses in a
-// few flat arrays rather than two pointer chases per probe.
+// — and Get searches it over one machine word of key per entry
+// (run.go): a binary search of the run's fence, every 8th word, small
+// enough to stay in cache, picks the one 64-byte line of words that
+// can hold the key, so the search outside the lock costs one index
+// miss and the key's own bytes rather than a miss per probe.
 //
 // Freezes and compactions run under the write lock, so their cost is
 // critical-section length. A freeze sizes its run from totals the

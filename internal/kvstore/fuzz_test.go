@@ -301,6 +301,17 @@ func FuzzRunSearch(f *testing.F) {
 	f.Add(runKeys(false, "ab\x00", "ac\x00"), []byte("ab"))
 	f.Add(runKeys(false, "one"), []byte("one"))
 	f.Add(runKeys(true, "gone", "too"), []byte("gone"))
+	// A tie range across more than three fence blocks: the 40 middle
+	// keys share the 8 bytes after the common prefix, so every fence
+	// word but the first ties. Probe each block's first and last key
+	// and the gap after each block.
+	tied := fenceTieKeys(40)
+	for b := 0; b < len(tied); b += fenceStride {
+		last := tied[min(b+fenceStride, len(tied))-1]
+		f.Add(runKeys(false, tied...), []byte(tied[b]))
+		f.Add(runKeys(false, tied...), []byte(last))
+		f.Add(runKeys(false, tied...), []byte(last+"5"))
+	}
 	f.Fuzz(func(t *testing.T, enc, probe []byte) {
 		sl := NewSkipList()
 		tombs := map[string]bool{}
@@ -341,7 +352,7 @@ func FuzzRunSearch(f *testing.F) {
 				}
 			}
 			for _, p := range probes {
-				want := sort.Search(len(keys), func(i int) bool { return bytes.Compare([]byte(keys[i]), p) >= 0 })
+				want := searchRef(keys, p)
 				if got, _ := r.search(p); got != want {
 					t.Fatalf("%s run search(%q) = %d, want %d over %q", name, p, got, want, keys)
 				}
@@ -362,6 +373,80 @@ func FuzzRunSearch(f *testing.F) {
 		check("frozen", r, all)
 		check("merged", mergeRuns([]*Run{r}), live)
 	})
+}
+
+// searchRef is the reference for Run.search: the index of the first
+// of the sorted keys at or above p.
+func searchRef(keys []string, p []byte) int {
+	return sort.Search(len(keys), func(i int) bool { return bytes.Compare([]byte(keys[i]), p) >= 0 })
+}
+
+// fenceTieKeys returns "a", then n keys "b01234567" + a two-digit
+// suffix, then "c": the common prefix is empty, so the middle keys'
+// search words all tie.
+func fenceTieKeys(n int) []string {
+	keys := []string{"a"}
+	for i := 0; i < n; i++ {
+		keys = append(keys, fmt.Sprintf("b01234567%02d", i))
+	}
+	return append(keys, "c")
+}
+
+// TestRunSearchEverySize holds search to searchRef for every run size
+// from empty to three fence blocks and one entry, over three key
+// families: distinct search words, groups of five tied words that
+// straddle fence blocks, and one tie range with a distinct key at
+// each end. Each key is probed as it is, with a zero byte appended
+// and with its last byte dropped; a probe equal to a key must report
+// a word tie, since Get compares keys only then.
+func TestRunSearchEverySize(t *testing.T) {
+	families := map[string]func(n int) []string{
+		"distinct": func(n int) []string {
+			keys := make([]string, n)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("%03d", 2*i+1)
+			}
+			return keys
+		},
+		"tie-groups": func(n int) []string {
+			keys := make([]string, n)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("%c01234567%02d", 'a'+i/5, i)
+			}
+			return keys
+		},
+		"tie-range": func(n int) []string {
+			if n < 2 {
+				return []string{"a"}[:n]
+			}
+			return fenceTieKeys(n - 2)
+		},
+	}
+	for name, keysOf := range families {
+		for n := 0; n <= 3*fenceStride+1; n++ {
+			keys := keysOf(n)
+			es := make([]entry, len(keys))
+			probes := [][]byte{nil}
+			for i, k := range keys {
+				es[i] = entry{k: []byte(k), v: []byte("v")}
+				probes = append(probes, []byte(k), []byte(k+"\x00"))
+				if k != "" {
+					probes = append(probes, []byte(k[:len(k)-1]))
+				}
+			}
+			r := runOf(es, false)
+			for _, p := range probes {
+				want := searchRef(keys, p)
+				got, tie := r.search(p)
+				if got != want {
+					t.Fatalf("%s, %d keys: search(%q) = %d, want %d over %q", name, n, p, got, want, keys)
+				}
+				if want < n && keys[want] == string(p) && !tie {
+					t.Fatalf("%s, %d keys: search(%q) found the key without a word tie", name, n, p)
+				}
+			}
+		}
+	}
 }
 
 // runsOf joins runKeys encodings into FuzzMergeRuns input, one per
@@ -404,7 +489,7 @@ func runOf(entries []entry, tombs bool) *Run {
 			r.tombs = append(r.tombs, e.tomb)
 		}
 	}
-	r.fillFilter()
+	r.seal()
 	return r
 }
 

@@ -336,7 +336,7 @@ func coldRuns(small int) ([]*Run, int) {
 		k = coldKey(k, uint64(i))
 		out.add(k, val)
 	}
-	out.fillFilter()
+	out.seal()
 	return append(runs, out), big
 }
 

@@ -16,18 +16,24 @@ import (
 // handful of heap objects whatever its entry count, and the garbage
 // collector never scans its contents.
 //
-// Binary search runs over index, one machine word per entry: the 8 key
-// bytes after the run's common prefix (the longest common prefix of
-// the first and last key, so of every key), big-endian and zero
-// padded. Zero padding keeps word order consistent with key order (a
-// smaller word means a smaller key), so a probe touches the key arena
-// only to check the common prefix and for entries whose word ties its
-// own.
+// Search runs over index, one machine word per entry: the 8 key bytes
+// after the run's common prefix (the longest common prefix of the
+// first and last key, so of every key), big-endian and zero padded.
+// Zero padding keeps word order consistent with key order (a smaller
+// word means a smaller key), so a probe touches the key arena only to
+// check the common prefix and for entries whose word ties its own.
+//
+// A fence over the index holds the word of every fenceStride-th (8th)
+// entry: one word per 64-byte index line, 1/8 of the index, small
+// enough to stay in L2 where the index does not. A search
+// binary-searches the fence for the blocks of fenceStride entries that
+// can hold its answer, and bisects the index only inside them: one
+// index line unless the probe's word ties a fence word.
 //
 // Each run carries a Bloom filter of its keys at runBitsPerKey bits
 // per key, tombstones included, so a Get skips a run that cannot hold
-// its key without searching it; the filter is complete before the run
-// is published.
+// its key without searching it. The filter and the fence are complete
+// before the run is published.
 type Run struct {
 	keys   []byte   // key arena; key i is keys[koff[i]:koff[i+1]]
 	koff   []uint32 // len(index)+1 offsets into keys
@@ -35,9 +41,14 @@ type Run struct {
 	voff   []uint32 // len(index)+1 offsets into vals
 	tombs  []bool   // tombs[i] marks entry i a deletion tombstone
 	index  []uint64 // search words, one per entry
+	fence  []uint64 // fence[a] is index[a*fenceStride]
 	plen   int      // common prefix length; the prefix is keys[:plen]
 	filter bloom    // every key, tombstones included
 }
+
+// fenceStride is the number of index entries per fence word: 8 words
+// fill one 64-byte cache line.
+const fenceStride = 8
 
 // runBuilder sizes a run before any entry is copied: its entry count,
 // arena sizes and first and last keys, so every slice is made once at
@@ -87,7 +98,7 @@ func buildRun(sl *SkipList) *Run {
 		r.tombs = append(r.tombs, tomb)
 		return true
 	})
-	r.fillFilter()
+	r.seal()
 	return r
 }
 
@@ -111,7 +122,7 @@ func mergeRuns(runs []*Run) *Run {
 	})
 	out := b.alloc(false)
 	m.stretches(out.copyStretch)
-	out.fillFilter()
+	out.seal()
 	return out
 }
 
@@ -201,14 +212,19 @@ func shifted(dst, src []uint32, d uint32) []uint32 {
 	return dst
 }
 
-// fillFilter builds the run's filter from its key arena, in a pass of
-// its own after the entries are in place: a tight loop overlaps the
-// filter's cache misses, where an add per entry would stall on each
-// one between two merge steps.
-func (r *Run) fillFilter() {
-	r.filter = newBloom(len(r.index) * runBitsPerKey)
+// seal builds the run's filter from its key arena and its fence from
+// its index, in a pass of their own after the entries are in place: a
+// tight loop overlaps the filter's cache misses, where an add per
+// entry would stall on each one between two merge steps.
+func (r *Run) seal() {
+	n := len(r.index)
+	r.filter = newBloom(n * runBitsPerKey)
 	for i := range r.index {
 		r.filter.add(newProbe(r.key(i)))
+	}
+	r.fence = make([]uint64, 0, (n+fenceStride-1)/fenceStride)
+	for i := 0; i < n; i += fenceStride {
+		r.fence = append(r.fence, r.index[i])
 	}
 }
 
@@ -270,8 +286,40 @@ func (r *Run) search(k []byte) (int, bool) {
 	}
 	rest := k[r.plen:]
 	w := word(rest)
-	lo := r.bisect(0, n, rest, w)
+	lo, hi := r.blocks(w)
+	lo = r.bisect(lo, hi, rest, w)
 	return lo, lo < n && r.index[lo] == w
+}
+
+// blocks returns the index range [lo, hi) that the fence leaves for a
+// probe with search word w: every entry before lo is below the probe
+// and entry hi, if any, is not. With a the first fence word at least w,
+// block a-1 starts below w, so lo is its start; with b the first fence
+// word above w, hi is block b's start. Unless w ties a fence word, b
+// is a and the range is the one block a-1; a tie range needs a second
+// binary search for b.
+func (r *Run) blocks(w uint64) (lo, hi int) {
+	f := r.fence
+	a, b := 0, len(f)
+	for a < b {
+		h := int(uint(a+b) >> 1)
+		if f[h] < w {
+			a = h + 1
+		} else {
+			b = h
+		}
+	}
+	if b < len(f) && f[b] == w {
+		for c := len(f); b < c; {
+			h := int(uint(b+c) >> 1)
+			if f[h] <= w {
+				b = h + 1
+			} else {
+				c = h
+			}
+		}
+	}
+	return max(a-1, 0) * fenceStride, min(b*fenceStride, len(r.index))
 }
 
 // gallop returns the index of the first key >= k at or after i: it
@@ -325,7 +373,7 @@ func (r *Run) restBelow(h int, rest []byte) bool {
 	return bytes.Compare(r.key(h)[r.plen:], rest) < 0
 }
 
-// Get binary-searches the run. found reports an entry for key, and
+// Get searches the run. found reports an entry for key, and
 // tomb that the entry is a tombstone; val aliases the run, capped.
 func (r *Run) Get(key []byte) (val []byte, found, tomb bool) {
 	if i, tie := r.search(key); tie && bytes.Equal(r.key(i), key) {

@@ -55,22 +55,23 @@ func (c *counter) inc()         { c.v.Add(1) }
 // Stats accumulates telemetry for one lock (or one group of locks
 // sharing a sink). The zero value is ready to use. All methods are
 // safe for concurrent use.
+//
+// What a histogram already counts has no counter of its own: the
+// acquire histogram counts acquisitions, the hold histogram unlocks,
+// and the read histogram RLocks plus optimistic reads (see Snapshot).
 type Stats struct {
-	acquisitions counter // total successful acquisitions (Lock + successful TryLock)
-	contended    counter // acquisitions that observed a holder or measurable wait
-	handovers    counter // unlocks performed while at least one waiter was queued
-	unlocks      counter // total unlocks
-	tryFails     counter // failed TryLock attempts
-	abandons     counter // bounded acquisitions abandoned (deadline passed)
-	spins        counter // hot spin iterations (waiter policy layer)
-	yields       counter // scheduler yields (waiter policy layer)
-	parks        counter // blocking waits: policy sleeps + futex parks
-	rlocks       counter // shared-read acquisitions (RLock)
-	optReads     counter // completed optimistic read sections (OptimisticRead)
-	optRetries   counter // optimistic validations that failed (manual or in-section)
+	contended  counter // acquisitions that observed a holder or measurable wait
+	handovers  counter // unlocks performed while at least one waiter was queued
+	tryFails   counter // failed TryLock attempts
+	abandons   counter // bounded acquisitions abandoned (deadline passed)
+	spins      counter // hot spin iterations (waiter policy layer)
+	yields     counter // scheduler yields (waiter policy layer)
+	parks      counter // blocking waits: policy sleeps + futex parks
+	optReads   counter // completed optimistic read sections (OptimisticRead)
+	optRetries counter // optimistic validations that failed (manual or in-section)
 
-	acquire Hist // acquire latency, ns
-	hold    Hist // hold time (Lock return to Unlock entry), ns
+	acquire Hist // acquire latency, ns: one per successful acquisition (Lock, TryLock, LockFor)
+	hold    Hist // hold time (Lock return to Unlock entry), ns: one per unlock
 	readAcq Hist // read-path latency (RLock acquire / OptimisticRead total), ns
 }
 
@@ -88,7 +89,6 @@ func (s *Stats) CountPark() { s.parks.inc() }
 
 // RecordAcquire records one successful acquisition with its latency.
 func (s *Stats) RecordAcquire(contended bool, d time.Duration) {
-	s.acquisitions.inc()
 	if contended {
 		s.contended.inc()
 	}
@@ -98,7 +98,6 @@ func (s *Stats) RecordAcquire(contended bool, d time.Duration) {
 // RecordRelease records one unlock with the episode's hold time;
 // handover reports whether a waiter was queued at release time.
 func (s *Stats) RecordRelease(handover bool, held time.Duration) {
-	s.unlocks.inc()
 	if handover {
 		s.handovers.inc()
 	}
@@ -114,20 +113,19 @@ func (s *Stats) RecordTryFail() { s.tryFails.inc() }
 func (s *Stats) RecordAbandon() { s.abandons.inc() }
 
 // RecordRLock records one shared-read acquisition with its latency.
-func (s *Stats) RecordRLock(d time.Duration) {
-	s.rlocks.inc()
-	s.readAcq.Observe(d.Nanoseconds())
-}
+func (s *Stats) RecordRLock(d time.Duration) { s.readAcq.Observe(d.Nanoseconds()) }
 
 // RecordOptimisticRead records one completed optimistic read section:
 // its end-to-end latency and how many validation failures (retries) it
-// absorbed before succeeding.
+// absorbed before succeeding. The section is observed before it is
+// counted, so a Snapshot, which loads the count first, never sees more
+// optimistic reads than read-histogram entries.
 func (s *Stats) RecordOptimisticRead(retries uint64, d time.Duration) {
-	s.optReads.inc()
+	s.readAcq.Observe(d.Nanoseconds())
 	if retries > 0 {
 		s.optRetries.add(retries)
 	}
-	s.readAcq.Observe(d.Nanoseconds())
+	s.optReads.inc()
 }
 
 // RecordOptRetry records one failed optimistic validation observed on
@@ -138,24 +136,29 @@ func (s *Stats) RecordOptRetry() { s.optRetries.inc() }
 // reporting. Individual counters are loaded independently; between
 // loads other goroutines may progress, so cross-counter invariants
 // (acquisitions == unlocks) hold exactly only at quiescence.
+// Acquisitions, Unlocks and RLocks are derived from the histograms:
+// the acquire count, the hold count, and the read count less the
+// optimistic reads.
 func (s *Stats) Snapshot() Snapshot {
-	return Snapshot{
-		Acquisitions: s.acquisitions.load(),
-		Contended:    s.contended.load(),
-		Handovers:    s.handovers.load(),
-		Unlocks:      s.unlocks.load(),
-		TryFails:     s.tryFails.load(),
-		Abandons:     s.abandons.load(),
-		Spins:        s.spins.load(),
-		Yields:       s.yields.load(),
-		Parks:        s.parks.load(),
-		RLocks:       s.rlocks.load(),
-		OptReads:     s.optReads.load(),
-		OptRetries:   s.optRetries.load(),
-		Acquire:      s.acquire.Snapshot(),
-		Hold:         s.hold.Snapshot(),
-		ReadAcq:      s.readAcq.Snapshot(),
+	optReads := s.optReads.load()
+	snap := Snapshot{
+		Contended:  s.contended.load(),
+		Handovers:  s.handovers.load(),
+		TryFails:   s.tryFails.load(),
+		Abandons:   s.abandons.load(),
+		Spins:      s.spins.load(),
+		Yields:     s.yields.load(),
+		Parks:      s.parks.load(),
+		OptReads:   optReads,
+		OptRetries: s.optRetries.load(),
+		Acquire:    s.acquire.Snapshot(),
+		Hold:       s.hold.Snapshot(),
+		ReadAcq:    s.readAcq.Snapshot(),
 	}
+	snap.Acquisitions = snap.Acquire.Count()
+	snap.Unlocks = snap.Hold.Count()
+	snap.RLocks = snap.ReadAcq.Count() - optReads
+	return snap
 }
 
 // Snapshot is a plain-value copy of a Stats, JSON-serializable for the

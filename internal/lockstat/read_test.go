@@ -85,3 +85,45 @@ func TestInstrumentedNilStatsReadPath(t *testing.T) {
 		t.Fatalf("nil-Stats OptimisticRead allocates %.1f/op, want 0", n)
 	}
 }
+
+// Acquisitions, Unlocks and RLocks are read off the histograms, so a
+// known sequence over one Stats shared by a shared-read lock and an
+// optimistic one must come back exactly: n Lock/Unlock pairs and m
+// successful TryLocks are n+m acquisitions and unlocks, a failed
+// TryLock is neither, and k RLocks and j optimistic reads fill the
+// read histogram without crossing over.
+func TestSnapshotDerivedCounts(t *testing.T) {
+	const n, m, k, j = 5, 3, 4, 2
+	s := New()
+	rw := Wrap(rwlock.NewRW(&sync.Mutex{}, nil), s).(interface {
+		rwlock.RWLocker
+		TryLock() bool
+	})
+	seq := Wrap(rwlock.NewSeqlock(&sync.Mutex{}, nil), s).(rwlock.OptimisticLocker)
+	for x := 0; x < n; x++ {
+		rw.Lock()
+		rw.Unlock()
+	}
+	for x := 0; x < m; x++ {
+		if !rw.TryLock() {
+			t.Fatal("TryLock failed on a free lock")
+		}
+		if x == 0 && rw.TryLock() {
+			t.Fatal("TryLock succeeded on a held lock")
+		}
+		rw.Unlock()
+	}
+	for x := 0; x < k; x++ {
+		rw.RLock()
+		rw.RUnlock()
+	}
+	for x := 0; x < j; x++ {
+		seq.OptimisticRead(func() {})
+	}
+	snap := s.Snapshot()
+	got := [...]uint64{snap.Acquisitions, snap.Unlocks, snap.TryFails, snap.RLocks, snap.OptReads}
+	want := [...]uint64{n + m, n + m, 1, k, j}
+	if got != want {
+		t.Fatalf("acquisitions, unlocks, try-fails, rlocks, optimistic reads = %v, want %v", got, want)
+	}
+}
