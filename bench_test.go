@@ -24,7 +24,6 @@ import (
 	"repro/internal/mutexbench"
 	"repro/internal/registry"
 	"repro/internal/simlocks"
-	"repro/internal/waiter"
 )
 
 // contend runs b.N critical sections spread across g goroutines over
@@ -268,26 +267,6 @@ func BenchmarkAblationDoubleSwap(b *testing.B) {
 			l.Unlock()
 		}
 	})
-}
-
-// BenchmarkAblationWaitPolicy: spin vs yield vs adaptive waiting under
-// contention (GOMAXPROCS matters; see EXPERIMENTS.md).
-func BenchmarkAblationWaitPolicy(b *testing.B) {
-	policies := []struct {
-		name string
-		p    waiter.Policy
-	}{
-		{"adaptive", waiter.PolicyAdaptive},
-		{"spin", waiter.PolicySpin},
-		{"yield", waiter.PolicyYield},
-		{"backoff(dead-time)", waiter.PolicyBackoff},
-	}
-	for _, pol := range policies {
-		pol := pol
-		b.Run(pol.name, func(b *testing.B) {
-			contend(b, &core.Lock{Policy: pol.p}, 4)
-		})
-	}
 }
 
 // BenchmarkAblationHandleReuse: the pool-backed Lock/Unlock interface

@@ -14,7 +14,7 @@ func TestUnknownStemExitsTwo(t *testing.T) {
 		t.Fatalf("exit = %d, want 2; stderr: %s", code, errb.String())
 	}
 	msg := errb.String()
-	for _, s := range []string{`"table9"`, "table1", "fig1_sim_arm", "mitigation", "uncontended"} {
+	for _, s := range []string{`"table9"`, "table1", "fig1_sim_arm", "fairness", "uncontended"} {
 		if !strings.Contains(msg, s) {
 			t.Fatalf("stderr should name %s: %s", s, msg)
 		}

@@ -58,6 +58,7 @@ func main() {
 
 	fmt.Println("\nThe paper's §9.2 bound: lock-induced long-term disparity is at")
 	fmt.Println("most 2x for the plain lock; the mitigations push Jain's index")
-	fmt.Println("toward 1.0. (Under a 1-CPU Go scheduler, observed disparity also")
-	fmt.Println("reflects scheduling; see EXPERIMENTS.md for the simulator view.)")
+	fmt.Println("toward 1.0. (Observed disparity also reflects the Go scheduler,")
+	fmt.Println("more so with fewer CPUs than workers; see EXPERIMENTS.md for the")
+	fmt.Println("simulator view.)")
 }

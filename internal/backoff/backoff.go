@@ -6,8 +6,9 @@
 // bounded.PollFor, the TryLock-polling fallback of the bounded
 // acquisition contract, uses it for its sleep schedule once an episode
 // escalates past hot spinning; the OCC read path and the virtual-time
-// conformance schedules (conformance.VTimeTrace) retry under it, and
-// waiter.PolicyBackoff follows its jitter-free Exp schedule.
+// conformance schedules (conformance.VTimeTrace) retry under it. A
+// queued waiter never sleeps on it: every lock's busy-wait loop uses
+// internal/waiter's one spin → yield → sleep escalation.
 //
 // The package computes durations only — it never sleeps — so the same
 // policy drives real time.Sleep retries and retries on a virtual
@@ -48,22 +49,6 @@ type Policy struct {
 	Base time.Duration
 	// Cap bounds every delay.
 	Cap time.Duration
-}
-
-// Exp returns the capped exponential (jitter-free) delay for attempt n
-// (n ≥ 0): min(Cap, Base·2ⁿ). This is the deterministic schedule
-// waiter.PolicyBackoff follows; it is exposed here so the two packages
-// share one tested implementation of the capped-doubling math.
-func (p Policy) Exp(n int) time.Duration {
-	if n < 0 {
-		n = 0
-	}
-	// Beyond 62 doublings any Base ≥ 1ns has saturated the cap; clamp
-	// before shifting to avoid overflow.
-	if n > 62 || p.Base<<uint(n) <= 0 || p.Base<<uint(n) > p.Cap {
-		return p.Cap
-	}
-	return p.Base << uint(n)
 }
 
 // Backoff is one seeded retry sequence. Not safe for concurrent use;

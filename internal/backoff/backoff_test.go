@@ -75,25 +75,3 @@ func TestReset(t *testing.T) {
 		t.Fatalf("first delay after Reset = %v, want Base %v", d, b.p.Base)
 	}
 }
-
-// TestExp pins the capped-doubling schedule shared with
-// waiter.PolicyBackoff.
-func TestExp(t *testing.T) {
-	p := Policy{Base: time.Microsecond, Cap: 256 * time.Microsecond}
-	for n, want := range []time.Duration{
-		1 * time.Microsecond, 2 * time.Microsecond, 4 * time.Microsecond,
-		8 * time.Microsecond, 16 * time.Microsecond, 32 * time.Microsecond,
-		64 * time.Microsecond, 128 * time.Microsecond, 256 * time.Microsecond,
-		256 * time.Microsecond, // capped
-	} {
-		if got := p.Exp(n); got != want {
-			t.Fatalf("Exp(%d) = %v, want %v", n, got, want)
-		}
-	}
-	if got := p.Exp(-1); got != p.Base {
-		t.Fatalf("Exp(-1) = %v, want Base", got)
-	}
-	if got := p.Exp(200); got != p.Cap {
-		t.Fatalf("Exp(200) = %v, want Cap", got)
-	}
-}

@@ -67,8 +67,8 @@ func PollFor(try func() bool, c clock.Clock, d time.Duration) bool {
 
 // pollSpinBudget is how many waiter pauses a polling episode spends in
 // its hot phase (spins and yields) before escalating to jittered
-// sleeps — the same escalation point as waiter.PolicyAdaptive's
-// spin+yield budgets.
+// sleeps — the same escalation point as the waiter's spin+yield
+// budgets.
 const pollSpinBudget = 96
 
 // pollDefaults is the sleep schedule for escalated polling episodes:
@@ -81,12 +81,12 @@ var pollDefaults = backoff.Policy{Base: 20 * time.Microsecond, Cap: time.Millise
 var pollSeq atomic.Uint64
 
 // poll is the shared retry loop: a short hot phase driven by the
-// adaptive waiter policy, then capped decorrelated-jitter sleeps from
+// waiter's escalation, then capped decorrelated-jitter sleeps from
 // the shared backoff package, which desynchronizes competing pollers
 // instead of letting them re-collide on a fixed schedule. The deadline
 // is an absolute instant on c.
 func poll(try func() bool, c clock.Clock, deadline time.Duration) bool {
-	w := waiter.NewClocked(waiter.PolicyAdaptive, c)
+	w := waiter.New(c)
 	c = clock.Or(c)
 	var bo *backoff.Backoff
 	for {

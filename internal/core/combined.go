@@ -56,7 +56,7 @@ func (l *CombinedLock) Acquire(e *flagElement) *flagElement {
 	if tail != nemo() {
 		succ = tail
 	}
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+	w := waiter.New(l.Clk)
 	for e.gate.Load() == 0 {
 		w.Pause()
 	}

@@ -58,7 +58,7 @@ func (l *CTRLock) Acquire(e *WaitElement) Token {
 		}
 		// Wait politely, then consume the grant with an exchange so
 		// the Gate line retires Modified in our cache.
-		w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+		w := waiter.New(l.Clk)
 		for {
 			if e.gate.Load() != nil {
 				eos = e.gate.Swap(nil)

@@ -97,7 +97,7 @@ func (l *FairLock) Acquire(e *WaitElement) fairToken {
 	}
 
 	deferred := false
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+	w := waiter.New(l.Clk)
 	for {
 		// Waiting phase.
 		for {

@@ -64,7 +64,7 @@ func (l *FetchAddLock) Acquire(e *taggedElement) *taggedElement {
 }
 
 func (l *FetchAddLock) waitGate(e *taggedElement) {
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+	w := waiter.New(l.Clk)
 	for e.gate.Load() == 0 {
 		w.Pause()
 	}

@@ -70,7 +70,7 @@ func (l *GatedLock) Acquire(e *gElement) gToken {
 	if prv != nil {
 		// Follower within a segment: wait for ownership plus the
 		// end-of-segment address to arrive through our element.
-		w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+		w := waiter.New(l.Clk)
 		var eos *gElement
 		for {
 			eos = e.eos.Load()
@@ -84,7 +84,7 @@ func (l *GatedLock) Acquire(e *gElement) gToken {
 	// Segment leader: wait for the previous generation to depart. At
 	// most one thread waits here at a time (the stack was empty, and
 	// it stays non-empty until this leader detaches it).
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+	w := waiter.New(l.Clk)
 	for l.leaderGate.Load() != 0 {
 		w.Pause()
 	}

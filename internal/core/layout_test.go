@@ -38,8 +38,8 @@ func TestFlagElementFieldSeparation(t *testing.T) {
 
 // The core lock bodies stay compact: the arrival word plus owner
 // context. The paper's Table 1 charges Reciprocating S=2 words; our
-// Lock carries the arrival word plus three context words and a policy
-// — still well under one cache line.
+// Lock carries the arrival word plus three context words, a clock and
+// a flag — 56 bytes, under one cache line.
 func TestLockBodyCompact(t *testing.T) {
 	if got := unsafe.Sizeof(Lock{}); got > pad.CacheLineSize {
 		t.Errorf("Lock body = %d bytes, want <= one line", got)

@@ -28,9 +28,6 @@ type Lock struct {
 	eos  *WaitElement
 	cur  *WaitElement
 
-	// Policy selects the busy-wait strategy; the zero value is the
-	// adaptive spin-then-yield policy.
-	Policy waiter.Policy
 	// Clk is the injected time source for waiting (nil = wall clock).
 	Clk Clock
 
@@ -83,7 +80,7 @@ func (l *Lock) acquire(e *WaitElement, deadline time.Duration) (Token, bool) {
 		// Waiting phase: local spinning on our own element. The
 		// eventual non-nil Gate value both grants ownership and
 		// conveys the end-of-segment address.
-		w := waiter.NewClocked(l.Policy, l.Clk)
+		w := waiter.New(l.Clk)
 		timedOut := false
 		for {
 			eos = e.gate.Load()

@@ -57,7 +57,7 @@ func (l *RelayLock) Acquire(e *flagElement) *flagElement {
 	if succ == nemo() {
 		succ = nil
 	}
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+	w := waiter.New(l.Clk)
 	for e.gate.Load() == 0 {
 		w.Pause()
 	}

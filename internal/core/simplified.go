@@ -78,7 +78,7 @@ func (l *SimplifiedLock) acquire(e *flagElement, deadline time.Duration) (*flagE
 	if succ == nemo() {
 		succ = nil
 	}
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+	w := waiter.New(l.Clk)
 	timedOut := false
 	for e.gate.Load() == 0 {
 		if timedOut && l.arrivals.Load() == e {

@@ -54,7 +54,7 @@ func (l *SimplifiedEOSLock) Acquire(e *taggedElement) *taggedElement {
 	}
 
 	succ := annulMarked(prev)
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+	w := waiter.New(l.Clk)
 	for e.gate.Load() == 0 {
 		w.Pause()
 	}

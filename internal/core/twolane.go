@@ -62,7 +62,7 @@ func (l *TwoLaneLock) Acquire(e *gElement) tlToken {
 	prv := l.lanes[lane].tail.Swap(e)
 	if prv != nil {
 		// Follower within this lane's segment.
-		w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+		w := waiter.New(l.Clk)
 		var eos *gElement
 		for {
 			eos = e.eos.Load()
@@ -77,7 +77,7 @@ func (l *TwoLaneLock) Acquire(e *gElement) tlToken {
 	// most two threads compete here at any time, so a ticket lock
 	// scales fine in this regime.
 	tx := l.ticket.Add(1) - 1
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+	w := waiter.New(l.Clk)
 	for l.grant.Load() != tx {
 		w.Pause()
 	}

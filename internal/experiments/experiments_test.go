@@ -108,13 +108,6 @@ func TestRetrogradeEquivalence(t *testing.T) {
 
 // Track A smoke tests: tiny durations, just verifying the harnesses
 // produce complete tables.
-func TestFig1RealSmoke(t *testing.T) {
-	tab := Fig1Real(false, 5*time.Millisecond, 1)
-	if len(tab.Rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(tab.Rows))
-	}
-}
-
 func TestFig2Smoke(t *testing.T) {
 	tab := Fig2(true, 3*time.Millisecond, 1)
 	if len(tab.Rows) != 6 {
@@ -133,13 +126,6 @@ func TestUncontendedLatencySmoke(t *testing.T) {
 	tab := UncontendedLatency(20_000)
 	if len(tab.Rows) < 15 {
 		t.Fatalf("rows = %d, want every registered lock", len(tab.Rows))
-	}
-}
-
-func TestMitigationFairnessSmoke(t *testing.T) {
-	tab := MitigationFairness(10 * time.Millisecond)
-	if len(tab.Rows) != 7 {
-		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 }
 

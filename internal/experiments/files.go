@@ -62,15 +62,12 @@ var Files = []File{
 		return []*table.Table{Table1Properties(), Table1Invalidations(0, 0), Table1RemoteMisses(0, 0)}
 	}},
 	// Figure 1: simulator shape curves (both architectures, both
-	// contention levels) plus the real-execution sweep.
+	// contention levels).
 	{"fig1_sim_intel", "B", "", func(Budget) []*table.Table {
 		return []*table.Table{Fig1Sim(ArchIntel, false, 0), Fig1Sim(ArchIntel, true, 0)}
 	}},
 	{"fig1_sim_arm", "B", "", func(Budget) []*table.Table {
 		return []*table.Table{Fig1Sim(ArchARM, false, 0), Fig1Sim(ArchARM, true, 0)}
-	}},
-	{"fig1_real", "A", TrackANote, func(b Budget) []*table.Table {
-		return []*table.Table{Fig1Real(false, b.Dur, b.Runs), Fig1Real(true, b.Dur, b.Runs)}
 	}},
 	// Figure 2: lock-striped atomic struct.
 	{"fig2", "A", TrackANote, func(b Budget) []*table.Table {
@@ -87,9 +84,6 @@ var Files = []File{
 	}},
 	{"fairness", "B", "", func(Budget) []*table.Table {
 		return []*table.Table{LongTermFairnessSim(0, 0)}
-	}},
-	{"mitigation", "A", TrackANote, func(b Budget) []*table.Table {
-		return []*table.Table{MitigationFairness(b.Dur)}
 	}},
 	{"llc_model", "B", "", func(Budget) []*table.Table { return []*table.Table{LLCResidency(0)} }},
 	{"latency", "B", "", func(Budget) []*table.Table { return []*table.Table{AcquireLatencyDistribution(0, 0)} }},

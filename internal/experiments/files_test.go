@@ -59,6 +59,29 @@ func TestFilesOneTrackEach(t *testing.T) {
 	}
 }
 
+// TestResultsDirMatchesFiles requires results/ to hold exactly one
+// file per stem in Files: a deleted stem must take its file with it,
+// and every listed stem must have a committed file.
+func TestResultsDirMatchesFiles(t *testing.T) {
+	names, err := filepath.Glob(filepath.Join("..", "..", "results", "*.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := map[string]bool{}
+	for _, n := range names {
+		committed[filepath.Base(n)] = true
+	}
+	for _, f := range Files {
+		if !committed[f.Name()] {
+			t.Errorf("stem %q has no results/%s", f.Stem, f.Name())
+		}
+		delete(committed, f.Name())
+	}
+	for n := range committed {
+		t.Errorf("results/%s is no stem in Files", n)
+	}
+}
+
 // firstDiff names the first line at which got and want differ; they
 // must differ somewhere.
 func firstDiff(got, want []byte) string {

@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"repro/internal/atomicstruct"
-	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/kvstore"
 	"repro/internal/mutexbench"
@@ -26,33 +24,6 @@ Contended numbers are scheduler-influenced; the coherence simulator
 
 // defaultThreads is the Track A sweep (goroutines, not processors).
 func defaultThreads() []int { return []int{1, 2, 4, 8, 16, 32} }
-
-// Fig1Real runs MutexBench (§7.1) for real — the Figure 1 lock set
-// across a goroutine sweep — as the familiar matrix table. moderate
-// selects the Figure 1b non-critical section (private MT19937
-// advanced uniform [0,250) steps).
-func Fig1Real(moderate bool, dur time.Duration, runs int) *table.Table {
-	if dur <= 0 {
-		dur = 300 * time.Millisecond
-	}
-	if runs <= 0 {
-		runs = 3
-	}
-	label := "max contention"
-	ncs := 0
-	if moderate {
-		label = "moderate contention"
-		ncs = 250
-	}
-	res := mutexbench.SweepResult(registry.Paper(), defaultThreads(), mutexbench.Config{
-		Duration:    dur,
-		CSSteps:     1,
-		NCSMaxSteps: ncs,
-		Runs:        runs,
-	})
-	return harness.MatrixTable(res,
-		fmt.Sprintf("Figure 1 (%s) — MutexBench aggregate Mops/s (median of %d)", label, runs))
-}
 
 // Fig2 reproduces §7.2 over the Figure 1 lock set; Fig2Locks accepts
 // any catalog selection.
@@ -277,42 +248,6 @@ func UncontendedLatency(iters int) *table.Table {
 	return t
 }
 
-// MitigationFairness contrasts long-term per-thread admission
-// fairness (§9.2, §9.4) across the plain Reciprocating lock, the
-// Bernoulli-deferral FairLock, the TwoLane formulation, the randomized
-// retrograde ticket lock, and FIFO baselines, using real execution
-// (one run per lock). Jain and disparity come from the measured run.
-func MitigationFairness(dur time.Duration) *table.Table {
-	if dur <= 0 {
-		dur = 400 * time.Millisecond
-	}
-	// Catalog entries plus two parameterized FairLock variants that
-	// exist only for this ablation (and so are not catalog members);
-	// "Fair(1/16)" relabels the catalog's default-probability Fair.
-	set := []registry.Entry{
-		fromCatalog("Recipro"),
-		relabel(fromCatalog("Fair"), "Fair(1/16)"),
-		{Name: "Fair(1/4)", New: func(c clock.Clock) sync.Locker { return &core.FairLock{DeferProb: 64, Clk: c} }},
-		fromCatalog("TwoLane"),
-		fromCatalog("RetroRand"),
-		fromCatalog("Retrograde"),
-		relabel(fromCatalog("TKT"), "TKT(FIFO)"),
-	}
-	t := table.New("§9.4 mitigation — long-term admission fairness (8 goroutines, Track A)",
-		"Lock", "Jain", "Max/Min", "Mops")
-	for _, lf := range set {
-		m := mutexbench.Measure(lf, mutexbench.Config{
-			Threads:  8,
-			Duration: dur,
-			CSSteps:  1,
-			Runs:     1,
-		})
-		t.Add(lf.Name, table.F(harness.Finite(m.Jain()), 4), table.F(harness.Finite(m.Disparity()), 2),
-			table.F(m.Median, 3))
-	}
-	return t
-}
-
 // threadHeaders is the header row of a lock × thread-count matrix.
 func threadHeaders(threads []int) []string {
 	h := []string{"Lock"}
@@ -320,20 +255,4 @@ func threadHeaders(threads []int) []string {
 		h = append(h, fmt.Sprintf("T=%d", tc))
 	}
 	return h
-}
-
-// fromCatalog resolves a registry entry, panicking on a bad name —
-// these are compile-time-known experiment sets, not user input.
-func fromCatalog(name string) registry.Entry {
-	e, ok := registry.Lookup(name)
-	if !ok {
-		panic("experiments: unknown catalog lock " + name)
-	}
-	return e
-}
-
-// relabel renames an entry for presentation in an ablation table.
-func relabel(e registry.Entry, name string) registry.Entry {
-	e.Name = name
-	return e
 }

@@ -47,7 +47,7 @@ func NewABQL(capacity int, c Clock) *ABQLock {
 func (l *ABQLock) Lock() {
 	tx := l.ticket.Add(1) - 1
 	idx := tx % uint64(len(l.slots))
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+	w := waiter.New(l.Clk)
 	for l.slots[idx].flag.Load() == 0 {
 		w.Pause()
 	}

@@ -63,7 +63,7 @@ func (l *ChenLock) Lock() {
 		succ = nil
 	}
 	// Global spinning on the central current word.
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+	w := waiter.New(l.Clk)
 	for l.current.Load() != e {
 		w.Pause()
 	}

@@ -90,7 +90,7 @@ func (l *CLHLock) lockBounded(deadline time.Duration) bool {
 	l.ensureInit()
 	n, pred := l.enqueue()
 	// Dependent load chain: spin on the predecessor's node.
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+	w := waiter.New(l.Clk)
 	for pred.succMustWait.Load() != 0 {
 		if a := pred.aband.Load(); a != nil {
 			pred = hop(pred, a)

@@ -29,7 +29,7 @@ func (m *FutexMutex) Lock() {
 	}
 	// Short adaptive spin before sleeping, like adaptive pthread
 	// mutexes.
-	w := waiter.NewClocked(waiter.PolicyAdaptive, m.Clk)
+	w := waiter.New(m.Clk)
 	for i := 0; i < 32; i++ {
 		if m.state.Load() == 0 && m.state.CompareAndSwap(0, 1) {
 			return

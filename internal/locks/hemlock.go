@@ -47,7 +47,7 @@ func (l *HemLock) Lock() {
 	if pred != nil {
 		// Semi-local spinning on the predecessor's element, waiting
 		// for it to publish this lock's address.
-		w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+		w := waiter.New(l.Clk)
 		for pred.grant.Load() != l {
 			w.Pause()
 		}
@@ -76,7 +76,7 @@ func (l *HemLock) Unlock() {
 	// Contended: publish ownership address-wise, then wait for the
 	// successor's acknowledgement to protect the element lifecycle.
 	n.grant.Store(l)
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+	w := waiter.New(l.Clk)
 	for n.grant.Load() != nil {
 		w.Pause()
 	}

@@ -64,7 +64,7 @@ func (l *MCSLock) lockBounded(deadline time.Duration) bool {
 	}
 	// Enqueue behind pred and spin locally on our own node.
 	pred.next.Store(n)
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+	w := waiter.New(l.Clk)
 	for n.locked.Load() != mcsGranted {
 		if !w.PauseBounded(deadline) {
 			chMcsAbandon.Hit()
@@ -107,7 +107,7 @@ func (l *MCSLock) unlockNode(n *mcsNode) {
 			}
 			// A successor is mid-enqueue: wait for its link to appear.
 			// This is the non-constant-time release path of MCS (§6).
-			w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+			w := waiter.New(l.Clk)
 			for n.next.Load() == nil {
 				w.Pause()
 			}

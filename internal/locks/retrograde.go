@@ -33,7 +33,7 @@ type RetrogradeLock struct {
 // lock.
 func (l *RetrogradeLock) Lock() {
 	tx := l.ticket.Add(1) - 1
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+	w := waiter.New(l.Clk)
 	for l.grant.Load() != tx {
 		w.Pause()
 	}
@@ -113,7 +113,7 @@ type RetrogradeRandLock struct {
 // Lock acquires l (classic ticket doorway).
 func (l *RetrogradeRandLock) Lock() {
 	tx := l.ticket.Add(1) - 1
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+	w := waiter.New(l.Clk)
 	for l.grant.Load() != tx {
 		w.Pause()
 	}

@@ -19,7 +19,7 @@ type TASLock struct {
 
 // Lock acquires l.
 func (l *TASLock) Lock() {
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+	w := waiter.New(l.Clk)
 	for l.word.Swap(1) != 0 {
 		w.Pause()
 	}
@@ -46,7 +46,7 @@ type TTASLock struct {
 
 // Lock acquires l.
 func (l *TTASLock) Lock() {
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+	w := waiter.New(l.Clk)
 	for {
 		if l.word.Load() == 0 && l.word.Swap(1) == 0 {
 			return

@@ -23,7 +23,7 @@ type TicketLock struct {
 // Lock acquires l.
 func (l *TicketLock) Lock() {
 	tx := l.ticket.Add(1) - 1
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+	w := waiter.New(l.Clk)
 	for l.grant.Load() != tx {
 		w.Pause()
 	}

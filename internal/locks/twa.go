@@ -74,7 +74,7 @@ func (l *TWALock) Lock() {
 		return
 	}
 	id := l.lockID()
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.Clk)
+	w := waiter.New(l.Clk)
 	for {
 		dist := tx - l.grant.Load()
 		if dist == 0 {

@@ -64,9 +64,9 @@ type Stats struct {
 	handovers  counter // unlocks performed while at least one waiter was queued
 	tryFails   counter // failed TryLock attempts
 	abandons   counter // bounded acquisitions abandoned (deadline passed)
-	spins      counter // hot spin iterations (waiter policy layer)
-	yields     counter // scheduler yields (waiter policy layer)
-	parks      counter // blocking waits: policy sleeps + futex parks
+	spins      counter // hot spin iterations (counted in internal/waiter)
+	yields     counter // scheduler yields (counted in internal/waiter)
+	parks      counter // blocking waits: waiter sleeps + futex parks
 	optReads   counter // completed optimistic read sections (OptimisticRead)
 	optRetries counter // optimistic validations that failed (manual or in-section)
 

@@ -243,9 +243,9 @@ func (s *countingSink) CountPark()  { s.parks.Add(1) }
 // Park entries must actually block a contended waiter (observed via
 // the waiter sink) rather than spin indefinitely. GoMutex is exempt:
 // it parks inside the Go runtime, invisible to the repository's sink.
-// The converse is deliberately not asserted — the adaptive wait policy
-// escalates any long episode to sleeping, so "no parks" is not a
-// testable property of non-parking locks.
+// The converse is deliberately not asserted — the waiter escalates
+// any long episode to sleeping, so "no parks" is not a testable
+// property of non-parking locks.
 func TestCapParkBlocksContendedWaiter(t *testing.T) {
 	for _, e := range All() {
 		if !e.Park || e.Family == FamilyRuntime {

@@ -143,7 +143,7 @@ var retrySeq atomic.Uint64
 // The protocol is the classic flag-and-count scheme. A writer takes
 // the inner lock (serializing against other writers and inheriting the
 // inner algorithm's queue discipline), raises the intent flag, and
-// spins — under the repository's waiter policy — until the reader
+// spins — through the repository's one waiter — until the reader
 // count drains to zero. A reader increments the count and then
 // re-checks the flag: if a writer raised intent concurrently the
 // reader backs out and waits, which is what gives writers preference
@@ -185,7 +185,7 @@ func (l *RW) Lock() {
 	if l.readers.Load() == 0 {
 		return
 	}
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.clk)
+	w := waiter.New(l.clk)
 	for l.readers.Load() != 0 {
 		w.Pause()
 	}
@@ -227,9 +227,9 @@ func (l *RW) RLock() {
 	l.rlockSlow()
 }
 
-// rlockSlow waits out writer intent under the waiter policy.
+// rlockSlow waits out writer intent through the waiter.
 func (l *RW) rlockSlow() {
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.clk)
+	w := waiter.New(l.clk)
 	for {
 		for l.wflag.Load() {
 			w.Pause()

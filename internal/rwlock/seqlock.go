@@ -113,7 +113,7 @@ func (l *Seqlock) OptimisticRead(f func()) {
 // sleeps drawn from readRetryPolicy, then — once a nonzero budget is
 // spent — the wrapped lock.
 func (l *Seqlock) optimisticSlow(f func()) {
-	w := waiter.NewClocked(waiter.PolicyAdaptive, l.clk)
+	w := waiter.New(l.clk)
 	var bo *backoff.Backoff
 	for attempt := 1; l.budget == 0 || attempt < l.budget; attempt++ {
 		if attempt <= optHotRetries {

@@ -7,30 +7,51 @@ import (
 	"repro/internal/clock"
 )
 
-// Policies that poll the budget on every call (Yield yields each pause;
-// Backoff sleeps each pause) must detect a long-expired deadline on the
-// very first PauseBounded, without pausing at all.
-func TestPauseBoundedNegativeDeadlineImmediate(t *testing.T) {
-	for _, p := range []Policy{PolicyYield, PolicyBackoff} {
-		rec := &recordingSink{}
-		w := NewWithSink(p, rec)
-		if w.PauseBounded(clock.Wall.Now() - time.Hour) {
-			t.Fatalf("policy %v: expired deadline not detected on first call", p)
+// An expired deadline must be detected within one deadline stride
+// while the episode still spins hot, and on the very first call once
+// it has escalated (every yield or park step polls the budget). A
+// false return pauses zero times, so it reports no transition: the
+// caller is about to abandon and must not be charged a pause that
+// never happened.
+func TestPauseBoundedExpiredDeadline(t *testing.T) {
+	expired := clock.Wall.Now() - time.Hour
+
+	rec := &recordingSink{}
+	w := Waiter{sink: rec}
+	calls := 0
+	for w.PauseBounded(expired) {
+		if calls++; calls >= deadlineStride {
+			t.Fatalf("hot episode missed an expired deadline for %d pauses", calls)
 		}
-		if len(rec.events) != 0 {
-			t.Fatalf("policy %v: exhausted return still paused (%q)", p, rec.events)
+	}
+	if len(rec.events) != calls || rec.count('s') != calls {
+		t.Fatalf("hot episode reported %q for %d completed pauses, want %d spins", rec.events, calls, calls)
+	}
+
+	for _, warm := range []int{spinBudget, spinBudget + yieldBudget} {
+		rec := &recordingSink{}
+		w := Waiter{sink: rec}
+		for i := 0; i < warm; i++ {
+			w.Pause()
+		}
+		if w.PauseBounded(expired) {
+			t.Fatalf("waiter escalated by %d pauses missed an expired deadline on its first call", warm)
+		}
+		if len(rec.events) != warm {
+			t.Fatalf("waiter escalated by %d pauses: exhausted PauseBounded reported a transition", warm)
 		}
 	}
 }
 
-// Sink discipline under PauseBounded: every true return pauses exactly
-// once (one transition), and an exhausted (false) return pauses zero
-// times — the caller is about to abandon and must not be charged a
-// transition that never happened.
+// Sink discipline and escalation order under PauseBounded: every true
+// return of an unbounded episode pauses exactly once (one transition),
+// and the transitions escalate monotonically — all spins strictly
+// before the first yield, all yields strictly before the first park —
+// until the episode parks, the same schedule as Pause.
 func TestPauseBoundedSinkTransitionOrdering(t *testing.T) {
-	rec := &recordingSink{}
-	w := NewWithSink(PolicyAdaptive, rec)
 	const calls = spinBudget + yieldBudget + 10
+	rec := &recordingSink{}
+	w := Waiter{sink: rec}
 	for i := 0; i < calls; i++ {
 		if !w.PauseBounded(0) {
 			t.Fatal("unbounded episode reported exhaustion")
@@ -39,7 +60,6 @@ func TestPauseBoundedSinkTransitionOrdering(t *testing.T) {
 	if len(rec.events) != calls {
 		t.Fatalf("%d transitions for %d bounded pauses — must be exactly one each", len(rec.events), calls)
 	}
-	// Same escalation order as Pause: spins, then yields, then parks.
 	phase, order := 0, map[byte]int{'s': 0, 'y': 1, 'p': 2}
 	for i, e := range rec.events {
 		if order[e] < phase {
@@ -47,22 +67,20 @@ func TestPauseBoundedSinkTransitionOrdering(t *testing.T) {
 		}
 		phase = order[e]
 	}
-
-	before := len(rec.events)
-	if w.PauseBounded(clock.Wall.Now() - time.Minute) {
-		t.Fatal("escalated waiter missed an expired deadline")
-	}
-	if len(rec.events) != before {
-		t.Fatal("exhausted PauseBounded still reported a transition")
+	if phase != 2 {
+		t.Fatalf("escalation ended in phase %d, never parked", phase)
 	}
 }
 
 // A zero deadline is "no time bound", not "expired at the epoch": the
-// episode must keep going indefinitely even for policies that poll
-// every call.
+// episode must keep going indefinitely, also once it has escalated
+// past hot spinning and polls the budget on every call.
 func TestPauseBoundedZeroDeadlineMeansUnbounded(t *testing.T) {
-	w := NewWithSink(PolicyYield, nil)
-	for i := 0; i < 200; i++ {
+	var w Waiter
+	for i := 0; i < spinBudget; i++ {
+		w.Pause()
+	}
+	for i := 0; i < 100; i++ {
 		if !w.PauseBounded(0) {
 			t.Fatal("zero deadline treated as a bound")
 		}

@@ -19,7 +19,7 @@ func TestArrivalProbeFiresOnceAndForwards(t *testing.T) {
 	default:
 	}
 
-	w := NewWithSink(PolicySpin, p)
+	w := Waiter{sink: p}
 	w.Pause()
 	if !p.Fired() {
 		t.Fatal("first Pause did not fire the probe")
@@ -58,7 +58,7 @@ func TestArrivalProbeGlobalPickup(t *testing.T) {
 	defer SetSink(nil)
 	done := make(chan struct{})
 	go func() {
-		w := New(PolicyYield)
+		w := New(nil)
 		w.Pause()
 		close(done)
 	}()

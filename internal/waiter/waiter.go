@@ -1,25 +1,21 @@
-// Package waiter provides busy-wait ("Pause") policies for spin locks.
+// Package waiter provides the busy-wait ("Pause") escalation every
+// spin lock in this repository waits through.
 //
 // The paper assumes a "polite" Pause() operator (x86 PAUSE / ARM YIELD)
 // inside every busy-wait loop. Under the Go runtime — and in particular
 // under GOMAXPROCS values smaller than the number of runnable
 // goroutines — pure spinning starves the lock holder of a processor, so
-// every practical policy here eventually yields to the scheduler.
+// the waiter eventually yields to the scheduler.
 //
-// Three policies are provided:
+// There is one schedule: a waiting episode spins hot while the number
+// of pauses is small, then yields, then sleeps in escalating, capped
+// increments. The hot phase is the paper's polite spin; the sleep
+// phase bounds the cost of oversubscription. The paper rejects
+// backoff as dead time (§5), so nothing here sleeps while the episode
+// is short.
 //
-//   - Spin: bounded hot spinning followed by runtime.Gosched. The
-//     default; closest in spirit to PAUSE loops while remaining safe on
-//     oversubscribed schedulers.
-//   - Yield: immediate runtime.Gosched on every pause. Fastest handoff
-//     when GOMAXPROCS == 1.
-//   - Adaptive: spins hot while the number of pauses is small, then
-//     yields, then sleeps in escalating increments. Robust default for
-//     unknown oversubscription.
-//
-// Policies are expressed as small value types so that lock hot paths
-// can inline the Pause call; a Waiter is cheap to construct per
-// acquisition and holds only an iteration counter.
+// A Waiter is cheap to construct per acquisition and holds only an
+// iteration counter, its sink and its clock.
 package waiter
 
 import (
@@ -27,16 +23,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/backoff"
 	"repro/internal/clock"
 )
 
 // Sink receives one callback per Pause, classified by what the pause
 // actually did: a hot spin (CountSpin), a scheduler yield
 // (CountYield), or a blocking wait — sleep or futex park —
-// (CountPark). Counting here, at the policy layer, means no lock
-// algorithm carries instrumentation in its own hot path; the telemetry
-// package (internal/lockstat) implements Sink with atomic counters.
+// (CountPark). Counting here, in the waiter, means no lock algorithm
+// carries instrumentation in its own hot path; the telemetry package
+// (internal/lockstat) implements Sink with atomic counters.
 //
 // Implementations must be safe for concurrent use: many waiters on
 // many goroutines report to the same sink.
@@ -73,105 +68,56 @@ func ActiveSink() Sink {
 	return nil
 }
 
-// Policy selects a busy-wait strategy.
-type Policy int
-
-const (
-	// PolicyAdaptive spins briefly, then yields, then sleeps.
-	PolicyAdaptive Policy = iota
-	// PolicySpin spins hot for a fixed budget between yields.
-	PolicySpin
-	// PolicyYield yields to the scheduler on every pause.
-	PolicyYield
-	// PolicyBackoff sleeps for exponentially growing, capped
-	// intervals — the classic randomized-backoff discipline the paper
-	// rejects as not work conserving ("backoff delays ... constitute
-	// dead time", §5). Provided as the contrast arm for ablations.
-	PolicyBackoff
-)
-
 // spinBudget is the number of hot iterations performed before the
-// first yield under PolicySpin and PolicyAdaptive.
+// first yield.
 const spinBudget = 32
 
-// yieldBudget is the number of Gosched calls performed by
-// PolicyAdaptive before it escalates to sleeping.
+// yieldBudget is the number of Gosched calls performed before the
+// episode escalates to sleeping.
 const yieldBudget = 64
-
-// backoffSchedule is PolicyBackoff's capped-doubling schedule,
-// expressed through the shared backoff package so one implementation
-// of the math serves every retry path in the repository.
-var backoffSchedule = backoff.Policy{Base: time.Microsecond, Cap: 256 * time.Microsecond}
 
 // Waiter tracks progress of one waiting episode. The zero value is
 // ready to use (reports to no sink, sleeps on the wall clock).
 type Waiter struct {
-	policy Policy
-	n      int
-	sink   Sink
-	clk    clock.Clock // nil = clock.Wall
+	n    int
+	sink Sink
+	clk  clock.Clock // nil = clock.Wall
 }
 
-// New returns a Waiter implementing the given policy, attached to the
-// process-wide sink installed at construction time (if any).
-func New(p Policy) Waiter { return Waiter{policy: p, sink: ActiveSink()} }
+// New returns a Waiter attached to the process-wide sink installed at
+// construction time (if any). Parks sleep on c and bounded deadlines
+// are instants on c; a nil c selects clock.Wall, so locks can pass
+// their (normally nil) clock field straight through.
+func New(c clock.Clock) Waiter { return Waiter{sink: ActiveSink(), clk: c} }
 
-// NewClocked is New with an injected time source: parks sleep on c and
-// bounded deadlines are instants on c. A nil c selects clock.Wall, so
-// locks can pass their (normally nil) clock field straight through.
-func NewClocked(p Policy, c clock.Clock) Waiter {
-	return Waiter{policy: p, sink: ActiveSink(), clk: c}
-}
-
-// NewWithSink returns a Waiter reporting transitions to s, bypassing
-// the global sink. Intended for tests and for callers that already
-// hold a per-lock Stats.
-func NewWithSink(p Policy, s Sink) Waiter { return Waiter{policy: p, sink: s} }
-
-// Pause performs one unit of polite waiting, escalating according to
-// the policy as the episode lengthens. Each call reports exactly one
-// transition (spin, yield, or park) to the attached sink. It is
-// PauseBounded with no budget.
+// Pause performs one unit of polite waiting, escalating from spinning
+// to yielding to sleeping as the episode lengthens. Each call reports
+// exactly one transition (spin, yield, or park) to the attached sink.
+// It is PauseBounded with no budget.
 func (w *Waiter) Pause() { w.PauseBounded(0) }
 
-// plan computes the next pause step for the current policy without
-// performing it: d > 0 means sleep d, else yield selects a scheduler
-// yield, else a hot spin.
+// plan computes the next pause step without performing it: d > 0
+// means sleep d, else yield selects a scheduler yield, else a hot
+// spin.
 func (w *Waiter) plan() (d time.Duration, yield bool) {
-	switch w.policy {
-	case PolicyYield:
-		return 0, true
-	case PolicyBackoff:
-		// Exponential backoff: 1µs doubling to a 256µs cap (the capped
-		// doubling is backoff.Policy.Exp, shared with the retry path in
-		// internal/bounded). Any time between the lock becoming free
-		// and the sleep expiring is dead time — the §5 objection.
-		return backoffSchedule.Exp(w.n), false
-	case PolicySpin:
-		if w.n%spinBudget == 0 {
-			return 0, true
-		}
+	switch {
+	case w.n < spinBudget:
 		return 0, false
-	default: // PolicyAdaptive
-		switch {
-		case w.n < spinBudget:
-			return 0, false
-		case w.n < spinBudget+yieldBudget:
-			return 0, true
-		default:
-			// Escalate to short sleeps; cap the sleep so that a
-			// missed wakeup is bounded-cost.
-			d := time.Duration(w.n-spinBudget-yieldBudget) * time.Microsecond
-			if d > 100*time.Microsecond {
-				d = 100 * time.Microsecond
-			}
-			if d <= 0 {
-				// First park step: a minimal sleep, so the transition
-				// still classifies (and counts) as a park.
-				d = 1
-			}
-			return d, false
+	case w.n < spinBudget+yieldBudget:
+		return 0, true
+	default:
+		// Escalate to short sleeps; cap the sleep so that a missed
+		// wakeup is bounded-cost.
+		d := time.Duration(w.n-spinBudget-yieldBudget) * time.Microsecond
+		if d > 100*time.Microsecond {
+			d = 100 * time.Microsecond
 		}
+		if d <= 0 {
+			// First park step: a minimal sleep, so the transition
+			// still classifies (and counts) as a park.
+			d = 1
+		}
+		return d, false
 	}
 }
 
@@ -183,7 +129,7 @@ func (w *Waiter) plan() (d time.Duration, yield bool) {
 const deadlineStride = 16
 
 // PauseBounded performs one unit of polite waiting within a budget. It
-// follows the policy's escalation schedule, clamps sleeps to the time
+// follows the escalation schedule, clamps sleeps to the time
 // remaining, and checks the deadline before pausing: on every step
 // once the episode has escalated past hot spinning, and only at stride
 // boundaries while still spinning hot, so bounded waiting stays off

@@ -8,58 +8,42 @@ import (
 	"repro/internal/clock"
 )
 
-func TestBackoffBounded(t *testing.T) {
-	w := New(PolicyBackoff)
-	start := time.Now()
-	for i := 0; i < 12; i++ {
+func TestPauseCountsSpins(t *testing.T) {
+	w := New(nil)
+	for i := 0; i < 10; i++ {
 		w.Pause()
 	}
-	// Sum of capped exponential sleeps stays well under a second.
-	if el := time.Since(start); el > 5*time.Second {
-		t.Fatalf("backoff slept %v", el)
+	if got := w.Spins(); got != 10 {
+		t.Errorf("Spins() = %d, want 10", got)
 	}
-}
-
-func TestPauseCountsSpins(t *testing.T) {
-	for _, p := range []Policy{PolicySpin, PolicyYield, PolicyAdaptive, PolicyBackoff} {
-		w := New(p)
-		for i := 0; i < 10; i++ {
-			w.Pause()
-		}
-		if got := w.Spins(); got != 10 {
-			t.Errorf("policy %v: Spins() = %d, want 10", p, got)
-		}
-		w.Reset()
-		if got := w.Spins(); got != 0 {
-			t.Errorf("policy %v: Spins() after Reset = %d, want 0", p, got)
-		}
+	w.Reset()
+	if got := w.Spins(); got != 0 {
+		t.Errorf("Spins() after Reset = %d, want 0", got)
 	}
 }
 
 // A waiter must allow another goroutine to make progress even on a
 // single-processor scheduler: spin on a flag set by a second goroutine.
 func TestPauseAllowsProgress(t *testing.T) {
-	for _, p := range []Policy{PolicySpin, PolicyYield, PolicyAdaptive} {
-		var flag atomic.Bool
-		done := make(chan struct{})
-		go func() {
-			flag.Store(true)
-			close(done)
-		}()
-		w := New(p)
-		deadline := time.Now().Add(10 * time.Second)
-		for !flag.Load() {
-			if time.Now().After(deadline) {
-				t.Fatalf("policy %v: flag never observed", p)
-			}
-			w.Pause()
+	var flag atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		flag.Store(true)
+		close(done)
+	}()
+	w := New(nil)
+	deadline := time.Now().Add(10 * time.Second)
+	for !flag.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("flag never observed")
 		}
-		<-done
+		w.Pause()
 	}
+	<-done
 }
 
 func TestAdaptiveEscalatesWithoutPanic(t *testing.T) {
-	w := New(PolicyAdaptive)
+	w := New(nil)
 	// Drive the waiter well past the sleep threshold; the sleep cap
 	// keeps this fast.
 	start := time.Now()
@@ -67,7 +51,7 @@ func TestAdaptiveEscalatesWithoutPanic(t *testing.T) {
 		w.Pause()
 	}
 	if time.Since(start) > 5*time.Second {
-		t.Fatal("adaptive waiter slept far too long")
+		t.Fatal("escalated waiter slept far too long")
 	}
 }
 
@@ -99,33 +83,25 @@ func (r *recordingSink) count(c byte) int {
 	return n
 }
 
-// Every Pause must report exactly one transition, with per-policy
-// counts matching the documented escalation schedule.
+// Every Pause must report exactly one transition, with counts matching
+// the documented escalation schedule.
 func TestSinkTransitionCounts(t *testing.T) {
 	cases := []struct {
 		name                 string
-		policy               Policy
 		pauses               int
 		spins, yields, parks int
 	}{
-		// Adaptive: pauses 1..31 spin, 32..95 yield, 96.. park.
-		{"Adaptive/spin-phase", PolicyAdaptive, spinBudget - 1, spinBudget - 1, 0, 0},
-		{"Adaptive/yield-phase", PolicyAdaptive, spinBudget + 10, spinBudget - 1, 11, 0},
+		// Pauses 1..31 spin, 32..95 yield, 96.. park.
+		{"Adaptive/spin-phase", spinBudget - 1, spinBudget - 1, 0, 0},
+		{"Adaptive/yield-phase", spinBudget + 10, spinBudget - 1, 11, 0},
 		// Park phase begins at pause spinBudget+yieldBudget (the first
 		// pause past both budgets), so 5 extra pauses park 6 times.
-		{"Adaptive/park-phase", PolicyAdaptive, spinBudget + yieldBudget + 5, spinBudget - 1, yieldBudget, 6},
-		// Spin: every spinBudget-th pause yields, the rest spin hot.
-		{"Spin", PolicySpin, 2 * spinBudget, 2*spinBudget - 2, 2, 0},
-		// Yield: every pause yields.
-		{"Yield", PolicyYield, 10, 0, 10, 0},
-		// Backoff: every pause is a (sleeping) park.
-		{"Backoff", PolicyBackoff, 5, 0, 0, 5},
+		{"Adaptive/park-phase", spinBudget + yieldBudget + 5, spinBudget - 1, yieldBudget, 6},
 	}
 	for _, c := range cases {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
 			rec := &recordingSink{}
-			w := NewWithSink(c.policy, rec)
+			w := Waiter{sink: rec}
 			for i := 0; i < c.pauses; i++ {
 				w.Pause()
 			}
@@ -139,11 +115,11 @@ func TestSinkTransitionCounts(t *testing.T) {
 	}
 }
 
-// The adaptive policy must escalate monotonically: all spins strictly
-// before the first yield, all yields strictly before the first park.
+// Pause must escalate monotonically: all spins strictly before the
+// first yield, all yields strictly before the first park.
 func TestAdaptiveTransitionOrdering(t *testing.T) {
 	rec := &recordingSink{}
-	w := NewWithSink(PolicyAdaptive, rec)
+	w := Waiter{sink: rec}
 	for i := 0; i < spinBudget+yieldBudget+10; i++ {
 		w.Pause()
 	}
@@ -164,7 +140,7 @@ func TestAdaptiveTransitionOrdering(t *testing.T) {
 // Reset starts a new episode (hot again) but keeps the attached sink.
 func TestResetKeepsSink(t *testing.T) {
 	rec := &recordingSink{}
-	w := NewWithSink(PolicyAdaptive, rec)
+	w := Waiter{sink: rec}
 	for i := 0; i < spinBudget+yieldBudget; i++ {
 		w.Pause()
 	}
@@ -180,15 +156,16 @@ func TestResetKeepsSink(t *testing.T) {
 }
 
 // New must pick up the global sink at construction; SetSink(nil)
-// uninstalls it.
+// uninstalls it. Each Pause reports one transition of some kind; which
+// kind is the escalation schedule's business, checked above.
 func TestGlobalSinkPickup(t *testing.T) {
 	rec := &recordingSink{}
 	SetSink(rec)
 	defer SetSink(nil)
-	w := New(PolicyYield)
+	w := New(nil)
 	w.Pause()
-	if rec.count('y') != 1 {
-		t.Fatalf("yield not reported to global sink: %q", rec.events)
+	if len(rec.events) != 1 {
+		t.Fatalf("global sink saw %q for one pause, want one transition", rec.events)
 	}
 	if ActiveSink() == nil {
 		t.Fatal("ActiveSink() = nil while installed")
@@ -197,22 +174,22 @@ func TestGlobalSinkPickup(t *testing.T) {
 	if ActiveSink() != nil {
 		t.Fatal("ActiveSink() non-nil after uninstall")
 	}
-	w2 := New(PolicyYield)
+	w2 := New(nil)
 	w2.Pause()
-	if rec.count('y') != 1 {
+	if len(rec.events) != 1 {
 		t.Fatal("waiter constructed after uninstall still reports")
 	}
 	// A waiter constructed while the sink was installed keeps it for
 	// its whole episode (sink capture is per-construction).
 	w.Pause()
-	if rec.count('y') != 2 {
+	if len(rec.events) != 2 {
 		t.Fatal("pre-uninstall waiter lost its captured sink")
 	}
 }
 
 // PauseBounded with no budget at all must never report exhaustion.
 func TestPauseBoundedUnbounded(t *testing.T) {
-	w := New(PolicyAdaptive)
+	w := New(nil)
 	for i := 0; i < 500; i++ {
 		if !w.PauseBounded(0) {
 			t.Fatal("PauseBounded with no deadline reported exhaustion")
@@ -220,25 +197,12 @@ func TestPauseBoundedUnbounded(t *testing.T) {
 	}
 }
 
-// A deadline in the past must be detected within one spin stride, and
-// a live deadline must be detected soon after it passes: the waiter
-// may overshoot by sleep clamping and stride granularity but not by
-// a large factor.
+// A live deadline must be detected soon after it passes: the waiter
+// may overshoot by sleep clamping and stride granularity but not by a
+// large factor. (An already expired deadline is
+// TestPauseBoundedExpiredDeadline's.)
 func TestPauseBoundedDeadline(t *testing.T) {
-	w := New(PolicyAdaptive)
-	expired := clock.Wall.Now() - time.Millisecond
-	for i := 0; i < deadlineStride+1; i++ {
-		if !w.PauseBounded(expired) {
-			if i == 0 {
-				t.Log("expired deadline detected on first pause")
-			}
-			goto detected
-		}
-	}
-	t.Fatal("expired deadline not detected within one stride")
-detected:
-
-	w.Reset()
+	w := New(nil)
 	const budget = 50 * time.Millisecond
 	deadline := clock.Wall.Now() + budget
 	start := time.Now()
@@ -256,7 +220,7 @@ detected:
 // ahead, a deeply escalated waiter (which would normally sleep 100us
 // per pause) must still return close to the deadline.
 func TestPauseBoundedClampsSleep(t *testing.T) {
-	w := New(PolicyAdaptive)
+	w := New(nil)
 	// Escalate far past the spin and yield budgets.
 	for i := 0; i < 400; i++ {
 		w.Pause()
